@@ -51,7 +51,7 @@ from .solve import (
     projector_row,
     right_solve,
 )
-from .subspaces import fundamental_bases, rank_nullity_report
+from .subspaces import SubspaceBases, fundamental_bases, rank_nullity_report
 
 __all__ = ["Report", "parse_matrix", "parse_vector", "run_command", "emit_report", "main"]
 
@@ -360,14 +360,15 @@ def _cmd_project(x, args, tol):
 
 
 def _cmd_report(x, args, tol):
-    rank_rep = rank_nullity_report(x, tol)
-    bases = fundamental_bases(x, tol)
-    g = pinv_svd(x, tol)
+    res = svd_full(x, tol)
+    bases = SubspaceBases.from_svd(res)
+    g = res.pinv()
     cls = classify_inverse(x, g, tol)
+    n, p = x.shape
     payload = {
-        "rank": rank_rep.rank,
-        "dim_null": rank_rep.dim_null,
-        "dim_left_null": rank_rep.dim_left_null,
+        "rank": res.rank,
+        "dim_null": p - res.rank,
+        "dim_left_null": n - res.rank,
         "pinv": _matrix_doc(g),
         "flags": _flags_doc(cls.flags),
         "class_label": cls.class_label,

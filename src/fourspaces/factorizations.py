@@ -1,9 +1,13 @@
 """Singular value and CR factorizations, built constructively.
 
-The SVD comes out of the symmetric eigendecomposition of the smaller Gram
-matrix: eigenvectors of ``X'X`` (or ``XX'`` when that is smaller) supply one
-side, the other side follows from ``u_i = X v_i / sigma_i``, and both sides
-are completed to full orthonormal bases by Gram-Schmidt over standard basis
+The SVD comes out of the symmetric eigendecomposition of the Gram matrix
+``X'X``: its eigenvectors supply ``v`` and ``u_i = X v_i / sigma_i`` follows.
+A wide input runs on its transpose with the two sides swapped, so the Gram
+matrix is always the smaller one.  The input is first scaled by the power of
+two that brings its largest entry into [0.5, 1) and ``sigma`` is scaled
+back; the scaling is exact, so it changes no bits unless ``X'X`` would
+otherwise overflow or underflow.  :func:`svd_full` completes both sides of
+:func:`svd_reduced` to orthonormal bases by Gram-Schmidt over standard basis
 candidates.  The CR factorization reuses the tracked row reduction: original
 pivot columns times the nonzero echelon rows reproduce the matrix.
 """
@@ -57,6 +61,14 @@ class SvdResult:
         full[: self.rank, : self.rank] = np.diag(self.sigma)
         return full
 
+    def pinv(self):
+        """Pseudo inverse ``v_r diag(1/sigma) u_r'`` from the first ``rank`` columns.
+
+        Either form gives the same array; at rank zero it is the zero matrix.
+        """
+        r = self.rank
+        return self.v[:, :r] / self.sigma @ self.u[:, :r].T
+
 
 @dataclass(frozen=True)
 class CrFactors:
@@ -106,23 +118,20 @@ def _complete_basis(accepted, dim):
 def _svd_kernel(x, tol):
     """Rank, singular values, and the first ``rank`` columns of each side."""
     n, p = x.shape
-    if n >= p:
-        eig = eig_symmetric(x.T @ x, tol)
-        sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
-        cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
-        r = int(np.sum(sig_all > cutoff))
-        sigma = sig_all[:r]
-        v_r = eig.q[:, :r]
-        u_r = (x @ v_r) / sigma if r else np.zeros((n, 0))
-    else:
-        eig = eig_symmetric(x @ x.T, tol)
-        sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
-        cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
-        r = int(np.sum(sig_all > cutoff))
-        sigma = sig_all[:r]
-        u_r = eig.q[:, :r]
-        v_r = (x.T @ u_r) / sigma if r else np.zeros((p, 0))
-    return r, sigma, u_r, v_r
+    if n < p:
+        r, sigma, v_r, u_r = _svd_kernel(x.T, tol)
+        return r, sigma, u_r, v_r
+    # exact power-of-two prescale: with the largest entry in [0.5, 1), X'X
+    # cannot overflow, and a tiny input no longer underflows to rank zero
+    _, e = np.frexp(np.max(np.abs(x)))
+    x = np.ldexp(x, -e)
+    eig = eig_symmetric(x.T @ x, tol)
+    sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
+    cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
+    r = int(np.sum(sig_all > cutoff))
+    v_r = eig.q[:, :r]
+    u_r = (x @ v_r) / sig_all[:r]
+    return r, np.ldexp(sig_all[:r], e), u_r, v_r
 
 
 def svd_full(x, tol=DEFAULT_TOL):
@@ -133,20 +142,17 @@ def svd_full(x, tol=DEFAULT_TOL):
     left null space and null space.  A singular value is kept only if it
     exceeds ``max(tol.relative * max(n, p), 1e-6) * sigma_max``.
     """
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    r, sigma, u_r, v_r = _svd_kernel(x, tol)
-    u = _complete_basis(u_r, n)
-    v = _complete_basis(v_r, p)
-    return SvdResult(u, sigma, v, r, "full", tol)
+    res = svd_reduced(x, tol)
+    u = _complete_basis(res.u, res.u.shape[0])
+    v = _complete_basis(res.v, res.v.shape[0])
+    return SvdResult(u, res.sigma, v, res.rank, "full", res.tol_used)
 
 
 def svd_reduced(x, tol=DEFAULT_TOL):
     """Rank-sized factors only: ``u (n, r)``, ``sigma (r,)``, ``v (p, r)``.
 
-    Agrees with the leading columns of :func:`svd_full` exactly, because both
-    come from the same kernel.
+    Agrees with the leading columns of :func:`svd_full` exactly, because the
+    full form completes these factors.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)

@@ -156,24 +156,12 @@ def left_inverse_elementary(x, tol=DEFAULT_TOL):
     stacks the identity over zero rows, so the top ``p`` rows of ``E``
     multiply ``X`` to the identity.
     """
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    res = rref_rows(x, tol)
-    if res.pivot_rank < p:
-        raise RankDeficientError(f"left inverse needs full column rank {p}")
-    return res.transform[:p, :].copy()
+    return left_inverse_family(x, None, tol)
 
 
 def right_inverse_elementary(x, tol=DEFAULT_TOL):
     """Right inverse read off the column reduction (mirror of the left case)."""
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    res = rref_cols(x, tol)
-    if res.pivot_rank < n:
-        raise RankDeficientError(f"right inverse needs full row rank {n}")
-    return res.transform[:, :n].copy()
+    return right_inverse_family(x, None, tol)
 
 
 def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
@@ -297,11 +285,7 @@ def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
 
 def pinv_svd(x, tol=DEFAULT_TOL):
     """Pseudo inverse assembled from the reduced SVD: ``v diag(1/sigma) u'``."""
-    x = as_matrix(x)
-    res = svd_reduced(x, _as_tolerance(tol))
-    if res.rank == 0:
-        return np.zeros((x.shape[1], x.shape[0]))
-    return (res.v / res.sigma) @ res.u.T
+    return svd_reduced(x, tol).pinv()
 
 
 def pinv_cr(x, tol=DEFAULT_TOL):

@@ -117,13 +117,9 @@ def ls_svd_minnorm(x, y, tol=DEFAULT_TOL):
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
-    n, p = x.shape
-    y = as_vector(y, length=n, name="y")
+    y = as_vector(y, length=x.shape[0], name="y")
     res = svd_reduced(x, tol)
-    if res.rank == 0:
-        beta = np.zeros(p)
-    else:
-        beta = res.v @ ((res.u.T @ y) / res.sigma)
+    beta = res.v @ ((res.u.T @ y) / res.sigma)
     return _finish(x, y, beta, res.rank, "svd-minnorm")
 
 

@@ -1,9 +1,11 @@
 """Orthonormal bases for the four fundamental subspaces of a matrix.
 
-Everything derives from the full singular value decomposition: the leading
+Everything derives from the singular value decomposition: the leading
 columns of ``v`` and ``u`` span the row space and column space, the silent
-columns span the null space and left null space, and the dimensions add up
-to the rank-nullity identities by construction.
+columns of the full form span the null space and left null space, and the
+dimensions add up to the rank-nullity identities by construction.  Consumers
+that need only the rank or the row space read the reduced SVD, so bases are
+completed only when a null space is asked for.
 
 Bases are passed around as 2-D arrays whose *columns* are the basis
 vectors; a subspace of dimension zero is a ``(dim, 0)`` array.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentBasisError, NonFiniteEntryError, NotInRowSpaceError, ShapeError
-from .factorizations import svd_full
+from .factorizations import svd_full, svd_reduced
 from .matrix import DEFAULT_TOL, _as_tolerance, as_matrix, frobenius_norm, pivot_rank
 
 __all__ = [
@@ -38,6 +40,18 @@ class SubspaceBases:
     column_space: np.ndarray
     left_null_space: np.ndarray
     rank: int
+
+    @classmethod
+    def from_svd(cls, res):
+        """Split the factors of a full-form ``SvdResult`` into the four bases."""
+        r = res.rank
+        return cls(
+            row_space=res.v[:, :r].copy(),
+            null_space=res.v[:, r:].copy(),
+            column_space=res.u[:, :r].copy(),
+            left_null_space=res.u[:, r:].copy(),
+            rank=r,
+        )
 
 
 @dataclass(frozen=True)
@@ -64,28 +78,19 @@ def _as_basis(b, name="basis"):
 
 
 def fundamental_bases(x, tol=DEFAULT_TOL):
-    """Split the SVD factors into the four orthonormal bases."""
-    x = as_matrix(x)
-    res = svd_full(x, tol)
-    r = res.rank
-    return SubspaceBases(
-        row_space=res.v[:, :r].copy(),
-        null_space=res.v[:, r:].copy(),
-        column_space=res.u[:, :r].copy(),
-        left_null_space=res.u[:, r:].copy(),
-        rank=r,
-    )
+    """Split the full SVD factors into the four orthonormal bases."""
+    return SubspaceBases.from_svd(svd_full(x, tol))
 
 
 def rank_nullity_report(x, tol=DEFAULT_TOL):
     """Dimensions of all four subspaces of ``x``."""
     x = as_matrix(x)
-    bases = fundamental_bases(x, tol)
+    r = svd_reduced(x, tol).rank
     n, p = x.shape
     return RankNullityReport(
-        rank=bases.rank,
-        dim_null=p - bases.rank,
-        dim_left_null=n - bases.rank,
+        rank=r,
+        dim_null=p - r,
+        dim_left_null=n - r,
         n_rows=n,
         n_cols=p,
     )
@@ -108,8 +113,8 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     k = rb.shape[1]
     if k == 0:
         return np.zeros((n, 0))
-    bases = fundamental_bases(x, tol)
-    proj = bases.row_space @ (bases.row_space.T @ rb)
+    row_space = svd_reduced(x, tol).v
+    proj = row_space @ (row_space.T @ rb)
     band = max(100.0 * tol.relative, 1e-8)
     for j in range(k):
         drift = float(np.sqrt(np.sum((proj[:, j] - rb[:, j]) ** 2)))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fourspaces import NonFiniteEntryError, ParseError, RaggedRowsError, ShapeError
+from fourspaces import NonFiniteEntryError, ParseError, RaggedRowsError, ShapeError, factorizations
 from fourspaces.cli import (
     Report,
     _matrix_doc,
@@ -17,6 +17,7 @@ from fourspaces.cli import (
     run_command,
 )
 from fourspaces.inverses import pinv_svd
+from fourspaces.subspaces import fundamental_bases
 
 
 def write(tmp_path, name, text):
@@ -311,6 +312,40 @@ def test_report_command(tmp_path, capsys):
         "column_space",
         "left_null_space",
     }
+
+
+def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
+    counts = {"eig_symmetric": 0, "_complete_basis": 0}
+
+    def counted(name):
+        original = getattr(factorizations, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(factorizations, name, counted(name))
+    # rank 2, with a null space of dimension 1 and a left null space of 2
+    path = write(tmp_path, "x.csv", "1,2,3\n2,4,6\n1,0,1\n0,1,1\n")
+
+    def run_counted(command):
+        counts.update(eig_symmetric=0, _complete_basis=0)
+        report = run_command([command, "--input", path])
+        return report.payload, (counts["eig_symmetric"], counts["_complete_basis"])
+
+    payload, calls = run_counted("report")
+    assert calls == (1, 2)
+    assert run_counted("rank")[1] == (1, 0)
+    x = parse_matrix(path)
+    assert np.array_equal(payload["pinv"]["data"], pinv_svd(x))
+    bases = fundamental_bases(x)
+    for name in ("row_space", "null_space", "column_space", "left_null_space"):
+        doc = payload["bases"][name]
+        got = np.array(doc["data"]).reshape(doc["rows"], doc["cols"])
+        assert np.array_equal(got, getattr(bases, name))
 
 
 def test_run_command_returns_report_object(tmp_path):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import Tolerance, frobenius_norm
+from fourspaces import Tolerance, frobenius_norm, pivot_rank
 from fourspaces.factorizations import (
     _complete_basis,
     cr_decompose,
     svd_full,
     svd_reduced,
 )
+from fourspaces.inverses import pinv_svd
 from support import full_col_rank, full_row_rank, rank_deficient
 
 
@@ -63,15 +64,39 @@ def test_svd_reduced_column_fixture():
 
 def test_svd_reduced_agrees_with_full_slices():
     rng = np.random.default_rng(2)
-    x = rank_deficient(rng, 7, 5, 3)
-    full = svd_full(x)
-    red = svd_reduced(x)
-    r = full.rank
-    assert red.rank == r
-    assert np.array_equal(red.sigma, full.sigma)
-    assert np.array_equal(red.u, full.u[:, :r])
-    assert np.array_equal(red.v, full.v[:, :r])
-    assert_allclose(red.u @ np.diag(red.sigma) @ red.v.T, x, atol=1e-8 * frobenius_norm(x))
+    for x in (rank_deficient(rng, 7, 5, 3), rank_deficient(rng, 4, 9, 3)):
+        full = svd_full(x)
+        red = svd_reduced(x)
+        r = full.rank
+        assert red.rank == r
+        assert np.array_equal(red.sigma, full.sigma)
+        assert np.array_equal(red.u, full.u[:, :r])
+        assert np.array_equal(red.v, full.v[:, :r])
+        assert_allclose(red.u @ np.diag(red.sigma) @ red.v.T, x, atol=1e-8 * frobenius_norm(x))
+        # a wide input runs on its transpose, so transposing swaps the sides bit for bit
+        flip = svd_reduced(x.T)
+        assert flip.rank == r
+        assert np.array_equal(flip.sigma, red.sigma)
+        assert np.array_equal(flip.u, red.v)
+        assert np.array_equal(flip.v, red.u)
+
+
+@pytest.mark.parametrize(
+    "scale", [2.0**-600, 1e-200, 1e160, 2.0**600], ids=["2^-600", "1e-200", "1e160", "2^600"]
+)
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+def test_svd_route_is_scale_safe(shape, scale):
+    # without an exact prescale X'X underflows at 1e-200 (rank 0) and overflows at 1e160
+    x = np.random.default_rng(3).standard_normal(shape)
+    scaled = x * scale
+    res = svd_reduced(scaled)
+    assert res.rank == pivot_rank(scaled) == min(shape)
+    if math.frexp(scale)[0] == 0.5:
+        # the power-of-two prescale is exact, so sigma scales exactly too
+        assert np.array_equal(res.sigma, svd_reduced(x).sigma * scale)
+    # max-abs, not Frobenius: squaring entries near 2^600 overflows
+    expected = pinv_svd(x) / scale
+    assert np.max(np.abs(pinv_svd(scaled) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_svd_rank_cutoff_scales_with_tolerance():
