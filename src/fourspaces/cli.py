@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,15 @@ from .inverses import (
     right_inverse_elementary,
     right_inverse_family,
 )
-from .matrix import Tolerance, as_matrix, as_vector, frobenius_norm, pivot_rank
+from .matrix import (
+    Tolerance,
+    _prescaled,
+    _vector_norm,
+    as_matrix,
+    as_vector,
+    frobenius_norm,
+    pivot_rank,
+)
 from .solve import (
     consistent_unique_solve,
     ls_normal,
@@ -164,12 +173,12 @@ def _matrix_doc(arr):
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [[float(v) for v in row] for row in arr],
+        "data": arr.tolist(),
     }
 
 
 def _vector_doc(arr):
-    return [float(v) for v in np.asarray(arr, dtype=float)]
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def _flags_doc(flags):
@@ -200,7 +209,10 @@ def _cmd_rank(x, args, tol):
         "dim_null": rep.dim_null,
         "dim_left_null": rep.dim_left_null,
     }
-    gram_gap = abs(pivot_rank(x.T @ x, tol) - rep.rank)
+    # Gauss-Jordan rank is blind to a power-of-two scale, and the prescaled
+    # X'X neither overflows nor underflows
+    xs, _ = _prescaled(x)
+    gram_gap = abs(pivot_rank(xs.T @ xs, tol) - rep.rank)
     return payload, {"gram_rank_gap": float(gram_gap)}
 
 
@@ -335,7 +347,7 @@ def _cmd_solve(x, args, tol):
     }
     residuals = {
         "residual_norm": float(sol.residual_norm),
-        "normal_equation_gap": float(np.linalg.norm(x.T @ sol.residual)),
+        "normal_equation_gap": _vector_norm(x.T @ sol.residual),
     }
     return payload, residuals
 
@@ -496,25 +508,17 @@ def run_command(argv):
 # emission
 
 
-def _require_finite(obj, where="report"):
+def _round_floats(obj, where="report"):
+    # 12 significant digits; idempotent, so emit/parse/emit is bit-stable.
+    # A NaN or infinity raises, naming its path in the document.
     if isinstance(obj, dict):
-        for key, val in obj.items():
-            _require_finite(val, f"{where}.{key}")
-    elif isinstance(obj, list):
-        for i, val in enumerate(obj):
-            _require_finite(val, f"{where}[{i}]")
-    elif isinstance(obj, float) and not np.isfinite(obj):
-        raise NonFiniteEntryError(f"{where} is not finite")
-
-
-def _round_floats(obj):
-    # 12 significant digits; idempotent, so emit/parse/emit is bit-stable
-    if isinstance(obj, dict):
-        return {key: _round_floats(val) for key, val in obj.items()}
+        return {key: _round_floats(val, f"{where}.{key}") for key, val in obj.items()}
     if isinstance(obj, list):
-        return [_round_floats(val) for val in obj]
+        return [_round_floats(val, f"{where}[{i}]") for i, val in enumerate(obj)]
     if isinstance(obj, bool) or not isinstance(obj, float):
         return obj
+    if not math.isfinite(obj):
+        raise NonFiniteEntryError(f"{where} is not finite")
     return float(f"{obj:.12g}")
 
 
@@ -569,9 +573,7 @@ def emit_report(report, json_mode=False, stream=None):
     A payload holding NaN or infinity is rejected before anything is
     written.  Returns the rendered text.
     """
-    doc = report.to_document()
-    _require_finite(doc)
-    doc = _round_floats(doc)
+    doc = _round_floats(report.to_document())
     if json_mode:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
@@ -595,8 +597,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    report = None
     try:
         report = _dispatch(args)
+        _write_report(report, args.json_mode, args.out)
     except (MatrixError, OSError) as exc:
         code = exc.code if isinstance(exc, MatrixError) else "io-error"
         residuals = {}
@@ -604,14 +608,13 @@ def main(argv=None):
             residuals["residual_norm"] = float(exc.residual_norm)
         failure = Report(
             command=args.command,
-            input_shape=getattr(exc, "input_shape", None),
+            input_shape=report.input_shape if report else getattr(exc, "input_shape", None),
             tolerance=float(args.tol),
             payload={"error": code, "message": str(exc)},
             residuals=residuals,
         )
         _write_report(failure, args.json_mode, args.out)
         return 1
-    _write_report(report, args.json_mode, args.out)
     return 0
 
 

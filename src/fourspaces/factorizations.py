@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, Tolerance, _as_tolerance, as_matrix, rref_rows
+from .matrix import DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, as_matrix, rref_rows
 from .spectral import eig_symmetric
 
 __all__ = [
@@ -121,10 +121,9 @@ def _svd_kernel(x, tol):
     if n < p:
         r, sigma, v_r, u_r = _svd_kernel(x.T, tol)
         return r, sigma, u_r, v_r
-    # exact power-of-two prescale: with the largest entry in [0.5, 1), X'X
-    # cannot overflow, and a tiny input no longer underflows to rank zero
-    _, e = np.frexp(np.max(np.abs(x)))
-    x = np.ldexp(x, -e)
+    # with the largest entry in [0.5, 1), X'X cannot overflow, and a tiny
+    # input no longer underflows to rank zero
+    x, e = _prescaled(x)
     eig = eig_symmetric(x.T @ x, tol)
     sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
     cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]

@@ -19,6 +19,7 @@ from .factorizations import cr_decompose, svd_reduced
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
+    _prescaled,
     as_matrix,
     frobenius_norm,
     invert,
@@ -293,13 +294,16 @@ def pinv_cr(x, tol=DEFAULT_TOL):
 
     Deliberately shares no code with :func:`pinv_svd`; the two routes
     agreeing is a statement about the uniqueness of the pseudo inverse, not
-    about the implementation.
+    about the implementation.  ``x`` is first scaled by the power of two
+    that brings its largest entry into [0.5, 1), so ``C'C`` neither
+    overflows nor underflows; since ``pinv(cX) = pinv(X) / c`` the result is
+    scaled back by the same power.
     """
-    x = as_matrix(x)
+    x, e = _prescaled(as_matrix(x))
     tol = _as_tolerance(tol)
     n, p = x.shape
     factors = cr_decompose(x, tol)
     if factors.rank == 0:
         return np.zeros((p, n))
     c, rf = factors.c, factors.r_factor
-    return rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
+    return np.ldexp(rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T, -e)

@@ -85,10 +85,32 @@ def as_vector(a, length=None, name="vector"):
     return arr
 
 
+def _prescaled(a):
+    """``(a * 2**-e, e)``, with ``e`` chosen so the largest entry lands in [0.5, 1).
+
+    A power-of-two scaling is exact, so products formed from the copy cannot
+    overflow or underflow where the raw entries would, and a result scales
+    back exactly: ``np.ldexp(result, k * e)`` for a product of ``k`` factors.
+    """
+    _, e = np.frexp(np.max(np.abs(a)))
+    return np.ldexp(a, -e), int(e)
+
+
 def frobenius_norm(a):
-    """Square root of the sum of squared entries."""
-    arr = as_matrix(a)
-    return float(np.sqrt(np.sum(arr * arr)))
+    """Square root of the sum of squared entries.
+
+    The entries are squared at the scale of :func:`_prescaled`, so the norm
+    overflows or underflows only where its own value does.
+    """
+    arr, e = _prescaled(as_matrix(a))
+    return float(np.ldexp(np.sqrt(np.sum(arr * arr)), e))
+
+
+def _vector_norm(v):
+    """Euclidean norm ``sqrt(v @ v)`` of a nonempty 1-D array, squared at the
+    scale of :func:`_prescaled` like :func:`frobenius_norm`."""
+    w, e = _prescaled(v)
+    return float(np.ldexp(np.sqrt(w @ w), e))
 
 
 def matmul(a, b):

@@ -21,6 +21,7 @@ from .inverses import left_inverse, pinv_svd, right_inverse
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
+    _vector_norm,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -82,7 +83,7 @@ def _finish(x, y, beta, rank_used, method):
         beta_hat=beta,
         y_hat=y_hat,
         residual=residual,
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=_vector_norm(residual),
         rank_used=rank_used,
         method=method,
     )
@@ -200,8 +201,8 @@ def consistent_unique_solve(x, y, tol=DEFAULT_TOL):
         )
     glx = left_inverse(x, tol)
     beta = glx @ y
-    gap = float(np.linalg.norm(y - x @ beta))
-    band = max(100.0 * tol.relative, 1e-8) * max(1.0, float(np.linalg.norm(y)))
+    gap = _vector_norm(y - x @ beta)
+    band = max(100.0 * tol.relative, 1e-8) * max(1.0, _vector_norm(y))
     if gap > band:
         raise InconsistentSystemError(
             f"system is inconsistent: left-inverse residual {gap:.3e} "

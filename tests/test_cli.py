@@ -2,14 +2,23 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fourspaces import NonFiniteEntryError, ParseError, RaggedRowsError, ShapeError, factorizations
+from fourspaces import (
+    NonFiniteEntryError,
+    ParseError,
+    RaggedRowsError,
+    ShapeError,
+    cli,
+    factorizations,
+)
 from fourspaces.cli import (
     Report,
     _matrix_doc,
+    _vector_doc,
     emit_report,
     main,
     parse_matrix,
@@ -24,6 +33,10 @@ def write(tmp_path, name, text):
     target = tmp_path / name
     target.write_text(text)
     return str(target)
+
+
+def write_matrix(tmp_path, name, x):
+    return write(tmp_path, name, "".join(",".join(map(repr, row)) + "\n" for row in x.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +361,53 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
         assert np.array_equal(got, getattr(bases, name))
 
 
+@pytest.mark.parametrize(
+    "scale", [1e160, 1e-200, 2.0**600, 2.0**-600], ids=["1e160", "1e-200", "2^600", "2^-600"]
+)
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
+    # C'C in pinv_cr, X'X behind gram_rank_gap and the squared entries in
+    # every Frobenius norm overflowed or underflowed here before prescaling
+    x = np.random.default_rng(3).standard_normal((6, 4)) * scale
+    x = x.T if wide else x
+    path = write_matrix(tmp_path, "x.csv", x)
+    g = write_matrix(tmp_path, "g.csv", pinv_svd(x))
+    code, doc = run_json(capsys, ["rank", "--input", path])
+    assert code == 0, doc["payload"]
+    assert doc["payload"]["rank"] == 4
+    assert doc["residuals"]["gram_rank_gap"] == 0.0
+    for argv in (["pinv"], ["report"], ["classify", "--g", g]):
+        code, doc = run_json(capsys, [*argv, "--input", path])
+        assert code == 0, doc["payload"]
+        assert doc["payload"]["class_label"] == "pseudo-inverse"
+    code, doc = run_json(capsys, ["ginv", "--input", path])
+    assert code == 0, doc["payload"]
+    assert doc["payload"]["flags"]["c1"] and doc["payload"]["flags"]["c2"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_non_finite_report_becomes_failure_report(tmp_path, capsys, monkeypatch, to_file):
+    monkeypatch.setitem(
+        cli._HANDLERS, "rank", lambda x, args, tol: ({"rank": 1}, {"gap": float("nan")})
+    )
+    path = write(tmp_path, "x.csv", "1,2\n2,4\n3,6\n")
+    out = tmp_path / "report.json"
+    out.write_text("stale")
+    argv = ["rank", "--input", path, "--json"] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 1
+    printed = capsys.readouterr().out
+    doc = json.loads(out.read_text() if to_file else printed)
+    if to_file:
+        assert printed == ""
+    else:
+        assert out.read_text() == "stale"
+    assert doc["payload"] == {
+        "error": "non-finite-entry",
+        "message": "report.residuals.gap is not finite",
+    }
+    assert doc["input_shape"] == [3, 2]
+
+
 def test_run_command_returns_report_object(tmp_path):
     path = write(tmp_path, "x.csv", "1,2\n2,4\n")
     report = run_command(["rank", "--input", path])
@@ -401,10 +461,34 @@ def test_loose_tolerance_flag_reaches_the_library(tmp_path, capsys):
 # emission
 
 
-def test_emit_report_rejects_nan_payload():
-    report = Report("rank", (1, 1), 1e-10, {"value": float("nan")}, {})
-    with pytest.raises(NonFiniteEntryError):
-        emit_report(report, json_mode=True, stream=io.StringIO())
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "posinf", "neginf"])
+@pytest.mark.parametrize(
+    "where",
+    [
+        "report.payload.pinv.data[1][0]",
+        "report.payload.beta_hat[2]",
+        "report.payload.stats.trace",
+        "report.residuals.c1",
+    ],
+    ids=["matrix", "vector", "nested", "residual"],
+)
+def test_emit_report_rejects_nan_payload(where, value):
+    pinv, beta = np.eye(2), np.arange(3.0)
+    stats, residuals = {"trace": 2.0}, {"c1": 0.0}
+    if "pinv" in where:
+        pinv[1, 0] = value
+    elif "beta_hat" in where:
+        beta[2] = value
+    elif "stats" in where:
+        stats["trace"] = value
+    else:
+        residuals["c1"] = value
+    payload = {"pinv": _matrix_doc(pinv), "beta_hat": _vector_doc(beta), "stats": stats}
+    report = Report("pinv", (2, 2), 1e-10, payload, residuals)
+    stream = io.StringIO()
+    with pytest.raises(NonFiniteEntryError, match=f"^{re.escape(where)} is not finite$"):
+        emit_report(report, json_mode=True, stream=stream)
+    assert stream.getvalue() == ""
 
 
 def test_emit_report_twelve_significant_digits():

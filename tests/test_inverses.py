@@ -59,6 +59,12 @@ def test_classify_pseudo_inverse_and_uniqueness():
     assert rep.flags.all_four()
 
 
+def test_classify_rejects_zero_candidate_for_huge_matrix():
+    # an overflowing Frobenius norm once made every threshold infinite
+    x = np.random.default_rng(3).standard_normal((6, 4)) * 1e160
+    assert classify_inverse(x, np.zeros((4, 6))).class_label == "none"
+
+
 def test_classify_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         classify_inverse(np.ones((2, 3)), np.ones((2, 3)))

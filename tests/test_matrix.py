@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fourspaces
 from fourspaces import (
     DEFAULT_TOL,
     NonFiniteEntryError,
@@ -45,6 +49,25 @@ def test_frobenius_hand_value():
     assert oracle == 5.0
     assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(oracle, abs=1e-10)
     assert frobenius_norm(np.zeros((3, 2))) == 0.0
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_frobenius_norm_scales_exactly_by_powers_of_two(k):
+    # squaring the raw entries overflows at 2^600 and underflows at 2^-600
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    assert frobenius_norm(np.ldexp(x, k)) == np.ldexp(frobenius_norm(x), k)
+
+
+def test_src_uses_no_external_linear_algebra():
+    # everything is built from the two kernels; numpy.linalg and scipy may
+    # appear only in tests, as oracles
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(fourspaces.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"linalg|scipy", line)
+    ]
+    assert offenders == []
 
 
 def test_matmul_hand_value():
