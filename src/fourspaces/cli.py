@@ -590,6 +590,20 @@ def _write_report(report, json_mode, out_path):
         emit_report(report, json_mode)
 
 
+def _failure_report(args, report, exc):
+    code = exc.code if isinstance(exc, MatrixError) else "io-error"
+    residuals = {}
+    if hasattr(exc, "residual_norm"):
+        residuals["residual_norm"] = float(exc.residual_norm)
+    return Report(
+        command=args.command,
+        input_shape=report.input_shape if report else getattr(exc, "input_shape", None),
+        tolerance=float(args.tol),
+        payload={"error": code, "message": str(exc)},
+        residuals=residuals,
+    )
+
+
 def main(argv=None):
     """Entry point; returns the exit code instead of raising SystemExit."""
     parser = _build_parser()
@@ -602,18 +616,11 @@ def main(argv=None):
         report = _dispatch(args)
         _write_report(report, args.json_mode, args.out)
     except (MatrixError, OSError) as exc:
-        code = exc.code if isinstance(exc, MatrixError) else "io-error"
-        residuals = {}
-        if hasattr(exc, "residual_norm"):
-            residuals["residual_norm"] = float(exc.residual_norm)
-        failure = Report(
-            command=args.command,
-            input_shape=report.input_shape if report else getattr(exc, "input_shape", None),
-            tolerance=float(args.tol),
-            payload={"error": code, "message": str(exc)},
-            residuals=residuals,
-        )
-        _write_report(failure, args.json_mode, args.out)
+        try:
+            _write_report(_failure_report(args, report, exc), args.json_mode, args.out)
+        except OSError as out_exc:
+            # --out itself cannot be written; say so on stdout instead
+            emit_report(_failure_report(args, report, out_exc), args.json_mode)
         return 1
     return 0
 

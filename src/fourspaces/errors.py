@@ -30,9 +30,18 @@ class NotSymmetricError(MatrixError):
 
 
 class ConvergenceError(MatrixError):
-    """An iteration hit its sweep cap before reaching its tolerance."""
+    """An iteration hit its sweep cap before reaching its tolerance.
+
+    ``sweeps`` records how many sweeps ran and ``offdiag_norm`` the
+    off-diagonal norm still left after them.
+    """
 
     code = "non-convergence"
+
+    def __init__(self, message, sweeps, offdiag_norm):
+        super().__init__(message)
+        self.sweeps = int(sweeps)
+        self.offdiag_norm = float(offdiag_norm)
 
 
 class SingularMatrixError(MatrixError):

@@ -7,9 +7,10 @@ matrix is always the smaller one.  The input is first scaled by the power of
 two that brings its largest entry into [0.5, 1) and ``sigma`` is scaled
 back; the scaling is exact, so it changes no bits unless ``X'X`` would
 otherwise overflow or underflow.  :func:`svd_full` completes both sides of
-:func:`svd_reduced` to orthonormal bases by Gram-Schmidt over standard basis
-candidates.  The CR factorization reuses the tracked row reduction: original
-pivot columns times the nonzero echelon rows reproduce the matrix.
+:func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass over
+standard basis candidates.  The CR factorization reuses the tracked row
+reduction: original pivot columns times the nonzero echelon rows reproduce
+the matrix.
 """
 
 from __future__ import annotations
@@ -79,39 +80,52 @@ class CrFactors:
     rank: int
 
 
+def _residuals(q):
+    """Standard basis vectors with the span of ``q`` projected out, twice over."""
+    w = np.eye(q.shape[0])
+    for _ in range(2):
+        w -= q @ (q.T @ w)
+    return w
+
+
+def _signed(v):
+    """``v`` or ``-v``, whichever has a positive largest-magnitude component."""
+    return -v if v[int(np.argmax(np.abs(v)))] < 0.0 else v
+
+
 def _complete_basis(accepted, dim):
     """Extend orthonormal columns to a full orthonormal basis of R^dim.
 
-    Candidates are the standard basis vectors in index order; each is
-    orthogonalized (two Gram-Schmidt passes) against everything accepted so
-    far and taken when its residual norm exceeds 0.5.  If a pass over all
-    candidates leaves nothing above 0.5 the largest residual wins; that
-    fallback residual is never smaller than 1/sqrt(dim), so normalizing it is
-    safe.  Accepted columns get the positive-largest-component sign.
+    Candidates are the standard basis vectors with the accepted columns
+    projected out in one block step.  One modified Gram-Schmidt pass takes
+    them in index order: a candidate is accepted when its residual norm
+    exceeds 0.5, and every later candidate is orthogonalized against it.
+    Residuals only shrink as columns are added, so a rejected candidate
+    stays rejected and the pass picks what a scan restarted after every pick
+    would.  If the basis is still short, the largest residual against
+    everything accepted wins, one column at a time; that residual is never
+    smaller than 1/sqrt(dim), so normalizing it is safe.  Accepted columns
+    get the positive-largest-component sign.
     """
-    q = np.array(accepted, dtype=float, copy=True).reshape(dim, -1)
-    while q.shape[1] < dim:
-        pick = None
-        best = None
-        best_norm = -1.0
-        for k in range(dim):
-            w = np.zeros(dim)
-            w[k] = 1.0
-            for _ in range(2):
-                w -= q @ (q.T @ w)
-            nrm = float(np.sqrt(np.sum(w * w)))
-            if nrm > 0.5:
-                pick = w / nrm
-                break
-            if nrm > best_norm:
-                best_norm = nrm
-                best = w
-        if pick is None:
-            pick = best / best_norm
-        top = int(np.argmax(np.abs(pick)))
-        if pick[top] < 0.0:
-            pick = -pick
-        q = np.hstack([q, pick[:, None]])
+    basis = np.asarray(accepted, dtype=float).reshape(dim, -1)
+    r = basis.shape[1]
+    q = np.empty((dim, dim))
+    q[:, :r] = basis
+    w = _residuals(basis)
+    for k in range(dim):
+        if r == dim:
+            break
+        nrm = float(np.sqrt(w[:, k] @ w[:, k]))
+        if nrm > 0.5:
+            q[:, r] = _signed(w[:, k] / nrm)
+            w[:, k + 1 :] -= np.outer(q[:, r], q[:, r] @ w[:, k + 1 :])
+            r += 1
+    while r < dim:
+        w = _residuals(q[:, :r])
+        norms = np.sqrt(np.sum(w * w, axis=0))
+        k = int(np.argmax(norms))
+        q[:, r] = _signed(w[:, k] / norms[k])
+        r += 1
     return q
 
 

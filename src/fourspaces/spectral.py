@@ -1,12 +1,16 @@
-"""Symmetric eigendecomposition by cyclic Jacobi rotations.
+"""Symmetric eigendecomposition by round-robin Jacobi rotations.
 
 The decomposition is fully constructive: plane rotations are accumulated
 into the orthogonal factor, so ``s == q @ diag(values) @ q.T`` up to
-roundoff with no reliance on an external eigensolver.
+roundoff with no reliance on an external eigensolver.  Each sweep visits the
+off-diagonal pairs in the parallel ordering of Brent and Luk (SISC 1985;
+Golub and Van Loan, *Matrix Computations*, section 8.5): n - 1 rounds of
+disjoint pairs, each round applied as a few array operations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +30,14 @@ class EigResult:
 
     Column ``q[:, i]`` belongs to ``values[i]``; each column is scaled so its
     largest-magnitude component is positive, ties resolved by lowest index.
+    ``sweeps`` counts the sweeps applied, the polish sweep included, and
+    ``offdiag_norm`` is the off-diagonal Frobenius norm left after the last.
     """
 
     values: np.ndarray
     q: np.ndarray
+    sweeps: int
+    offdiag_norm: float
 
 
 @dataclass(frozen=True)
@@ -55,39 +63,75 @@ def _offdiag_norm(a):
     return math.sqrt(np.sum(off * off))
 
 
-def _sweep(a, q):
-    """One cyclic pass over all off-diagonal pairs, rotations accumulated in q."""
-    n = a.shape[0]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            aij = a[i, j]
-            if aij == 0.0:
-                continue
-            diff = a[j, j] - a[i, i]
-            if abs(diff) > 1e12 * abs(aij):
-                # rotation angle is below rounding; the large-tau limit of the
-                # exact formula avoids overflow in the quotient
-                t = aij / diff
-            else:
-                tau = diff / (2.0 * aij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            ci = a[:, i].copy()
-            cj = a[:, j].copy()
-            a[:, i] = c * ci - s * cj
-            a[:, j] = s * ci + c * cj
-            ri = a[i, :].copy()
-            rj = a[j, :].copy()
-            a[i, :] = c * ri - s * rj
-            a[j, :] = s * ri + c * rj
-            # the rotation annihilates this pair analytically; pin the zeros
-            a[i, j] = 0.0
-            a[j, i] = 0.0
-            qi = q[:, i].copy()
-            qj = q[:, j].copy()
-            q[:, i] = c * qi - s * qj
-            q[:, j] = s * qi + c * qj
+@functools.lru_cache(maxsize=None)
+def _rounds(n):
+    """Brent-Luk round-robin schedule of one sweep over an n x n matrix.
+
+    Seats are paired as in a round-robin tournament: seat 0 stays put and
+    the others move one place per round, so after n - 1 rounds (n even)
+    every pair has met once.  Odd n adds an empty seat whose partner sits
+    the round out.  Each round is ``(i, j, ij)``: the disjoint pairs with
+    ``i < j``, and both interleaved as ``i0, j0, i1, j1, ...``.
+    """
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        seats = np.concatenate(([0], np.roll(np.arange(1, m), -r)))
+        top, bottom = seats[: m // 2], seats[m // 2 :][::-1]
+        real = (top < n) & (bottom < n)
+        i, j = np.minimum(top, bottom)[real], np.maximum(top, bottom)[real]
+        rounds.append((i, j, np.stack([i, j], axis=1).ravel()))
+    return tuple(rounds)
+
+
+def _rotation(app, aqq, apq):
+    """Cosines and sines of the Jacobi rotations that annihilate ``apq``, elementwise.
+
+    With ``tau = (aqq - app) / (2 apq)`` the tangent is
+    ``t = sign(tau) / (|tau| + sqrt(1 + tau^2))``; once the angle is below
+    rounding the large-tau limit ``t = apq / (aqq - app)`` replaces it, which
+    avoids overflow in the quotient.  A zero ``apq`` gives no rotation.  Each
+    branch is evaluated only where it applies, so nothing divides by zero.
+    """
+    diff = aqq - app
+    tiny = np.abs(diff) > 1e12 * np.abs(apq)
+    # tau stays infinite where apq is zero, which makes t zero there
+    tau = np.divide(diff, 2.0 * apq, out=np.full_like(diff, np.inf), where=(apq != 0.0) & ~tiny)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    np.divide(apq, diff, out=t, where=tiny)
+    c = 1.0 / np.hypot(1.0, t)
+    return c, t * c
+
+
+def _rotate_rows(a, ij, g):
+    """Apply the 2 x 2 rotation ``g[k]`` to rows ``ij[2k], ij[2k + 1]`` of ``a`` in place."""
+    a[ij] = (g @ a[ij].reshape(len(g), 2, -1)).reshape(len(ij), -1)
+
+
+def _sweep(a, qt, rounds):
+    """One round-robin pass over all off-diagonal pairs; returns the rotated matrix.
+
+    The rotations of one round touch disjoint pairs, so they commute and are
+    applied together: ``a <- R' a R`` and ``qt <- R' qt``, where ``qt`` holds
+    the eigenvectors as rows.  Rotating the rows of ``a`` gives ``R' a``,
+    whose transpose is ``a R`` because ``a`` is symmetric; rotating rows once
+    more gives ``R' a R``.
+    """
+    for i, j, ij in rounds:
+        c, s = _rotation(a[i, i], a[j, j], a[i, j])
+        g = np.empty((len(i), 2, 2))
+        g[:, 0, 0] = c
+        g[:, 0, 1] = -s
+        g[:, 1, 0] = s
+        g[:, 1, 1] = c
+        _rotate_rows(a, ij, g)
+        a = a.T.copy()
+        _rotate_rows(a, ij, g)
+        # each rotation annihilates its pair analytically; pin the zeros
+        a[i, j] = 0.0
+        a[j, i] = 0.0
+        _rotate_rows(qt, ij, g)
+    return a
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):
@@ -112,7 +156,8 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
         If ``s`` is further from its transpose than the tolerance allows.
     ConvergenceError
         If the off-diagonal mass has not fallen below the threshold after
-        50 sweeps.
+        ``MAX_SWEEPS`` (50) sweeps; the error carries ``sweeps`` and the
+        ``offdiag_norm`` it stopped at.
 
     Notes
     -----
@@ -133,28 +178,33 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
             f"(asymmetry {frobenius_norm(s - s.T):.3e} vs bound {tol.relative * scale:.3e})"
         )
     work = (s + s.T) / 2.0
-    q = np.eye(n)
+    qt = np.eye(n)
+    rounds = _rounds(n)
     threshold = tol.relative * scale
     sweeps = 0
-    while _offdiag_norm(work) > threshold:
+    off = _offdiag_norm(work)
+    while off > threshold:
         if sweeps == MAX_SWEEPS:
             raise ConvergenceError(
-                f"off-diagonal norm {_offdiag_norm(work):.3e} still above "
-                f"{threshold:.3e} after {MAX_SWEEPS} sweeps"
+                f"off-diagonal norm {off:.3e} still above "
+                f"{threshold:.3e} after {MAX_SWEEPS} sweeps",
+                sweeps,
+                off,
             )
-        _sweep(work, q)
+        work = _sweep(work, qt, rounds)
         sweeps += 1
-    if n > 1 and _offdiag_norm(work) > 0.0:
-        _sweep(work, q)
+        off = _offdiag_norm(work)
+    if n > 1 and off > 0.0:
+        work = _sweep(work, qt, rounds)
+        sweeps += 1
+        off = _offdiag_norm(work)
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    q = q[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(q[:, j])))
-        if q[k, j] < 0.0:
-            q[:, j] = -q[:, j]
-    return EigResult(values, q)
+    q = qt.T[:, order]
+    top = np.argmax(np.abs(q), axis=0)
+    q[:, q[top, np.arange(n)] < 0.0] *= -1.0
+    return EigResult(values, q, sweeps, off)
 
 
 def similarity_check(a, p, tol=DEFAULT_TOL):

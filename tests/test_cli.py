@@ -425,6 +425,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["payload"]["rank"] == 1
 
 
+@pytest.mark.parametrize("text", ["1,2\n2,4\n", "1,2\n3\n"], ids=["valid", "ragged"])
+def test_unwritable_out_reports_io_error_on_stdout(tmp_path, capsys, text):
+    path = write(tmp_path, "x.csv", text)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["rank", "--input", path, "--json", "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["error"] == "io-error"
+    assert str(out) in doc["payload"]["message"]
+    assert not out.parent.exists()
+
+
 def test_missing_input_file_maps_to_io_error(tmp_path, capsys):
     code, doc = run_json(capsys, ["rank", "--input", str(tmp_path / "nope.csv")])
     assert code == 1

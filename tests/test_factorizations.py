@@ -147,9 +147,49 @@ def test_completion_fallback_when_no_candidate_clears_half():
     seed = np.eye(4) - np.outer(w, w)
     q_acc, _ = np.linalg.qr(seed[:, :3])
     full = _complete_basis(q_acc, 4)
+    assert_allclose(full, _restarting_completion(q_acc, 4), rtol=0, atol=1e-12)
     assert full.shape == (4, 4)
     assert_allclose(full.T @ full, np.eye(4), atol=1e-10)
     assert_allclose(np.abs(full[:, 3] @ w), 1.0, atol=1e-10)
+
+
+def _restarting_completion(accepted, dim):
+    """Reference: rescan every standard basis candidate after each pick."""
+    q = np.array(accepted, dtype=float, copy=True).reshape(dim, -1)
+    while q.shape[1] < dim:
+        pick = None
+        best = None
+        best_norm = -1.0
+        for k in range(dim):
+            w = np.zeros(dim)
+            w[k] = 1.0
+            for _ in range(2):
+                w -= q @ (q.T @ w)
+            nrm = float(np.sqrt(np.sum(w * w)))
+            if nrm > 0.5:
+                pick = w / nrm
+                break
+            if nrm > best_norm:
+                best_norm = nrm
+                best = w
+        if pick is None:
+            pick = best / best_norm
+        top = int(np.argmax(np.abs(pick)))
+        if pick[top] < 0.0:
+            pick = -pick
+        q = np.hstack([q, pick[:, None]])
+    return q
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_completion_picks_what_a_restarting_scan_picks(seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, 12))
+    res = svd_reduced(rank_deficient(rng, 30, 20, r) if r else np.eye(30, 20))
+    for side in (res.u, res.v):
+        full = _complete_basis(side, side.shape[0])
+        assert_allclose(full, _restarting_completion(side, side.shape[0]), rtol=0, atol=1e-12)
+        assert_allclose(full.T @ full, np.eye(side.shape[0]), atol=1e-12)
 
 
 def test_cr_rank_one_fixture():

@@ -12,8 +12,56 @@ from fourspaces import (
     Tolerance,
     pivot_rank,
 )
-from fourspaces.spectral import eig_symmetric, similarity_check
+from fourspaces.spectral import _offdiag_norm, _rotation, _rounds, eig_symmetric, similarity_check
 from support import random_orthogonal
+
+
+def _scalar_tangent(aii, ajj, aij):
+    """Tangent of the rotation annihilating ``aij``, one pair at a time."""
+    diff = ajj - aii
+    if abs(diff) > 1e12 * abs(aij):
+        return aij / diff
+    tau = diff / (2.0 * aij)
+    return math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+
+
+def _scalar_sweep(a, q):
+    """Reference: the cyclic sweep, one rotation per off-diagonal pair in row order."""
+    n = a.shape[0]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            aij = a[i, j]
+            if aij == 0.0:
+                continue
+            t = _scalar_tangent(a[i, i], a[j, j], aij)
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            ci = a[:, i].copy()
+            cj = a[:, j].copy()
+            a[:, i] = c * ci - s * cj
+            a[:, j] = s * ci + c * cj
+            ri = a[i, :].copy()
+            rj = a[j, :].copy()
+            a[i, :] = c * ri - s * rj
+            a[j, :] = s * ri + c * rj
+            a[i, j] = 0.0
+            a[j, i] = 0.0
+            qi = q[:, i].copy()
+            qj = q[:, j].copy()
+            q[:, i] = c * qi - s * qj
+            q[:, j] = s * qi + c * qj
+
+
+def _scalar_eig(s, relative=1e-10):
+    """Reference eigensolver: cyclic sweeps under the same stopping rule and polish."""
+    work = (s + s.T) / 2.0
+    q = np.eye(s.shape[0])
+    threshold = relative * float(np.sqrt(np.sum(s * s)))
+    while _offdiag_norm(work) > threshold:
+        _scalar_sweep(work, q)
+    _scalar_sweep(work, q)
+    order = np.argsort(-np.diag(work), kind="stable")
+    return np.diag(work)[order], q[:, order]
 
 
 def test_eig_hand_fixture_two_by_two():
@@ -68,8 +116,70 @@ def test_eig_sweep_cap_is_enforced(monkeypatch):
     rng = np.random.default_rng(0)
     s = rng.standard_normal((6, 6))
     s = s + s.T
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as info:
         eig_symmetric(s)
+    assert info.value.sweeps == 0
+    assert info.value.offdiag_norm == _offdiag_norm(s)
+    assert info.value.offdiag_norm > 1e-10 * float(np.sqrt(np.sum(s * s)))
+
+
+def test_eig_reports_sweeps_and_final_offdiag_norm():
+    diagonal = eig_symmetric(np.diag([3.0, 1.0, 2.0]))
+    assert (diagonal.sweeps, diagonal.offdiag_norm) == (0, 0.0)
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal((9, 9))
+    s = s + s.T
+    res = eig_symmetric(s)
+    # at least one sweep to converge, plus the polish sweep
+    assert 2 <= res.sweeps <= 12
+    assert 0.0 <= res.offdiag_norm <= 1e-10 * float(np.sqrt(np.sum(s * s)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_schedule_covers_each_pair_once(n):
+    rounds = _rounds(n)
+    assert len(rounds) == n - 1 + n % 2
+    pairs = []
+    for i, j, ij in rounds:
+        assert np.all(i < j)
+        # disjoint: no index appears twice in one round
+        assert len(set(i.tolist()) | set(j.tolist())) == 2 * len(i)
+        assert ij.tolist() == np.column_stack([i, j]).ravel().tolist()
+        pairs += list(zip(i.tolist(), j.tolist()))
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_rotation_matches_scalar_formula_and_stays_quiet():
+    rng = np.random.default_rng(8)
+    aii, ajj, aij = rng.standard_normal((3, 40))
+    # zero pairs, a tie, huge and tiny angles, and large-tau quotients that overflow
+    aii = np.concatenate([aii, [0.0, 1.0, 2.0, 1e300, 0.0, 1.0]])
+    ajj = np.concatenate([ajj, [0.0, 3.0, 2.0, -1e300, 1e-300, 1.0 + 1e-13]])
+    aij = np.concatenate([aij, [0.0, 0.0, 1.5, 1e-10, 1e-300, 1.0]])
+    c, s = _rotation(aii, ajj, aij)
+    for k in range(len(aij)):
+        t = 0.0 if aij[k] == 0.0 else _scalar_tangent(aii[k], ajj[k], aij[k])
+        c_k = 1.0 / math.hypot(1.0, t)
+        assert_allclose([c[k], s[k]], [c_k, t * c_k], rtol=1e-15, atol=0.0)
+    assert np.array_equal(c[40:42], [1.0, 1.0]) and np.array_equal(s[40:42], [0.0, 0.0])
+
+
+def _graded_gram(rng, cond):
+    u, _ = np.linalg.qr(rng.standard_normal((80, 60)))
+    sigma = np.logspace(0.0, -np.log10(cond), 60)
+    x = (u * sigma) @ random_orthogonal(rng, 60).T
+    return x.T @ x
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 1e4])
+def test_round_robin_agrees_with_scalar_sweep(cond):
+    s = _graded_gram(np.random.default_rng(int(np.log10(cond))), cond)
+    scale = float(np.sqrt(np.sum(s * s)))
+    ref_values, ref_q = _scalar_eig(s)
+    res = eig_symmetric(s)
+    assert np.max(np.abs(res.values - ref_values)) <= 1e-12 * scale
+    recon = res.q @ np.diag(res.values) @ res.q.T
+    assert np.max(np.abs(recon - ref_q @ np.diag(ref_values) @ ref_q.T)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("seed", range(8))
