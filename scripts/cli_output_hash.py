@@ -1,0 +1,158 @@
+"""Hash every output of the ``fourspaces`` command line over a fixed input set.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/cli_output_hash.py [--dump FILE]
+
+Two sets of invocations run in-process through ``fourspaces.cli.main``:
+
+- the three benchmark corpora of ``perfbench/corpus.py`` at seed 1, read
+  as they are;
+- a fixed set of small inputs drawn from ``numpy.random.default_rng(11)``
+  (tall, wide, square, rank-deficient, zero, 1 x 1, single row and column,
+  identity, integer), each through all 12 subcommands, every ``--method``
+  (``family`` with and without ``--y``), both ``--side`` values, and
+  ``ginv`` with and without free blocks.
+
+Each invocation runs in JSON mode and in text mode.  Every output is one
+record of argv, mode, exit code and standard output, with the temporary
+directory replaced by ``<tmp>``.  The script prints the number of outputs
+and the sha256 of the sorted records: of the JSON-mode ones, of the
+text-mode ones, and of all.  ``--dump FILE`` also writes the
+records as JSON lines, so two checkouts can be diffed.
+
+A refactor that claims unchanged output should give the same sha256 on both
+sides.  The hash depends on the BLAS build, so it compares two checkouts on
+one machine; it is no fixed reference value.
+"""
+
+import os
+
+# one BLAS thread, as in perfbench/run.py: products then round the same way
+# on every run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus  # noqa: E402
+from fourspaces import cli  # noqa: E402
+
+CORPUS_SEED = 1
+SMALL_SEED = 11
+
+
+def small_inputs(rng):
+    """Named small matrices covering the shapes and ranks the CLI branches on."""
+    return {
+        "tall": rng.standard_normal((6, 4)),
+        "wide": rng.standard_normal((4, 6)),
+        "square": rng.standard_normal((5, 5)),
+        "deficient_tall": rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5)),
+        "deficient_wide": rng.standard_normal((4, 2)) @ rng.standard_normal((2, 7)),
+        "zero": np.zeros((3, 4)),
+        "one_by_one": np.array([[rng.standard_normal()]]),
+        "one_by_one_zero": np.zeros((1, 1)),
+        "single_row": rng.standard_normal((1, 5)),
+        "single_column": rng.standard_normal((5, 1)),
+        "identity": np.eye(4),
+        "integer_rank_one": np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 2.0, 0.0]),
+        "sparse_diagonal": np.diag([3.0, 0.0, 1e-3, 2.0]),
+        "integer_2x3": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        "integer_3x2": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+    }
+
+
+def _write_csv(path, x):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    return str(path)
+
+
+def small_invocations(rng, tmp):
+    """Argument vectors running every subcommand on every small input."""
+    invocations = []
+    for name, x in small_inputs(rng).items():
+        n, p = x.shape
+        r = int(np.linalg.matrix_rank(x))
+        src = _write_csv(tmp / f"{name}.csv", x)
+        common = ["--input", src]
+        for cmd in ("rank", "svd", "cr", "subspaces", "pinv", "ginv", "report"):
+            invocations.append([cmd, *common])
+        a = _write_csv(tmp / f"{name}_a.csv", rng.standard_normal((r, n - r))) if r and n > r else None
+        b = _write_csv(tmp / f"{name}_b.csv", rng.standard_normal((p - r, r))) if r and p > r else None
+        if a or b:
+            invocations.append(["ginv", *common]
+                               + (["--a", a] if a else []) + (["--b", b] if b else []))
+        g = _write_csv(tmp / f"{name}_g.csv", x.T / (1.0 + float(np.sum(x * x))))
+        invocations.append(["classify", *common, "--g", g])
+        for side in ("col", "row"):
+            invocations.append(["project", *common, "--side", side])
+        y_left = _write_csv(tmp / f"{name}_yl.csv", rng.standard_normal((p, max(n - p, 1))))
+        y_right = _write_csv(tmp / f"{name}_yr.csv", rng.standard_normal((max(p - n, 1), n)))
+        for cmd, y_block in (("leftinv", y_left), ("rightinv", y_right)):
+            for method in ("normal", "elementary", "family"):
+                invocations.append([cmd, *common, "--method", method])
+            invocations.append([cmd, *common, "--method", "family", "--y", y_block])
+        # a consistent right-hand side, so "unique" gets past its check
+        y = _write_csv(tmp / f"{name}_y.csv", (x @ rng.standard_normal(p))[:, None])
+        for method in ("normal", "svd", "unique", "right"):
+            invocations.append(["solve", *common, "--method", method, "--y", y])
+    return invocations
+
+
+def corpus_invocations(tmp):
+    """Argument vectors of every operation of the three benchmark corpora."""
+    return [op.argv for w in corpus.WORKLOADS for op in corpus.build(w, CORPUS_SEED, tmp / w)]
+
+
+def run(argv, json_mode, tmp):
+    """One in-process CLI run as a record; the temporary path is masked."""
+    full = argv + (["--json"] if json_mode else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(full)
+    mask = str(tmp)
+    return {
+        "argv": [a.replace(mask, "<tmp>") for a in argv],
+        "mode": "json" if json_mode else "text",
+        "exit": code,
+        "stdout": out.getvalue().replace(mask, "<tmp>"),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON lines")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        invocations = corpus_invocations(tmp)
+        invocations += small_invocations(np.random.default_rng(SMALL_SEED), tmp)
+        records = [run(a, mode, tmp) for a in invocations for mode in (True, False)]
+    lines = {mode: sorted(json.dumps(rec, sort_keys=True) for rec in records if rec["mode"] == mode)
+             for mode in ("json", "text")}
+    lines["all"] = sorted(lines["json"] + lines["text"])
+    if args.dump:
+        Path(args.dump).write_text("\n".join(lines["all"]) + "\n")
+    failed = sum(rec["exit"] != 0 for rec in records)
+    print(f"{len(invocations)} invocations, {len(records)} outputs, {failed} with nonzero exit")
+    for mode, kept in lines.items():
+        digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
+        print(f"sha256 {mode:4} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -200,6 +200,36 @@ def _max_abs_dot(a, b):
     return float(np.max(np.abs(a.T @ b)))
 
 
+def _pinv_section(x, g, tol):
+    """Payload fields and residuals of a pseudo inverse: Penrose audit, CR route gap."""
+    rep = classify_inverse(x, g, tol)
+    payload = {
+        "pinv": _matrix_doc(g),
+        "flags": _flags_doc(rep.flags),
+        "class_label": rep.class_label,
+    }
+    residuals = _penrose_residuals(rep)
+    residuals["route_agreement"] = frobenius_norm(g - pinv_cr(x, tol))
+    return payload, residuals
+
+
+def _bases_section(bases):
+    """Payload fields and overlap residuals of the four subspace bases."""
+    payload = {
+        "row_space": _matrix_doc(bases.row_space),
+        "null_space": _matrix_doc(bases.null_space),
+        "column_space": _matrix_doc(bases.column_space),
+        "left_null_space": _matrix_doc(bases.left_null_space),
+    }
+    residuals = {
+        "row_null_overlap": _max_abs_dot(bases.row_space, bases.null_space),
+        "column_left_null_overlap": _max_abs_dot(
+            bases.column_space, bases.left_null_space
+        ),
+    }
+    return payload, residuals
+
+
 def _cmd_rank(x, args, tol):
     rep = rank_nullity_report(x, tol)
     payload = {
@@ -246,33 +276,12 @@ def _cmd_cr(x, args, tol):
 
 def _cmd_subspaces(x, args, tol):
     bases = fundamental_bases(x, tol)
-    payload = {
-        "rank": bases.rank,
-        "row_space": _matrix_doc(bases.row_space),
-        "null_space": _matrix_doc(bases.null_space),
-        "column_space": _matrix_doc(bases.column_space),
-        "left_null_space": _matrix_doc(bases.left_null_space),
-    }
-    residuals = {
-        "row_null_overlap": _max_abs_dot(bases.row_space, bases.null_space),
-        "column_left_null_overlap": _max_abs_dot(
-            bases.column_space, bases.left_null_space
-        ),
-    }
-    return payload, residuals
+    payload, residuals = _bases_section(bases)
+    return {"rank": bases.rank, **payload}, residuals
 
 
 def _cmd_pinv(x, args, tol):
-    g = pinv_svd(x, tol)
-    rep = classify_inverse(x, g, tol)
-    payload = {
-        "pinv": _matrix_doc(g),
-        "flags": _flags_doc(rep.flags),
-        "class_label": rep.class_label,
-    }
-    residuals = _penrose_residuals(rep)
-    residuals["route_agreement"] = frobenius_norm(g - pinv_cr(x, tol))
-    return payload, residuals
+    return _pinv_section(x, pinv_svd(x, tol), tol)
 
 
 def _cmd_ginv(x, args, tol):
@@ -366,39 +375,26 @@ def _cmd_project(x, args, tol):
     }
     residuals = {
         "idempotency": frobenius_norm(proj @ proj - proj),
-        "symmetry": float(np.sqrt(np.sum((proj - proj.T) ** 2))),
+        "symmetry": frobenius_norm(proj - proj.T),
     }
     return payload, residuals
 
 
 def _cmd_report(x, args, tol):
+    # one full SVD feeds both sections
     res = svd_full(x, tol)
-    bases = SubspaceBases.from_svd(res)
-    g = res.pinv()
-    cls = classify_inverse(x, g, tol)
+    pinv, pinv_residuals = _pinv_section(x, res.pinv(), tol)
+    bases, bases_residuals = _bases_section(SubspaceBases.from_svd(res))
     n, p = x.shape
     payload = {
         "rank": res.rank,
         "dim_null": p - res.rank,
         "dim_left_null": n - res.rank,
-        "pinv": _matrix_doc(g),
-        "flags": _flags_doc(cls.flags),
-        "class_label": cls.class_label,
-        "penrose_ok": cls.flags.all_four(),
-        "bases": {
-            "row_space": _matrix_doc(bases.row_space),
-            "null_space": _matrix_doc(bases.null_space),
-            "column_space": _matrix_doc(bases.column_space),
-            "left_null_space": _matrix_doc(bases.left_null_space),
-        },
+        **pinv,
+        "penrose_ok": all(pinv["flags"].values()),
+        "bases": bases,
     }
-    residuals = _penrose_residuals(cls)
-    residuals["route_agreement"] = frobenius_norm(g - pinv_cr(x, tol))
-    residuals["row_null_overlap"] = _max_abs_dot(bases.row_space, bases.null_space)
-    residuals["column_left_null_overlap"] = _max_abs_dot(
-        bases.column_space, bases.left_null_space
-    )
-    return payload, residuals
+    return payload, {**pinv_residuals, **bases_residuals}
 
 
 _HANDLERS = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, as_matrix, rref_rows
-from .spectral import eig_symmetric
+from .spectral import _sign_columns, eig_symmetric
 
 __all__ = [
     "SvdResult",
@@ -88,11 +88,6 @@ def _residuals(q):
     return w
 
 
-def _signed(v):
-    """``v`` or ``-v``, whichever has a positive largest-magnitude component."""
-    return -v if v[int(np.argmax(np.abs(v)))] < 0.0 else v
-
-
 def _complete_basis(accepted, dim):
     """Extend orthonormal columns to a full orthonormal basis of R^dim.
 
@@ -104,11 +99,12 @@ def _complete_basis(accepted, dim):
     stays rejected and the pass picks what a scan restarted after every pick
     would.  If the basis is still short, the largest residual against
     everything accepted wins, one column at a time; that residual is never
-    smaller than 1/sqrt(dim), so normalizing it is safe.  Accepted columns
-    get the positive-largest-component sign.
+    smaller than 1/sqrt(dim), so normalizing it is safe.  The added columns
+    get the sign rule of :func:`eig_symmetric` at the end; a column's sign
+    never enters ``q q' w``, so it does not matter when they get it.
     """
     basis = np.asarray(accepted, dtype=float).reshape(dim, -1)
-    r = basis.shape[1]
+    r = r0 = basis.shape[1]
     q = np.empty((dim, dim))
     q[:, :r] = basis
     w = _residuals(basis)
@@ -117,15 +113,16 @@ def _complete_basis(accepted, dim):
             break
         nrm = float(np.sqrt(w[:, k] @ w[:, k]))
         if nrm > 0.5:
-            q[:, r] = _signed(w[:, k] / nrm)
+            q[:, r] = w[:, k] / nrm
             w[:, k + 1 :] -= np.outer(q[:, r], q[:, r] @ w[:, k + 1 :])
             r += 1
     while r < dim:
         w = _residuals(q[:, :r])
         norms = np.sqrt(np.sum(w * w, axis=0))
         k = int(np.argmax(norms))
-        q[:, r] = _signed(w[:, k] / norms[k])
+        q[:, r] = w[:, k] / norms[k]
         r += 1
+    _sign_columns(q[:, r0:])
     return q
 
 

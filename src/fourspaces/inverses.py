@@ -95,6 +95,17 @@ def _require_c1(x, g, tol, who):
         )
 
 
+def _free_block(blk, shape, what):
+    """A free parameter block of ``shape``, zeros when omitted; a wrong shape
+    or a non-finite entry raises ``ShapeError`` naming ``what``."""
+    blk = np.zeros(shape) if blk is None else np.asarray(blk, dtype=float)
+    if blk.shape != shape:
+        raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, got {blk.shape}")
+    if blk.size and not np.all(np.isfinite(blk)):
+        raise ShapeError(f"{what} contains non-finite entries")
+    return blk
+
+
 def classify_inverse(x, g, tol=DEFAULT_TOL):
     """Evaluate all four defining identities for a candidate inverse.
 
@@ -178,11 +189,7 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     res = rref_rows(x, tol)
     if res.pivot_rank < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
-    y = np.zeros((p, n - p)) if y is None else np.asarray(y, dtype=float)
-    if y.shape != (p, n - p):
-        raise ShapeError(f"free block must be {p}x{n - p}, got {y.shape}")
-    if y.size and not np.all(np.isfinite(y)):
-        raise ShapeError("free block contains non-finite entries")
+    y = _free_block(y, (p, n - p), "free block")
     return np.hstack([np.eye(p), y]) @ res.transform
 
 
@@ -194,11 +201,7 @@ def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
     res = rref_cols(x, tol)
     if res.pivot_rank < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
-    y = np.zeros((p - n, n)) if y is None else np.asarray(y, dtype=float)
-    if y.shape != (p - n, n):
-        raise ShapeError(f"free block must be {p - n}x{n}, got {y.shape}")
-    if y.size and not np.all(np.isfinite(y)):
-        raise ShapeError("free block contains non-finite entries")
+    y = _free_block(y, (p - n, n), "free block")
     return res.transform @ np.vstack([np.eye(n), y])
 
 
@@ -217,15 +220,8 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     row = rref_rows(x, tol)
     r = row.pivot_rank
     col = rref_cols(row.reduced, tol)
-    a = np.zeros((r, n - r)) if a is None else np.asarray(a, dtype=float)
-    b = np.zeros((p - r, r)) if b is None else np.asarray(b, dtype=float)
-    if a.shape != (r, n - r):
-        raise ShapeError(f"block a must be {r}x{n - r}, got {a.shape}")
-    if b.shape != (p - r, r):
-        raise ShapeError(f"block b must be {p - r}x{r}, got {b.shape}")
-    for blk, name in ((a, "a"), (b, "b")):
-        if blk.size and not np.all(np.isfinite(blk)):
-            raise ShapeError(f"block {name} contains non-finite entries")
+    a = _free_block(a, (r, n - r), "block a")
+    b = _free_block(b, (p - r, r), "block b")
     middle = np.zeros((p, n))
     middle[:r, :r] = np.eye(r)
     middle[:r, r:] = a
@@ -275,12 +271,7 @@ def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
     n, p = x.shape
     if gram_ginv.shape != (p, p):
         raise ShapeError(f"gram g-inverse must be {p}x{p}, got {gram_ginv.shape}")
-    gram = x.T @ x
-    defect = frobenius_norm(gram @ gram_ginv @ gram - gram)
-    if defect > tol.relative * max(1.0, frobenius_norm(gram), frobenius_norm(gram_ginv)):
-        raise NotAGInverseError(
-            f"candidate fails the g-inverse identity for the Gram matrix (defect {defect:.3e})"
-        )
+    _require_c1(x.T @ x, gram_ginv, tol, "candidate for the Gram matrix")
     return gram_ginv @ x.T
 
 

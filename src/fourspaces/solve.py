@@ -99,12 +99,13 @@ def ls_normal(x, y, tol=DEFAULT_TOL):
     tol = _as_tolerance(tol)
     n, p = x.shape
     y = as_vector(y, length=n, name="y")
-    if pivot_rank(x, tol) < p:
+    try:
+        beta = left_inverse(x, tol) @ y
+    except RankDeficientError:
         raise RankDeficientError(
             "normal-equation least squares needs full column rank; "
             "use ls_svd_minnorm for the rank-deficient case"
-        )
-    beta = left_inverse(x, tol) @ y
+        ) from None
     return _finish(x, y, beta, p, "normal")
 
 
@@ -165,7 +166,7 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
         raise ShapeError(f"projector must be square, got {p.shape}")
     scale = frobenius_norm(p)
     idem = frobenius_norm(p @ p - p) <= 100.0 * tol.relative * max(1.0, scale * scale)
-    sym = float(np.sqrt(np.sum((p - p.T) ** 2))) <= tol.relative * max(1.0, scale)
+    sym = frobenius_norm(p - p.T) <= tol.relative * max(1.0, scale)
     spectrum_binary = None
     if sym:
         values = eig_symmetric((p + p.T) / 2.0, tol).values
@@ -194,22 +195,22 @@ def consistent_unique_solve(x, y, tol=DEFAULT_TOL):
     tol = _as_tolerance(tol)
     n, p = x.shape
     y = as_vector(y, length=n, name="y")
-    if pivot_rank(x, tol) < p:
+    try:
+        beta = left_inverse(x, tol) @ y
+    except RankDeficientError:
         raise RankDeficientError(
             "a unique solution needs full column rank; "
             "use ls_svd_minnorm for the rank-deficient case"
-        )
-    glx = left_inverse(x, tol)
-    beta = glx @ y
-    gap = _vector_norm(y - x @ beta)
+        ) from None
+    sol = _finish(x, y, beta, p, "unique-consistent")
     band = max(100.0 * tol.relative, 1e-8) * max(1.0, _vector_norm(y))
-    if gap > band:
+    if sol.residual_norm > band:
         raise InconsistentSystemError(
-            f"system is inconsistent: left-inverse residual {gap:.3e} "
+            f"system is inconsistent: left-inverse residual {sol.residual_norm:.3e} "
             f"exceeds {band:.3e}",
-            residual_norm=gap,
+            residual_norm=sol.residual_norm,
         )
-    return _finish(x, y, beta, p, "unique-consistent")
+    return sol
 
 
 def right_solve(x, y, tol=DEFAULT_TOL):

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotSymmetricError, ShapeError
-from .matrix import DEFAULT_TOL, _as_tolerance, as_matrix, frobenius_norm, invert, pivot_rank
+from .matrix import (
+    DEFAULT_TOL, _as_tolerance, _prescaled, as_matrix, frobenius_norm, invert, pivot_rank
+)
 
 __all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check", "MAX_SWEEPS"]
 
@@ -28,8 +30,9 @@ MAX_SWEEPS = 50
 class EigResult:
     """Eigenvalues in descending order and the orthogonal eigenvector matrix.
 
-    Column ``q[:, i]`` belongs to ``values[i]``; each column is scaled so its
-    largest-magnitude component is positive, ties resolved by lowest index.
+    Column ``q[:, i]`` belongs to ``values[i]``; each column is signed so
+    its lowest-index component within a relative 1e-12 of its largest
+    magnitude is positive, which keeps exact ties stable under rounding.
     ``sweeps`` counts the sweeps applied, the polish sweep included, and
     ``offdiag_norm`` is the off-diagonal Frobenius norm left after the last.
     """
@@ -103,6 +106,13 @@ def _rotation(app, aqq, apq):
     return c, t * c
 
 
+def _sign_columns(q):
+    """Flip columns of ``q`` in place to the sign rule :class:`EigResult` states."""
+    mag = np.abs(q)
+    lead = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    q[:, q[lead, np.arange(q.shape[1])] < 0.0] *= -1.0
+
+
 def _rotate_rows(a, ij, g):
     """Apply the 2 x 2 rotation ``g[k]`` to rows ``ij[2k], ij[2k + 1]`` of ``a`` in place."""
     a[ij] = (g @ a[ij].reshape(len(g), 2, -1)).reshape(len(ij), -1)
@@ -171,20 +181,24 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     n, p = s.shape
     if n != p:
         raise ShapeError(f"eigendecomposition needs a square matrix, got {s.shape}")
-    scale = frobenius_norm(s)
-    if frobenius_norm(s - s.T) > tol.relative * scale:
+    # the work runs at the scale of _prescaled, where no sum or square can
+    # overflow; every value the caller sees is scaled back by 2**e
+    s, e = _prescaled(s)
+    threshold = tol.relative * frobenius_norm(s)
+    asymmetry = frobenius_norm(s - s.T)
+    if asymmetry > threshold:
         raise NotSymmetricError(
-            "matrix is not symmetric within tolerance "
-            f"(asymmetry {frobenius_norm(s - s.T):.3e} vs bound {tol.relative * scale:.3e})"
+            "matrix is not symmetric within tolerance (asymmetry "
+            f"{np.ldexp(asymmetry, e):.3e} vs bound {np.ldexp(threshold, e):.3e})"
         )
     work = (s + s.T) / 2.0
     qt = np.eye(n)
     rounds = _rounds(n)
-    threshold = tol.relative * scale
     sweeps = 0
     off = _offdiag_norm(work)
     while off > threshold:
         if sweeps == MAX_SWEEPS:
+            off, threshold = np.ldexp(off, e), np.ldexp(threshold, e)
             raise ConvergenceError(
                 f"off-diagonal norm {off:.3e} still above "
                 f"{threshold:.3e} after {MAX_SWEEPS} sweeps",
@@ -200,11 +214,10 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
         off = _offdiag_norm(work)
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")
-    values = values[order]
+    values = np.ldexp(values[order], e)
     q = qt.T[:, order]
-    top = np.argmax(np.abs(q), axis=0)
-    q[:, q[top, np.arange(n)] < 0.0] *= -1.0
-    return EigResult(values, q, sweeps, off)
+    _sign_columns(q)
+    return EigResult(values, q, sweeps, float(np.ldexp(off, e)))
 
 
 def similarity_check(a, p, tol=DEFAULT_TOL):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DependentBasisError, NonFiniteEntryError, NotInRowSpaceError, ShapeError
 from .factorizations import svd_full, svd_reduced
-from .matrix import DEFAULT_TOL, _as_tolerance, as_matrix, frobenius_norm, pivot_rank
+from .matrix import DEFAULT_TOL, _as_tolerance, _vector_norm, as_matrix, frobenius_norm, pivot_rank
 
 __all__ = [
     "SubspaceBases",
@@ -117,8 +117,8 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     proj = row_space @ (row_space.T @ rb)
     band = max(100.0 * tol.relative, 1e-8)
     for j in range(k):
-        drift = float(np.sqrt(np.sum((proj[:, j] - rb[:, j]) ** 2)))
-        if drift > band * max(1.0, float(np.sqrt(np.sum(rb[:, j] ** 2)))):
+        drift = _vector_norm(proj[:, j] - rb[:, j])
+        if drift > band * max(1.0, _vector_norm(rb[:, j])):
             raise NotInRowSpaceError(
                 f"column {j} of the supplied basis leaves the row space "
                 f"(projection drift {drift:.3e})"

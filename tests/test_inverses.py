@@ -319,3 +319,32 @@ def test_c1_and_rank_match_imply_c2_both_directions():
     rep = classify_inverse(xr, g, 1e-8)
     assert pivot_rank(g) == pivot_rank(xr)
     assert rep.flags.c1 and rep.flags.c2
+
+
+def test_free_block_errors_keep_their_messages():
+    tall = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    deficient = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
+    cases = [
+        (lambda: left_inverse_family(tall, np.zeros((1, 2))), "free block must be 2x1, got (1, 2)"),
+        (lambda: left_inverse_family(tall, [[np.nan], [0.0]]), "free block contains non-finite entries"),
+        (lambda: right_inverse_family(tall.T, np.zeros((2, 1))), "free block must be 1x2, got (2, 1)"),
+        (lambda: right_inverse_family(tall.T, [[np.inf, 0.0]]), "free block contains non-finite entries"),
+        (lambda: rg_canonical(deficient, np.zeros((2, 1))), "block a must be 1x2, got (2, 1)"),
+        (lambda: rg_canonical(deficient, None, np.zeros((2, 1))), "block b must be 1x1, got (2, 1)"),
+        (lambda: rg_canonical(deficient, [[0.0, np.nan]]), "block a contains non-finite entries"),
+        (lambda: rg_canonical(deficient, None, [[-np.inf]]), "block b contains non-finite entries"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_rg_via_gram_applies_the_penrose_threshold_to_the_gram_matrix():
+    # X'X = [[2]]: the candidate 1/2 is exact, and one just outside the
+    # threshold tol * max(1, ||X'X||, ||G||) = 2e-10 is refused
+    x = [[1.0], [1.0]]
+    assert_allclose(rg_via_gram(x, [[0.5]]), [[0.5, 0.5]])
+    with pytest.raises(NotAGInverseError, match="candidate for the Gram matrix fails"):
+        rg_via_gram(x, [[0.5 + 1e-10]])
+    rg_via_gram(x, [[0.5 + 2e-11]])

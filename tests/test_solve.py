@@ -423,3 +423,30 @@ def test_loose_tolerance_reaches_the_rank_decision():
     assert ls_normal(x, [1.0, 1.0, 1.0]).rank_used == 2
     with pytest.raises(RankDeficientError):
         ls_normal(x, [1.0, 1.0, 1.0], tol=Tolerance(1e-2))
+
+
+@pytest.mark.parametrize("solver", [ls_normal, consistent_unique_solve])
+def test_solvers_reduce_x_once(monkeypatch, solver):
+    # left_inverse's rank check is the solver's own: one reduction of x and
+    # one of the Gram matrix inside invert
+    import fourspaces.inverses as inverses
+    import fourspaces.matrix as matrix
+
+    calls = []
+    original = matrix.rref_rows
+
+    def counted(a, tol=None):
+        calls.append(np.shape(a))
+        return original(a, tol)
+
+    monkeypatch.setattr(matrix, "rref_rows", counted)
+    monkeypatch.setattr(inverses, "rref_rows", counted)
+    rng = np.random.default_rng(8)
+    x = full_col_rank(rng, 7, 4)
+    sol = solver(x, x @ rng.standard_normal(4))
+    assert calls == [(7, 4), (4, 4)]
+    assert sol.rank_used == 4
+    calls.clear()
+    with pytest.raises(RankDeficientError, match="ls_svd_minnorm for the rank-deficient case"):
+        solver(rank_deficient(rng, 7, 4, 2), rng.standard_normal(7))
+    assert calls == [(7, 4)]

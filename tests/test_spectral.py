@@ -12,7 +12,14 @@ from fourspaces import (
     Tolerance,
     pivot_rank,
 )
-from fourspaces.spectral import _offdiag_norm, _rotation, _rounds, eig_symmetric, similarity_check
+from fourspaces.spectral import (
+    _offdiag_norm,
+    _rotation,
+    _rounds,
+    _sign_columns,
+    eig_symmetric,
+    similarity_check,
+)
 from support import random_orthogonal
 
 
@@ -251,3 +258,58 @@ def test_similarity_random_orthogonal():
         s = s + s.T
         rep = similarity_check(s, random_orthogonal(rng, n))
         assert rep.eigs_match and rep.rank_match and rep.trace_match
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e307], ids=["1e308", "1e307"])
+def test_eig_is_scale_safe_at_the_top_of_the_range(scale):
+    # the squares and the symmetrization overflowed here, and the rotation
+    # then divided inf by inf
+    res = eig_symmetric(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
+    assert_allclose(res.values, [math.sqrt(2.0) * scale, -math.sqrt(2.0) * scale], rtol=1e-15)
+    assert_allclose(np.abs(res.q.T @ res.q), np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [600, -600], ids=["2^600", "2^-600"])
+def test_eig_scales_exactly_by_powers_of_two(k):
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((7, 7))
+    s = s + s.T
+    base = eig_symmetric(s)
+    res = eig_symmetric(np.ldexp(s, k))
+    assert np.array_equal(res.values, np.ldexp(base.values, k))
+    assert np.array_equal(res.q, base.q)
+    assert res.sweeps == base.sweeps
+    assert res.offdiag_norm == np.ldexp(base.offdiag_norm, k)
+
+
+@pytest.mark.parametrize("k", [600, -600], ids=["2^600", "2^-600"])
+def test_eig_errors_report_values_at_the_input_scale(monkeypatch, k):
+    import fourspaces.spectral as spectral
+
+    rng = np.random.default_rng(0)
+    s = rng.standard_normal((6, 6))
+    with pytest.raises(NotSymmetricError) as info:
+        eig_symmetric(np.ldexp(s, k))
+    asym = float(np.ldexp(np.sqrt(np.sum((s - s.T) ** 2)), k))
+    assert f"asymmetry {asym:.3e} vs bound" in str(info.value)
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    s = s + s.T
+    with pytest.raises(ConvergenceError) as info:
+        eig_symmetric(np.ldexp(s, k))
+    off = float(np.ldexp(_offdiag_norm(s), k))
+    assert info.value.offdiag_norm == off
+    assert str(info.value).startswith(f"off-diagonal norm {off:.3e} still above")
+
+
+def test_sign_rule_is_stable_under_near_ties():
+    # demos/02: the eigenvector of eigenvalue 3 is (1, -1, -1)/sqrt(3); its
+    # components tie in exact arithmetic, so the lowest index takes the sign
+    s = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    res = eig_symmetric(s)
+    assert_allclose(res.values[1], 3.0, atol=1e-12)
+    assert_allclose(res.q[:, 1], np.array([1.0, -1.0, -1.0]) / math.sqrt(3.0), atol=1e-12)
+    # a rounding-level lead of a later component does not flip the sign
+    for later in (1.0 + 4e-16, 1.0 - 4e-16):
+        q = np.array([[-1.0, 0.0], [later, -2.0], [0.5, 1.0]])
+        _sign_columns(q)
+        assert q[0, 0] == 1.0 and q[1, 1] == 2.0
