@@ -16,10 +16,18 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
 
 Each invocation runs in JSON mode and in text mode.  Every output is one
 record of argv, mode, exit code and standard output, with the temporary
-directory replaced by ``<tmp>``.  The script prints the number of outputs
-and the sha256 of the sorted records: of the JSON-mode ones, of the
-text-mode ones, and of all.  ``--dump FILE`` also writes the
-records as JSON lines, so two checkouts can be diffed.
+directory replaced by ``<tmp>``.
+
+A third set, in ``usage`` mode, records what the argument parser itself
+prints: ``--help`` of the root parser and of each subcommand, and the
+usage errors of an unknown subcommand and of an unknown ``--method`` for
+``solve`` and for ``leftinv``.  These records also hold standard error.
+Help is wrapped at a fixed width of 80 columns.
+
+The script prints the number of outputs and the sha256 of the sorted
+records: of the JSON-mode ones, of the text-mode ones, of the usage-mode
+ones, and of all.  ``--dump FILE`` also writes the records as JSON lines,
+so two checkouts can be diffed.
 
 A refactor that claims unchanged output should give the same sha256 on both
 sides.  The hash depends on the BLAS build, so it compares two checkouts on
@@ -32,6 +40,8 @@ import os
 # on every run
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# argparse wraps help at the terminal width; pin it
+os.environ["COLUMNS"] = "80"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -53,6 +63,10 @@ from fourspaces import cli  # noqa: E402
 
 CORPUS_SEED = 1
 SMALL_SEED = 11
+SUBCOMMANDS = (
+    "rank", "svd", "cr", "subspaces", "pinv", "ginv",
+    "leftinv", "rightinv", "classify", "solve", "project", "report",
+)
 
 
 def small_inputs(rng):
@@ -118,6 +132,33 @@ def corpus_invocations(tmp):
     return [op.argv for w in corpus.WORKLOADS for op in corpus.build(w, CORPUS_SEED, tmp / w)]
 
 
+def usage_invocations(tmp):
+    """Argument vectors of every help page and of three usage errors."""
+    src = _write_csv(tmp / "usage.csv", np.eye(2))
+    return [
+        ["--help"],
+        *([cmd, "--help"] for cmd in SUBCOMMANDS),
+        ["frobnicate", "--input", src],
+        ["solve", "--input", src, "--y", src, "--method", "bogus"],
+        ["leftinv", "--input", src, "--method", "bogus"],
+    ]
+
+
+def run_usage(argv, tmp):
+    """One parser-level run as a record holding both output streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    mask = str(tmp)
+    return {
+        "argv": [a.replace(mask, "<tmp>") for a in argv],
+        "mode": "usage",
+        "exit": code,
+        "stdout": out.getvalue().replace(mask, "<tmp>"),
+        "stderr": err.getvalue().replace(mask, "<tmp>"),
+    }
+
+
 def run(argv, json_mode, tmp):
     """One in-process CLI run as a record; the temporary path is masked."""
     full = argv + (["--json"] if json_mode else [])
@@ -142,16 +183,19 @@ def main(argv=None):
         invocations = corpus_invocations(tmp)
         invocations += small_invocations(np.random.default_rng(SMALL_SEED), tmp)
         records = [run(a, mode, tmp) for a in invocations for mode in (True, False)]
+        usage = usage_invocations(tmp)
+        records += [run_usage(a, tmp) for a in usage]
     lines = {mode: sorted(json.dumps(rec, sort_keys=True) for rec in records if rec["mode"] == mode)
-             for mode in ("json", "text")}
-    lines["all"] = sorted(lines["json"] + lines["text"])
+             for mode in ("json", "text", "usage")}
+    lines["all"] = sorted(lines["json"] + lines["text"] + lines["usage"])
     if args.dump:
         Path(args.dump).write_text("\n".join(lines["all"]) + "\n")
     failed = sum(rec["exit"] != 0 for rec in records)
-    print(f"{len(invocations)} invocations, {len(records)} outputs, {failed} with nonzero exit")
+    print(f"{len(invocations) + len(usage)} invocations, {len(records)} outputs, "
+          f"{failed} with nonzero exit")
     for mode, kept in lines.items():
         digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
-        print(f"sha256 {mode:4} {digest}")
+        print(f"sha256 {mode:5} {digest}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +33,17 @@ from .factorizations import cr_decompose, svd_full
 from .inverses import (
     classify_inverse,
     left_inverse,
-    left_inverse_elementary,
     left_inverse_family,
     pinv_cr,
     pinv_svd,
     rg_canonical,
     right_inverse,
-    right_inverse_elementary,
     right_inverse_family,
 )
 from .matrix import (
     Tolerance,
     _prescaled,
+    _scaled_back,
     _vector_norm,
     as_matrix,
     as_vector,
@@ -181,17 +180,9 @@ def _vector_doc(arr):
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _flags_doc(flags):
-    return {"c1": flags.c1, "c2": flags.c2, "c3": flags.c3, "c4": flags.c4}
-
-
 def _penrose_residuals(rep):
-    return {
-        "c1": float(rep.residuals[0]),
-        "c2": float(rep.residuals[1]),
-        "c3": float(rep.residuals[2]),
-        "c4": float(rep.residuals[3]),
-    }
+    """The four defect norms behind the flags, under the flags' own names."""
+    return {f.name: float(r) for f, r in zip(fields(rep.flags), rep.residuals)}
 
 
 def _max_abs_dot(a, b):
@@ -205,7 +196,7 @@ def _pinv_section(x, g, tol):
     rep = classify_inverse(x, g, tol)
     payload = {
         "pinv": _matrix_doc(g),
-        "flags": _flags_doc(rep.flags),
+        "flags": asdict(rep.flags),
         "class_label": rep.class_label,
     }
     residuals = _penrose_residuals(rep)
@@ -231,6 +222,7 @@ def _bases_section(bases):
 
 
 def _cmd_rank(x, args, tol):
+    """rank and nullity accounting"""
     rep = rank_nullity_report(x, tol)
     payload = {
         "rank": rep.rank,
@@ -247,6 +239,7 @@ def _cmd_rank(x, args, tol):
 
 
 def _cmd_svd(x, args, tol):
+    """full singular value decomposition"""
     res = svd_full(x, tol)
     n, p = x.shape
     payload = {
@@ -265,6 +258,7 @@ def _cmd_svd(x, args, tol):
 
 
 def _cmd_cr(x, args, tol):
+    """pivot-column times echelon-row factorization"""
     fac = cr_decompose(x, tol)
     payload = {
         "c": _matrix_doc(fac.c),
@@ -275,16 +269,19 @@ def _cmd_cr(x, args, tol):
 
 
 def _cmd_subspaces(x, args, tol):
+    """orthonormal bases of the four subspaces"""
     bases = fundamental_bases(x, tol)
     payload, residuals = _bases_section(bases)
     return {"rank": bases.rank, **payload}, residuals
 
 
 def _cmd_pinv(x, args, tol):
+    """pseudo inverse with Penrose flags"""
     return _pinv_section(x, pinv_svd(x, tol), tol)
 
 
 def _cmd_ginv(x, args, tol):
+    """reflexive generalized inverse"""
     a = parse_matrix(args.a, args.format) if args.a else None
     b = parse_matrix(args.b, args.format) if args.b else None
     g = rg_canonical(x, a, b, tol)
@@ -292,43 +289,43 @@ def _cmd_ginv(x, args, tol):
     payload = {
         "ginverse": _matrix_doc(g),
         "class_label": rep.class_label,
-        "flags": _flags_doc(rep.flags),
+        "flags": asdict(rep.flags),
     }
     return payload, _penrose_residuals(rep)
 
 
-def _cmd_leftinv(x, args, tol):
+def _one_sided_inverse(x, args, tol, normal, family):
+    """The route ``--method`` names: ``normal``, or ``family`` with no free
+    block (``elementary``, as the ``*_elementary`` aliases do) or with ``--y``."""
     if args.method == "normal":
-        g = left_inverse(x, tol)
-    elif args.method == "elementary":
-        g = left_inverse_elementary(x, tol)
-    else:
-        y = parse_matrix(args.y, args.format) if args.y else None
-        g = left_inverse_family(x, y, tol)
+        return normal(x, tol)
+    y = parse_matrix(args.y, args.format) if args.method == "family" and args.y else None
+    return family(x, y, tol)
+
+
+def _cmd_leftinv(x, args, tol):
+    """left inverse"""
+    g = _one_sided_inverse(x, args, tol, left_inverse, left_inverse_family)
     payload = {"left_inverse": _matrix_doc(g), "method": args.method}
     defect = frobenius_norm(g @ x - np.eye(x.shape[1]))
     return payload, {"left_identity": defect}
 
 
 def _cmd_rightinv(x, args, tol):
-    if args.method == "normal":
-        g = right_inverse(x, tol)
-    elif args.method == "elementary":
-        g = right_inverse_elementary(x, tol)
-    else:
-        y = parse_matrix(args.y, args.format) if args.y else None
-        g = right_inverse_family(x, y, tol)
+    """right inverse"""
+    g = _one_sided_inverse(x, args, tol, right_inverse, right_inverse_family)
     payload = {"right_inverse": _matrix_doc(g), "method": args.method}
     defect = frobenius_norm(x @ g - np.eye(x.shape[0]))
     return payload, {"right_identity": defect}
 
 
 def _cmd_classify(x, args, tol):
+    """Penrose classification of a candidate"""
     g = parse_matrix(args.g, args.format)
     rep = classify_inverse(x, g, tol)
     payload = {
         "class_label": rep.class_label,
-        "flags": _flags_doc(rep.flags),
+        "flags": asdict(rep.flags),
         "is_left_inverse": rep.is_left_inverse,
         "is_right_inverse": rep.is_right_inverse,
     }
@@ -344,6 +341,7 @@ _SOLVERS = {
 
 
 def _cmd_solve(x, args, tol):
+    """least squares / linear solve"""
     y = parse_vector(args.y, args.format, length=x.shape[0])
     sol = _SOLVERS[args.method](x, y, tol)
     payload = {
@@ -354,14 +352,18 @@ def _cmd_solve(x, args, tol):
         "rank_used": sol.rank_used,
         "method": sol.method,
     }
+    # X'r at the prescaled size; a gap past the float range comes back as
+    # inf, which the emitter reports as non-finite
+    xs, e = _prescaled(x)
     residuals = {
         "residual_norm": float(sol.residual_norm),
-        "normal_equation_gap": _vector_norm(x.T @ sol.residual),
+        "normal_equation_gap": float(_scaled_back(_vector_norm(xs.T @ sol.residual), e)),
     }
     return payload, residuals
 
 
 def _cmd_project(x, args, tol):
+    """orthogonal projector"""
     proj = projector_column(x, tol) if args.side == "col" else projector_row(x, tol)
     diag = projector_diagnostics(proj, tol)
     payload = {
@@ -381,6 +383,7 @@ def _cmd_project(x, args, tol):
 
 
 def _cmd_report(x, args, tol):
+    """rank, subspace bases, pseudo inverse and Penrose self-check"""
     # one full SVD feeds both sections
     res = svd_full(x, tol)
     pinv, pinv_residuals = _pinv_section(x, res.pinv(), tol)
@@ -442,39 +445,22 @@ def _build_parser():
         "for dense real matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("rank", parents=[common], help="rank and nullity accounting")
-    sub.add_parser("svd", parents=[common], help="full singular value decomposition")
-    sub.add_parser("cr", parents=[common], help="pivot-column times echelon-row factorization")
-    sub.add_parser("subspaces", parents=[common], help="orthonormal bases of the four subspaces")
-    sub.add_parser("pinv", parents=[common], help="pseudo inverse with Penrose flags")
-
-    ginv = sub.add_parser("ginv", parents=[common], help="reflexive generalized inverse")
-    ginv.add_argument("--a", metavar="FILE", help="free block, rank x (n - rank)")
-    ginv.add_argument("--b", metavar="FILE", help="free block, (p - rank) x rank")
-
-    for name, role in (("leftinv", "left"), ("rightinv", "right")):
-        one_sided = sub.add_parser(name, parents=[common], help=f"{role} inverse")
-        one_sided.add_argument(
+    # one subcommand per handler, its docstring as the help line
+    cmd = {
+        name: sub.add_parser(name, parents=[common], help=handler.__doc__)
+        for name, handler in _HANDLERS.items()
+    }
+    cmd["ginv"].add_argument("--a", metavar="FILE", help="free block, rank x (n - rank)")
+    cmd["ginv"].add_argument("--b", metavar="FILE", help="free block, (p - rank) x rank")
+    for name in ("leftinv", "rightinv"):
+        cmd[name].add_argument(
             "--method", choices=("normal", "elementary", "family"), default="normal"
         )
-        one_sided.add_argument("--y", metavar="FILE", help="free block for --method family")
-
-    classify = sub.add_parser("classify", parents=[common], help="Penrose classification of a candidate")
-    classify.add_argument("--g", required=True, metavar="FILE", help="candidate inverse")
-
-    solve = sub.add_parser("solve", parents=[common], help="least squares / linear solve")
-    solve.add_argument("--method", choices=("normal", "svd", "unique", "right"), default="svd")
-    solve.add_argument("--y", required=True, metavar="FILE", help="observation vector")
-
-    project = sub.add_parser("project", parents=[common], help="orthogonal projector")
-    project.add_argument("--side", choices=("col", "row"), default="col")
-
-    sub.add_parser(
-        "report",
-        parents=[common],
-        help="rank, subspace bases, pseudo inverse and Penrose self-check",
-    )
+        cmd[name].add_argument("--y", metavar="FILE", help="free block for --method family")
+    cmd["classify"].add_argument("--g", required=True, metavar="FILE", help="candidate inverse")
+    cmd["solve"].add_argument("--method", choices=tuple(_SOLVERS), default="svd")
+    cmd["solve"].add_argument("--y", required=True, metavar="FILE", help="observation vector")
+    cmd["project"].add_argument("--side", choices=("col", "row"), default="col")
     return parser
 
 

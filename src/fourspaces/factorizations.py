@@ -55,12 +55,10 @@ class SvdResult:
     tol_used: Tolerance
 
     def sigma_matrix(self):
-        """Materialize sigma in the shape matching ``form``."""
-        if self.form == "reduced":
-            return np.diag(self.sigma)
-        full = np.zeros((self.u.shape[0], self.v.shape[0]))
-        full[: self.rank, : self.rank] = np.diag(self.sigma)
-        return full
+        """Materialize sigma as ``u.shape[1] x v.shape[1]``: ``r x r`` reduced, ``n x p`` full."""
+        s = np.zeros((self.u.shape[1], self.v.shape[1]))
+        s[: self.rank, : self.rank] = np.diag(self.sigma)
+        return s
 
     def pinv(self):
         """Pseudo inverse ``v_r diag(1/sigma) u_r'`` from the first ``rank`` columns.

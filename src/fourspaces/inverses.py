@@ -95,6 +95,14 @@ def _require_c1(x, g, tol, who):
         )
 
 
+def _operand(m, shape, what):
+    """``m`` as a finite matrix of ``shape``; anything else raises naming ``what``."""
+    m = as_matrix(m, what)
+    if m.shape != shape:
+        raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, got {m.shape}")
+    return m
+
+
 def _free_block(blk, shape, what):
     """A free parameter block of ``shape``, zeros when omitted; a wrong shape
     or a non-finite entry raises ``ShapeError`` naming ``what``."""
@@ -142,23 +150,29 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
 
 
 def left_inverse(x, tol=DEFAULT_TOL):
-    """Normal-equation left inverse ``(X'X)^-1 X'`` of a full-column-rank matrix."""
+    """Normal-equation left inverse ``(X'X)^-1 X'`` of a full-column-rank matrix.
+
+    ``X'X`` is formed at the scale of :func:`_prescaled`, and ``(cX)_L = X_L / c``.
+    """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
     if rref_rows(x, tol).pivot_rank < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
-    return invert(x.T @ x, tol) @ x.T
+    xs, e = _prescaled(x)
+    return np.ldexp(invert(xs.T @ xs, tol) @ xs.T, -e)
 
 
 def right_inverse(x, tol=DEFAULT_TOL):
-    """Normal-equation right inverse ``X'(XX')^-1`` of a full-row-rank matrix."""
+    """Normal-equation right inverse ``X'(XX')^-1`` of a full-row-rank matrix,
+    prescaled like :func:`left_inverse`."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
     if rref_rows(x, tol).pivot_rank < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
-    return x.T @ invert(x @ x.T, tol)
+    xs, e = _prescaled(x)
+    return np.ldexp(xs.T @ invert(xs @ xs.T, tol), -e)
 
 
 def left_inverse_elementary(x, tol=DEFAULT_TOL):
@@ -237,14 +251,10 @@ def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
     satisfies it for any ``p x n`` direction ``a``.
     """
     x = as_matrix(x)
-    g = as_matrix(g, "g-inverse")
-    a = as_matrix(a, "direction")
-    tol = _as_tolerance(tol)
     n, p = x.shape
-    if g.shape != (p, n):
-        raise ShapeError(f"g-inverse must be {p}x{n}, got {g.shape}")
-    if a.shape != (p, n):
-        raise ShapeError(f"direction must be {p}x{n}, got {a.shape}")
+    g = _operand(g, (p, n), "g-inverse")
+    a = _operand(a, (p, n), "direction")
+    tol = _as_tolerance(tol)
     _require_c1(x, g, tol, "supplied candidate")
     return g + a - g @ x @ a @ x @ g
 
@@ -252,13 +262,11 @@ def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
 def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
     """Reflexive generalized inverse ``g1 X g2`` from two g-inverses."""
     x = as_matrix(x)
-    g1 = as_matrix(g1, "first g-inverse")
-    g2 = as_matrix(g2, "second g-inverse")
-    tol = _as_tolerance(tol)
     n, p = x.shape
+    g1 = _operand(g1, (p, n), "first g-inverse")
+    g2 = _operand(g2, (p, n), "second g-inverse")
+    tol = _as_tolerance(tol)
     for g, name in ((g1, "first g-inverse"), (g2, "second g-inverse")):
-        if g.shape != (p, n):
-            raise ShapeError(f"{name} must be {p}x{n}, got {g.shape}")
         _require_c1(x, g, tol, name)
     return g1 @ x @ g2
 
@@ -266,11 +274,9 @@ def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
 def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
     """Reflexive generalized inverse ``(X'X)^- X'`` from a Gram g-inverse."""
     x = as_matrix(x)
-    gram_ginv = as_matrix(gram_ginv, "gram g-inverse")
+    p = x.shape[1]
+    gram_ginv = _operand(gram_ginv, (p, p), "gram g-inverse")
     tol = _as_tolerance(tol)
-    n, p = x.shape
-    if gram_ginv.shape != (p, p):
-        raise ShapeError(f"gram g-inverse must be {p}x{p}, got {gram_ginv.shape}")
     _require_c1(x.T @ x, gram_ginv, tol, "candidate for the Gram matrix")
     return gram_ginv @ x.T
 

@@ -96,6 +96,13 @@ def _prescaled(a):
     return np.ldexp(a, -e), int(e)
 
 
+def _scaled_back(value, e):
+    """``value * 2**e`` undoing :func:`_prescaled` for a reported figure; past the
+    float range it is ``inf``, with no overflow warning ahead of the typed error."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, e)
+
+
 def frobenius_norm(a):
     """Square root of the sum of squared entries.
 
@@ -161,46 +168,43 @@ def rref_rows(a, tol=DEFAULT_TOL):
 
     Notes
     -----
-    Elimination is Gauss-Jordan with partial pivoting: within each column the
-    largest-magnitude candidate below the current row is chosen, ties going to
-    the lowest row index.  Pivot rows are scaled to a unit leading entry and
-    the pivot column is cleared above and below.  Columns whose best candidate
-    falls under the acceptance threshold are flushed to exact zeros below the
-    current row, so ``pivot_rank`` always equals the number of nonzero rows.
+    Gauss-Jordan with partial pivoting reduces the augmented ``[A | I]`` to
+    ``[R | E]``, so ``E @ A == R``.  Within each column of ``A`` the
+    largest-magnitude candidate below the current row is chosen, ties going
+    to the lowest row index.  Pivot rows are scaled to a unit leading entry
+    and the pivot column is cleared above and below.  Columns of ``A`` whose
+    best candidate falls under the acceptance threshold are flushed to exact
+    zeros below the current row, so ``pivot_rank`` always equals the number
+    of nonzero rows.
     """
     a = as_matrix(a)
     tol = _as_tolerance(tol)
     n, p = a.shape
-    reduced = a.copy()
-    transform = np.eye(n)
+    aug = np.hstack([a, np.eye(n)])
     threshold = tol.relative * np.max(np.abs(a))
     pivots = []
     row = 0
     for col in range(p):
         if row == n:
             break
-        candidates = np.abs(reduced[row:, col])
+        candidates = np.abs(aug[row:, col])
         k = int(np.argmax(candidates))
         if candidates[k] <= threshold:
-            reduced[row:, col] = 0.0
+            aug[row:, col] = 0.0
             continue
         piv = row + k
         if piv != row:
-            reduced[[row, piv], :] = reduced[[piv, row], :]
-            transform[[row, piv], :] = transform[[piv, row], :]
-        lead = reduced[row, col]
-        reduced[row, :] /= lead
-        transform[row, :] /= lead
-        factors = reduced[:, col].copy()
+            aug[[row, piv], :] = aug[[piv, row], :]
+        aug[row, :] /= aug[row, col]
+        factors = aug[:, col].copy()
         factors[row] = 0.0
-        reduced -= np.outer(factors, reduced[row, :])
-        transform -= np.outer(factors, transform[row, :])
+        aug -= np.outer(factors, aug[row, :])
         # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
-        reduced[:, col] = 0.0
-        reduced[row, col] = 1.0
+        aug[:, col] = 0.0
+        aug[row, col] = 1.0
         pivots.append(col)
         row += 1
-    return RrefResult(reduced, transform, tuple(pivots), len(pivots))
+    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), tuple(pivots), len(pivots))
 
 
 def rref_cols(a, tol=DEFAULT_TOL):

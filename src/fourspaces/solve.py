@@ -89,12 +89,9 @@ def _finish(x, y, beta, rank_used, method):
     )
 
 
-def ls_normal(x, y, tol=DEFAULT_TOL):
-    """Least squares by the normal equation; needs full column rank.
-
-    Solves ``(X^T X) beta = X^T y`` and splits the observation into the
-    projection ``X beta`` and the residual orthogonal to the column space.
-    """
+def _left_inverse_solve(x, y, tol, who, method):
+    """``beta = X_L y`` by :func:`left_inverse`, finished as ``method``; a
+    rank-deficient ``x`` raises an error that names ``who``."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
@@ -103,10 +100,18 @@ def ls_normal(x, y, tol=DEFAULT_TOL):
         beta = left_inverse(x, tol) @ y
     except RankDeficientError:
         raise RankDeficientError(
-            "normal-equation least squares needs full column rank; "
-            "use ls_svd_minnorm for the rank-deficient case"
+            f"{who} needs full column rank; use ls_svd_minnorm for the rank-deficient case"
         ) from None
-    return _finish(x, y, beta, p, "normal")
+    return _finish(x, y, beta, p, method)
+
+
+def ls_normal(x, y, tol=DEFAULT_TOL):
+    """Least squares by the normal equation; needs full column rank.
+
+    Solves ``(X^T X) beta = X^T y`` and splits the observation into the
+    projection ``X beta`` and the residual orthogonal to the column space.
+    """
+    return _left_inverse_solve(x, y, tol, "normal-equation least squares", "normal")
 
 
 def ls_svd_minnorm(x, y, tol=DEFAULT_TOL):
@@ -187,23 +192,14 @@ def consistent_unique_solve(x, y, tol=DEFAULT_TOL):
     """Solve ``X beta = y`` exactly when a unique solution exists.
 
     Requires full column rank.  Consistency is decided by the left-inverse
-    test ``||(I - X X_L) y|| <= band * max(1, ||y||)``; an inconsistent
+    test ``||(I - X X_L) y|| <= band * ||y||`` with
+    ``band = max(100 * tol.relative, 1e-8)``; the test is relative to
+    ``y`` alone, so it reads the same at every scale.  An inconsistent
     observation raises an error carrying that residual norm instead of
     silently returning a best fit.
     """
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    y = as_vector(y, length=n, name="y")
-    try:
-        beta = left_inverse(x, tol) @ y
-    except RankDeficientError:
-        raise RankDeficientError(
-            "a unique solution needs full column rank; "
-            "use ls_svd_minnorm for the rank-deficient case"
-        ) from None
-    sol = _finish(x, y, beta, p, "unique-consistent")
-    band = max(100.0 * tol.relative, 1e-8) * max(1.0, _vector_norm(y))
+    sol = _left_inverse_solve(x, y, tol, "a unique solution", "unique-consistent")
+    band = max(100.0 * _as_tolerance(tol).relative, 1e-8) * _vector_norm(as_vector(y))
     if sol.residual_norm > band:
         raise InconsistentSystemError(
             f"system is inconsistent: left-inverse residual {sol.residual_norm:.3e} "

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NotSymmetricError, ShapeError
 from .matrix import (
-    DEFAULT_TOL, _as_tolerance, _prescaled, as_matrix, frobenius_norm, invert, pivot_rank
+    DEFAULT_TOL, _as_tolerance, _prescaled, _scaled_back, as_matrix, frobenius_norm, invert,
+    pivot_rank,
 )
 
 __all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check", "MAX_SWEEPS"]
@@ -189,7 +190,7 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     if asymmetry > threshold:
         raise NotSymmetricError(
             "matrix is not symmetric within tolerance (asymmetry "
-            f"{np.ldexp(asymmetry, e):.3e} vs bound {np.ldexp(threshold, e):.3e})"
+            f"{_scaled_back(asymmetry, e):.3e} vs bound {_scaled_back(threshold, e):.3e})"
         )
     work = (s + s.T) / 2.0
     qt = np.eye(n)
@@ -198,7 +199,7 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     off = _offdiag_norm(work)
     while off > threshold:
         if sweeps == MAX_SWEEPS:
-            off, threshold = np.ldexp(off, e), np.ldexp(threshold, e)
+            off, threshold = _scaled_back(off, e), _scaled_back(threshold, e)
             raise ConvergenceError(
                 f"off-diagonal norm {off:.3e} still above "
                 f"{threshold:.3e} after {MAX_SWEEPS} sweeps",

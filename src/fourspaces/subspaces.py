@@ -100,7 +100,8 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     """Map a basis of the row space through ``x`` into a basis of the column space.
 
     Each supplied column must actually lie in the row space (its projection
-    onto the fundamental row-space basis must preserve it) and the columns
+    onto the fundamental row-space basis must move it by no more than
+    ``max(100 * tol.relative, 1e-8)`` times its own norm) and the columns
     must be linearly independent; the images ``x @ row_basis`` then form a
     basis of the column space, though not generally an orthonormal one.
     """
@@ -118,7 +119,7 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     band = max(100.0 * tol.relative, 1e-8)
     for j in range(k):
         drift = _vector_norm(proj[:, j] - rb[:, j])
-        if drift > band * max(1.0, _vector_norm(rb[:, j])):
+        if drift > band * _vector_norm(rb[:, j]):
             raise NotInRowSpaceError(
                 f"column {j} of the supplied basis leaves the row space "
                 f"(projection drift {drift:.3e})"

@@ -1,5 +1,6 @@
 """Command-line contract: parsing, dispatch, emission, exit codes."""
 
+import argparse
 import io
 import json
 import re
@@ -383,6 +384,32 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
     code, doc = run_json(capsys, ["ginv", "--input", path])
     assert code == 0, doc["payload"]
     assert doc["payload"]["flags"]["c1"] and doc["payload"]["flags"]["c2"]
+
+    # the normal-equation routes fail only where the reference route of the
+    # same command fails (--method elementary for the one-sided inverses,
+    # --method svd for solve), or where their rank condition does not hold
+    def outcome(argv):
+        code, doc = run_json(capsys, [*argv, "--input", path])
+        return code, doc["payload"].get("error")
+
+    for cmd in ("leftinv", "rightinv"):
+        assert outcome([cmd, "--method", "normal"]) == outcome([cmd, "--method", "elementary"])
+    y = write_matrix(tmp_path, "y.csv", (x @ np.arange(1.0, x.shape[1] + 1))[:, None])
+    reference = outcome(["solve", "--y", y, "--method", "svd"])
+    for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
+        expected = reference if applies else (1, "rank-deficient")
+        assert outcome(["solve", "--y", y, "--method", method]) == expected
+
+
+def test_parser_lists_each_handler_once_with_its_docstring():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._HANDLERS)
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert helps == {name: handler.__doc__ for name, handler in cli._HANDLERS.items()}
+    solve = sub.choices["solve"]
+    method = next(a for a in solve._actions if a.dest == "method")
+    assert method.choices == tuple(cli._SOLVERS)
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

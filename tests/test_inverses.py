@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import NotAGInverseError, RankDeficientError, ShapeError, pivot_rank
+from fourspaces import (
+    NonFiniteEntryError,
+    NotAGInverseError,
+    RankDeficientError,
+    ShapeError,
+    pivot_rank,
+)
 from fourspaces.inverses import (
     classify_inverse,
     ginverse_extend,
@@ -338,6 +344,42 @@ def test_free_block_errors_keep_their_messages():
         with pytest.raises(ShapeError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_ginverse_operand_errors_keep_their_messages():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    g = np.linalg.pinv(x)
+    cases = [
+        (lambda: ginverse_extend(x, g.T, g), ShapeError, "g-inverse must be 2x3, got (3, 2)"),
+        (lambda: ginverse_extend(x, g, g[:1]), ShapeError, "direction must be 2x3, got (1, 3)"),
+        (lambda: rg_sandwich(x, g.T, g), ShapeError, "first g-inverse must be 2x3, got (3, 2)"),
+        (lambda: rg_sandwich(x, g, g.T), ShapeError, "second g-inverse must be 2x3, got (3, 2)"),
+        (lambda: rg_via_gram(x, g), ShapeError, "gram g-inverse must be 2x2, got (2, 3)"),
+        (
+            lambda: ginverse_extend(x, g, np.full((2, 3), np.nan)),
+            NonFiniteEntryError,
+            "direction contains NaN or infinite entries",
+        ),
+        (
+            lambda: rg_via_gram(x, [[np.inf, 0.0], [0.0, 1.0]]),
+            NonFiniteEntryError,
+            "gram g-inverse contains NaN or infinite entries",
+        ),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "scale", [1e160, 1e-200, 2.0**600, 2.0**-600], ids=["1e160", "1e-200", "2^600", "2^-600"]
+)
+def test_normal_route_inverses_are_scale_safe(scale):
+    # X'X and XX' overflowed or underflowed here before the prescale
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    assert_allclose(left_inverse(x * scale) * scale, left_inverse(x), rtol=1e-12)
+    assert_allclose(right_inverse(x.T * scale) * scale, right_inverse(x.T), rtol=1e-12)
 
 
 def test_rg_via_gram_applies_the_penrose_threshold_to_the_gram_matrix():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from fourspaces import (
     InconsistentSystemError,
@@ -346,6 +347,18 @@ def test_unique_solve_rejects_y_off_the_column_space():
     with pytest.raises(InconsistentSystemError) as excinfo:
         consistent_unique_solve(np.array([[1.0], [1.0]]), [1.0, 3.0])
     assert excinfo.value.residual_norm == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 2.0**-600], ids=["1e-200", "2^-600"])
+def test_unique_solve_rejects_y_off_the_column_space_at_tiny_scale(scale):
+    # X'X underflowed here before the prescale; with it, a band floored at
+    # max(1, ||y||) waved the whole of y through as rounding
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    y = x @ np.arange(1.0, 5.0) + fundamental_bases(x).left_null_space[:, 0]
+    with pytest.raises(InconsistentSystemError):
+        consistent_unique_solve(x * scale, y * scale)
+    sol = consistent_unique_solve(x * scale, (x @ np.arange(1.0, 5.0)) * scale)
+    assert_allclose(sol.beta_hat, np.arange(1.0, 5.0), rtol=1e-12)
 
 
 def test_unique_solve_requires_full_column_rank():

@@ -282,6 +282,25 @@ def test_eig_scales_exactly_by_powers_of_two(k):
     assert res.offdiag_norm == np.ldexp(base.offdiag_norm, k)
 
 
+def test_asymmetry_past_the_float_range_still_raises_not_symmetric():
+    # ||s - s'|| = 2.8e308: scaling the figure back overflowed, and the
+    # overflow warning got in ahead of the typed error
+    with pytest.raises(NotSymmetricError, match="asymmetry inf vs bound"):
+        eig_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_offdiag_norm_past_the_float_range_still_raises_convergence_error(monkeypatch):
+    import fourspaces.spectral as spectral
+
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    s = np.full((3, 3), 1e308)
+    np.fill_diagonal(s, 0.0)
+    with pytest.raises(ConvergenceError) as info:
+        eig_symmetric(s)
+    assert info.value.offdiag_norm == math.inf
+    assert "off-diagonal norm inf still above" in str(info.value)
+
+
 @pytest.mark.parametrize("k", [600, -600], ids=["2^600", "2^-600"])
 def test_eig_errors_report_values_at_the_input_scale(monkeypatch, k):
     import fourspaces.spectral as spectral

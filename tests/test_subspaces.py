@@ -112,11 +112,12 @@ def test_subspaces_equal_rejects_mixed_ambient_dims():
         subspaces_equal(np.eye(2), np.eye(3))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e160], ids=["1", "1e160"])
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200], ids=["1", "1e160", "1e-200"])
 def test_row_space_check_is_scale_safe(scale):
     # rank 2, row space spanned by (1, 2, 3) and (1, 0, 1); (1, 1, -1)
     # spans the null space, so it lies wholly outside.  The squared entries
-    # of the raw norms overflowed at 1e160 and waved it through.
+    # of the raw norms overflowed at 1e160 and waved it through; at 1e-200
+    # a drift band floored at 1 did.
     x = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]) * scale
     with pytest.raises(NotInRowSpaceError):
         column_basis_from_row_basis(x, np.array([[1.0], [1.0], [-1.0]]) * scale)
