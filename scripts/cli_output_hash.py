@@ -10,9 +10,11 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   as they are;
 - a fixed set of small inputs drawn from ``numpy.random.default_rng(11)``
   (tall, wide, square, rank-deficient, zero, 1 x 1, single row and column,
-  identity, integer), each through all 12 subcommands, every ``--method``
-  (``family`` with and without ``--y``), both ``--side`` values, and
-  ``ginv`` with and without free blocks.
+  identity, integer, a column of float literals that ``%.12g`` and
+  ``repr`` write differently, and a 6 x 4 matrix scaled by 2^600 whose
+  ``solve`` gap passes the float range), each through all 12 subcommands,
+  every ``--method`` (``family`` with and without ``--y``), both ``--side``
+  values, and ``ginv`` with and without free blocks.
 
 Each invocation runs in JSON mode and in text mode.  Every output is one
 record of argv, mode, exit code and standard output, with the temporary
@@ -87,6 +89,13 @@ def small_inputs(rng):
         "sparse_diagonal": np.diag([3.0, 0.0, 1e-3, 2.0]),
         "integer_2x3": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
         "integer_3x2": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+        # rank 1; cr writes the first column as C, literals where "%.12g"
+        # and repr part ways (exponents 12 to 15, subnormal, -0.0, integers)
+        "edge_literals": np.array(
+            [[1e13, 1], [123456789012345, 2.5], [5e-324, 3], [-0.0, 4], [1e-5, 100], [100, 7]]
+        ),
+        # ||X'r|| passes the float range, so solve reports a non-finite path
+        "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
     }
 
 
@@ -110,7 +119,9 @@ def small_invocations(rng, tmp):
         if a or b:
             invocations.append(["ginv", *common]
                                + (["--a", a] if a else []) + (["--b", b] if b else []))
-        g = _write_csv(tmp / f"{name}_g.csv", x.T / (1.0 + float(np.sum(x * x))))
+        # x * x overflows for the 2^600 input, whose candidate is then zero
+        with np.errstate(over="ignore"):
+            g = _write_csv(tmp / f"{name}_g.csv", x.T / (1.0 + float(np.sum(x * x))))
         invocations.append(["classify", *common, "--g", g])
         for side in ("col", "row"):
             invocations.append(["project", *common, "--side", side])

@@ -15,10 +15,12 @@ Exit codes: 0 success, 1 domain error (the report names the error code),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,9 @@ def _rows_from_csv(text):
     return rows
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _rows_from_json(text):
     try:
         doc = json.loads(text)
@@ -138,6 +143,10 @@ def _rows_from_json(text):
                 f"data row {i} has {len(row) if isinstance(row, list) else 'no'} "
                 f"entries, header declares {cols_n}"
             )
+        # a whole row at once; json.loads yields no other number types, and
+        # true/false (type bool) fail here and are named below
+        if set(map(type, row)) <= _NUMBER_TYPES:
+            continue
         for j, cell in enumerate(row):
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 raise ParseError(f"data[{i}][{j}] is not a number")
@@ -429,7 +438,9 @@ def _tol_arg(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    # built once per process; help still reads COLUMNS when it is formatted
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, metavar="FILE", help="matrix file")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -490,48 +501,125 @@ def run_command(argv):
 # emission
 
 
-def _round_floats(obj, where="report"):
-    # 12 significant digits; idempotent, so emit/parse/emit is bit-stable.
-    # A NaN or infinity raises, naming its path in the document.
-    if isinstance(obj, dict):
-        return {key: _round_floats(val, f"{where}.{key}") for key, val in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(val, f"{where}[{i}]") for i, val in enumerate(obj)]
-    if isinstance(obj, bool) or not isinstance(obj, float):
-        return obj
-    if not math.isfinite(obj):
+_FLOATS = {float}
+
+
+def _finite(value, where):
+    if not math.isfinite(value):
         raise NonFiniteEntryError(f"{where} is not finite")
-    return float(f"{obj:.12g}")
 
 
-def _fmt(value):
+def _json_literal(s):
+    # s is "%.12g" of a finite float, and the literal is repr(float(s)): the
+    # value rounded to 12 significant digits.  Two decimals of at most 12
+    # digits never round to one normal double, so repr writes s's own
+    # digits, in the same notation except for exponents 12 to 15 ("%g" turns
+    # scientific at 1e12, repr at 1e16), subnormals (repr can be shorter) and
+    # integers (repr adds ".0")
+    if "e+1" in s or "e-3" in s:
+        return repr(float(s))
+    if "." in s or "e" in s:
+        return s
+    return s + ".0"
+
+
+def _text_literal(s):
+    # s is "%.12g" of a finite float, which is also "%.12g" of the rounded
+    # value except in the subnormal range, where doubles are sparser than
+    # 12-digit decimals
+    return f"{float(s):.12g}" if "e-3" in s else s
+
+
+def _float_row(row, where, sep, literal):
+    """The literals of a nonempty list of plain floats joined by ``sep``, or
+    None for any other list.  A NaN or infinity raises, named by its index.
+
+    The row is formatted by one ``%`` call.  ``literal`` then rewrites the
+    items only if some item lacks a ``"."`` or has an exponent from e+1x
+    or e-3xx; otherwise it would return every item as it is.
+    """
+    if set(map(type, row)) != _FLOATS:
+        return None
+    text = sep.join(["%.12g"] * len(row)) % tuple(row)
+    if "n" in text:  # "inf" or "nan"; finite literals hold no "n"
+        i = next(i for i, v in enumerate(row) if not math.isfinite(v))
+        raise NonFiniteEntryError(f"{where}[{i}] is not finite")
+    if text.count(".") != len(row) or "e+1" in text or "e-3" in text:
+        text = sep.join(map(literal, text.split(sep)))
+    return text
+
+
+def _json(obj, where, pad=""):
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
+    each float rounded to 12 significant digits.  A NaN or infinity raises,
+    naming its path in the document."""
+    inner = pad + "  "
+    sep = f",\n{inner}"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(
+            f"{_json_string(key)}: {_json(val, f'{where}.{key}', inner)}"
+            for key, val in obj.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        body = _float_row(obj, where, sep, _json_literal)
+        if body is None:
+            body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        _finite(obj, where)
+        return _json_literal(f"{obj:.12g}")
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _fmt(value, where):
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "n/a"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        _finite(value, where)
+        return _text_literal(f"{value:.12g}")
     return str(value)
+
+
+def _text_row(row, where):
+    text = _float_row(row, where, " ", _text_literal)
+    if text is None:
+        text = " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
+    return text
 
 
 def _is_matrix_doc(value):
     return isinstance(value, dict) and {"rows", "cols", "data"} <= set(value)
 
 
-def _render_entry(lines, key, value, indent):
+def _render_entry(lines, key, value, indent, where):
     pad = "  " * indent
     if _is_matrix_doc(value):
         lines.append(f"{pad}{key} ({value['rows']} x {value['cols']}):")
-        for row in value["data"]:
-            lines.append("  " * (indent + 1) + " ".join(_fmt(v) for v in row))
+        for i, row in enumerate(value["data"]):
+            lines.append("  " * (indent + 1) + _text_row(row, f"{where}.data[{i}]"))
     elif isinstance(value, dict):
         lines.append(f"{pad}{key}:")
         for sub_key, sub_val in value.items():
-            _render_entry(lines, sub_key, sub_val, indent + 1)
+            _render_entry(lines, sub_key, sub_val, indent + 1, f"{where}.{sub_key}")
     elif isinstance(value, list):
-        lines.append(f"{pad}{key}: " + " ".join(_fmt(v) for v in value))
+        lines.append(f"{pad}{key}: " + _text_row(value, where))
     else:
-        lines.append(f"{pad}{key}: {_fmt(value)}")
+        lines.append(f"{pad}{key}: {_fmt(value, where)}")
 
 
 def _render_text(doc):
@@ -539,27 +627,25 @@ def _render_text(doc):
     lines = [
         f"command: {doc['command']}",
         "input shape: " + (f"{shape[0]} x {shape[1]}" if shape else "unknown"),
-        f"tolerance: {_fmt(doc['tolerance'])}",
+        f"tolerance: {_fmt(doc['tolerance'], 'report.tolerance')}",
     ]
     for key, value in doc["payload"].items():
-        _render_entry(lines, key, value, 0)
+        _render_entry(lines, key, value, 0, f"report.payload.{key}")
     lines.append("residuals:")
     for key, value in doc["residuals"].items():
-        _render_entry(lines, key, value, 1)
+        _render_entry(lines, key, value, 1, f"report.residuals.{key}")
     return "\n".join(lines) + "\n"
 
 
 def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
-    A payload holding NaN or infinity is rejected before anything is
-    written.  Returns the rendered text.
+    One walk of the document checks, rounds and writes each number.  A
+    payload holding NaN or infinity is rejected before anything is written.
+    Returns the rendered text.
     """
-    doc = _round_floats(report.to_document())
-    if json_mode:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    else:
-        text = _render_text(doc)
+    doc = report.to_document()
+    text = _json(doc, "report") + "\n" if json_mode else _render_text(doc)
     (stream or sys.stdout).write(text)
     return text
 

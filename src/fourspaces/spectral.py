@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NotSymmetricError, ShapeError
+from .errors import ConvergenceError, NonFiniteEntryError, NotSymmetricError, ShapeError
 from .matrix import (
     DEFAULT_TOL, _as_tolerance, _prescaled, _scaled_back, as_matrix, frobenius_norm, invert,
     pivot_rank,
@@ -169,6 +169,8 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
         If the off-diagonal mass has not fallen below the threshold after
         ``MAX_SWEEPS`` (50) sweeps; the error carries ``sweeps`` and the
         ``offdiag_norm`` it stopped at.
+    NonFiniteEntryError
+        If an eigenvalue of the finite ``s`` lies beyond the float range.
 
     Notes
     -----
@@ -215,10 +217,12 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
         off = _offdiag_norm(work)
     values = np.diag(work).copy()
     order = np.argsort(-values, kind="stable")
-    values = np.ldexp(values[order], e)
+    values = _scaled_back(values[order], e)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteEntryError("an eigenvalue lies beyond the float range")
     q = qt.T[:, order]
     _sign_columns(q)
-    return EigResult(values, q, sweeps, float(np.ldexp(off, e)))
+    return EigResult(values, q, sweeps, float(_scaled_back(off, e)))
 
 
 def similarity_check(a, p, tol=DEFAULT_TOL):

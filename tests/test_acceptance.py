@@ -7,6 +7,7 @@ in this file before the library is asked; no expected value is taken on
 faith.
 """
 
+import io
 import json
 import math
 import time
@@ -52,7 +53,7 @@ from fourspaces import (
     svd_full,
     svd_reduced,
 )
-from fourspaces.cli import _matrix_doc, _round_floats, parse_matrix
+from fourspaces.cli import Report, _matrix_doc, emit_report, parse_matrix
 from fourspaces.cli import main as cli_main
 from fourspaces.cli import run_command
 
@@ -700,7 +701,8 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     back = tmp_path / "back.json"
     back.write_text(json.dumps(emitted))
     reparsed = parse_matrix(str(back), "json")
-    re_emitted = _round_floats(_matrix_doc(reparsed))
+    again = Report("pinv", None, 1e-10, {"pinv": _matrix_doc(reparsed)}, {})
+    re_emitted = json.loads(emit_report(again, True, io.StringIO()))["payload"]["pinv"]
     if json.dumps(emitted) != json.dumps(re_emitted):
         violations.append(("round-trip bytes", emitted, re_emitted))
 

@@ -3,10 +3,13 @@
 import argparse
 import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourspaces import (
     NonFiniteEntryError,
@@ -110,6 +113,14 @@ def test_parse_json_row_count_mismatch(tmp_path):
 def test_parse_json_non_numeric_cell(tmp_path):
     path = write(tmp_path, "bad.json", '{"rows":1,"cols":1,"data":[["a"]]}')
     with pytest.raises(ParseError):
+        parse_matrix(path, "json")
+
+
+@pytest.mark.parametrize("cell", ['"a"', "true", "false", "null", "[1]", "{}"])
+def test_parse_json_names_the_first_bad_cell(tmp_path, cell):
+    text = f'{{"rows":2,"cols":3,"data":[[1,2.5,-3],[4e2,0,{cell}]]}}'
+    path = write(tmp_path, "bad.json", text)
+    with pytest.raises(ParseError, match=re.escape("data[1][2] is not a number")):
         parse_matrix(path, "json")
 
 
@@ -403,6 +414,7 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
 
 def test_parser_lists_each_handler_once_with_its_docstring():
     parser = cli._build_parser()
+    assert cli._build_parser() is parser
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli._HANDLERS)
     helps = {action.dest: action.help for action in sub._choices_actions}
@@ -563,3 +575,115 @@ def test_text_mode_renders_matrices_with_shape_header(capsys):
     assert "pinv (2 x 2):" in text
     assert "1 0" in text
     assert "c1: true" in text
+
+
+# ---------------------------------------------------------------------------
+# the two-pass emitter that emit_report's one walk replaced, kept as its
+# oracle: a rounded copy of the document, then json.dumps or the text layout
+
+
+def _round_floats(obj, where="report"):
+    if isinstance(obj, dict):
+        return {key: _round_floats(val, f"{where}.{key}") for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_round_floats(val, f"{where}[{i}]") for i, val in enumerate(obj)]
+    if isinstance(obj, bool) or not isinstance(obj, float):
+        return obj
+    if not math.isfinite(obj):
+        raise NonFiniteEntryError(f"{where} is not finite")
+    return float(f"{obj:.12g}")
+
+
+def _two_pass_fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "n/a"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _two_pass_entry(lines, key, value, indent):
+    pad = "  " * indent
+    if isinstance(value, dict) and {"rows", "cols", "data"} <= set(value):
+        lines.append(f"{pad}{key} ({value['rows']} x {value['cols']}):")
+        for row in value["data"]:
+            lines.append("  " * (indent + 1) + " ".join(_two_pass_fmt(v) for v in row))
+    elif isinstance(value, dict):
+        lines.append(f"{pad}{key}:")
+        for sub_key, sub_val in value.items():
+            _two_pass_entry(lines, sub_key, sub_val, indent + 1)
+    elif isinstance(value, list):
+        lines.append(f"{pad}{key}: " + " ".join(_two_pass_fmt(v) for v in value))
+    else:
+        lines.append(f"{pad}{key}: {_two_pass_fmt(value)}")
+
+
+def two_pass_emit(report, json_mode):
+    doc = _round_floats(report.to_document())
+    if json_mode:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    shape = doc["input_shape"]
+    lines = [
+        f"command: {doc['command']}",
+        "input shape: " + (f"{shape[0]} x {shape[1]}" if shape else "unknown"),
+        f"tolerance: {_two_pass_fmt(doc['tolerance'])}",
+    ]
+    for key, value in doc["payload"].items():
+        _two_pass_entry(lines, key, value, 0)
+    lines.append("residuals:")
+    for key, value in doc["residuals"].items():
+        _two_pass_entry(lines, key, value, 1)
+    return "\n".join(lines) + "\n"
+
+
+# literals where "%.12g" and repr part ways: integers, exponents 12 to 15,
+# subnormals, and the edges of the float range
+EDGE_FLOATS = [
+    1e12, 999999999999.5, 9999999999999999.0, 1e13, 123456789012345.0, 1e15, 1e16,
+    1e-5, 1.5e-7, 0.0, -0.0, 100.0, -2.5, 1.0 / 3.0, 2.0 / 3.0 * 1e-300,
+    5e-324, 1.000000000003e-312, 2.2250738585072014e-308, 1.797e308, -1.797e308,
+]
+
+
+def edge_report():
+    payload = {
+        "literals": EDGE_FLOATS,
+        "matrix": _matrix_doc(np.array(EDGE_FLOATS).reshape(4, 5)),
+        "empty_matrix": _matrix_doc(np.zeros((2, 0))),
+        "flat_matrix": _matrix_doc(np.zeros((0, 3))),
+        "vector": _vector_doc(np.array(EDGE_FLOATS[::-1])),
+        "mixed": [1, 2.5, -3, 0.0, 10**20, 1e13, True, None],
+        "empty_list": [],
+        "flags": {"c1": True, "c2": False, "none": None},
+        "empty_dict": {},
+        "trace": np.float64(1.0 / 7.0),
+        "rank": 3,
+        "label": "Zeilenraum \u2013 Spaltenraum \u2205 \"quoted\"\n",
+    }
+    residuals = {"c1": np.float64(1e-20), "gap": 5e-324, "norm": 1e300}
+    return Report("edge", (4, 5), 1e-10, payload, residuals)
+
+
+def test_emitter_matches_two_pass_oracle_on_edge_literals():
+    report = edge_report()
+    nested = {"nested": [[1.5, 2], {"a": [0.1, 1e14]}, [[]], [{}]], "ints": [[1, 2], [3]]}
+    deep = Report("edge", None, 1e-10, {**report.payload, **nested}, report.residuals)
+    for rep in (report, deep):
+        assert emit_report(rep, json_mode=True, stream=io.StringIO()) == two_pass_emit(rep, True)
+    # text mode: the same document, whose layouts are those reports have
+    assert emit_report(report, json_mode=False, stream=io.StringIO()) == two_pass_emit(report, False)
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_emitter_matches_two_pass_oracle_on_any_finite_float(values, scalar):
+    payload = {"v": values, "m": _matrix_doc(np.array([values])), "s": scalar, "mixed": [1, scalar]}
+    report = Report("prop", (1, len(values)), 1e-10, payload, {"r": scalar})
+    for json_mode in (True, False):
+        text = emit_report(report, json_mode=json_mode, stream=io.StringIO())
+        assert text == two_pass_emit(report, json_mode)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from fourspaces import (
     ConvergenceError,
+    NonFiniteEntryError,
     NotSymmetricError,
     ShapeError,
     SingularMatrixError,
@@ -299,6 +300,15 @@ def test_offdiag_norm_past_the_float_range_still_raises_convergence_error(monkey
         eig_symmetric(s)
     assert info.value.offdiag_norm == math.inf
     assert "off-diagonal norm inf still above" in str(info.value)
+
+
+def test_eigenvalue_past_the_float_range_raises_non_finite_entry():
+    # 1e308 off the diagonal, 0 on it: the largest eigenvalue is 2e308, and
+    # scaling it back overflowed with a warning ahead of an inf eigenvalue
+    s = np.full((3, 3), 1e308)
+    np.fill_diagonal(s, 0.0)
+    with pytest.raises(NonFiniteEntryError, match="eigenvalue lies beyond the float range"):
+        eig_symmetric(s)
 
 
 @pytest.mark.parametrize("k", [600, -600], ids=["2^600", "2^-600"])
