@@ -26,7 +26,9 @@ usage errors of an unknown subcommand and of an unknown ``--method`` for
 ``solve`` and for ``leftinv``.  These records also hold standard error.
 Help is wrapped at a fixed width of 80 columns.
 
-The script prints the number of outputs and the sha256 of the sorted
+The script prints the number of outputs, how many JSON- and text-mode runs
+wrote to standard error (a warning, say; every warning is shown, and
+standard error is not part of those records), and the sha256 of the sorted
 records: of the JSON-mode ones, of the text-mode ones, of the usage-mode
 ones, and of all.  ``--dump FILE`` also writes the records as JSON lines,
 so two checkouts can be diffed.
@@ -52,6 +54,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -65,10 +68,7 @@ from fourspaces import cli  # noqa: E402
 
 CORPUS_SEED = 1
 SMALL_SEED = 11
-SUBCOMMANDS = (
-    "rank", "svd", "cr", "subspaces", "pinv", "ginv",
-    "leftinv", "rightinv", "classify", "solve", "project", "report",
-)
+SUBCOMMANDS = tuple(cli._HANDLERS)
 
 
 def small_inputs(rng):
@@ -171,29 +171,34 @@ def run_usage(argv, tmp):
 
 
 def run(argv, json_mode, tmp):
-    """One in-process CLI run as a record; the temporary path is masked."""
+    """One in-process CLI run as a record and whether it wrote to standard
+    error; the temporary path is masked, and standard error is not hashed."""
     full = argv + (["--json"] if json_mode else [])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(full)
     mask = str(tmp)
-    return {
+    record = {
         "argv": [a.replace(mask, "<tmp>") for a in argv],
         "mode": "json" if json_mode else "text",
         "exit": code,
         "stdout": out.getvalue().replace(mask, "<tmp>"),
     }
+    return record, bool(err.getvalue())
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON lines")
     args = parser.parse_args(argv)
+    # every warning reaches standard error, not only its first occurrence
+    warnings.simplefilter("always")
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         invocations = corpus_invocations(tmp)
         invocations += small_invocations(np.random.default_rng(SMALL_SEED), tmp)
-        records = [run(a, mode, tmp) for a in invocations for mode in (True, False)]
+        runs = [run(a, mode, tmp) for a in invocations for mode in (True, False)]
+        records = [rec for rec, _ in runs]
         usage = usage_invocations(tmp)
         records += [run_usage(a, tmp) for a in usage]
     lines = {mode: sorted(json.dumps(rec, sort_keys=True) for rec in records if rec["mode"] == mode)
@@ -203,7 +208,8 @@ def main(argv=None):
         Path(args.dump).write_text("\n".join(lines["all"]) + "\n")
     failed = sum(rec["exit"] != 0 for rec in records)
     print(f"{len(invocations) + len(usage)} invocations, {len(records)} outputs, "
-          f"{failed} with nonzero exit")
+          f"{failed} with nonzero exit, "
+          f"{sum(wrote for _, wrote in runs)} json and text runs writing to standard error")
     for mode, kept in lines.items():
         digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
         print(f"sha256 {mode:5} {digest}")

@@ -8,143 +8,21 @@ reflexive generalized and pseudo inverses, and least squares solvers for
 every rank situation, each checkable against the identities it promises.
 """
 
-from .errors import (
-    ConvergenceError,
-    DependentBasisError,
-    InconsistentSystemError,
-    MatrixError,
-    NonFiniteEntryError,
-    NotAGInverseError,
-    NotInRowSpaceError,
-    NotSymmetricError,
-    ParseError,
-    RaggedRowsError,
-    RankDeficientError,
-    ShapeError,
-    SingularMatrixError,
-)
-from .factorizations import (
-    CrFactors,
-    SvdResult,
-    cr_decompose,
-    svd_full,
-    svd_reduced,
-)
-from .inverses import (
-    InverseReport,
-    PenroseFlags,
-    classify_inverse,
-    ginverse_extend,
-    left_inverse,
-    left_inverse_elementary,
-    left_inverse_family,
-    pinv_cr,
-    pinv_svd,
-    rg_canonical,
-    rg_sandwich,
-    rg_via_gram,
-    right_inverse,
-    right_inverse_elementary,
-    right_inverse_family,
-)
-from .matrix import (
-    DEFAULT_TOL,
-    RrefResult,
-    Tolerance,
-    as_matrix,
-    as_vector,
-    frobenius_norm,
-    invert,
-    matmul,
-    pivot_rank,
-    rref_cols,
-    rref_rows,
-)
-from .solve import (
-    LsSolution,
-    ProjectorReport,
-    consistent_unique_solve,
-    ls_normal,
-    ls_svd_minnorm,
-    observation_split,
-    projector_column,
-    projector_diagnostics,
-    projector_row,
-    right_solve,
-)
-from .spectral import EigResult, SimilarityReport, eig_symmetric, similarity_check
-from .subspaces import (
-    RankNullityReport,
-    SubspaceBases,
-    column_basis_from_row_basis,
-    fundamental_bases,
-    rank_nullity_report,
-    subspaces_equal,
-)
+from . import errors, factorizations, inverses, matrix, solve, spectral, subspaces
+from .errors import *  # noqa: F401,F403
+from .matrix import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .factorizations import *  # noqa: F401,F403
+from .subspaces import *  # noqa: F401,F403
+from .inverses import *  # noqa: F401,F403
+from .solve import *  # noqa: F401,F403
 
 __all__ = [
-    "ConvergenceError",
-    "DependentBasisError",
-    "InconsistentSystemError",
-    "MatrixError",
-    "NonFiniteEntryError",
-    "NotAGInverseError",
-    "NotInRowSpaceError",
-    "NotSymmetricError",
-    "ParseError",
-    "RaggedRowsError",
-    "RankDeficientError",
-    "ShapeError",
-    "SingularMatrixError",
-    "DEFAULT_TOL",
-    "RrefResult",
-    "Tolerance",
-    "as_matrix",
-    "as_vector",
-    "frobenius_norm",
-    "invert",
-    "matmul",
-    "pivot_rank",
-    "rref_cols",
-    "rref_rows",
-    "EigResult",
-    "SimilarityReport",
-    "eig_symmetric",
-    "similarity_check",
-    "SvdResult",
-    "CrFactors",
-    "svd_full",
-    "svd_reduced",
-    "cr_decompose",
-    "SubspaceBases",
-    "RankNullityReport",
-    "fundamental_bases",
-    "column_basis_from_row_basis",
-    "rank_nullity_report",
-    "subspaces_equal",
-    "PenroseFlags",
-    "InverseReport",
-    "classify_inverse",
-    "left_inverse",
-    "right_inverse",
-    "left_inverse_elementary",
-    "right_inverse_elementary",
-    "left_inverse_family",
-    "right_inverse_family",
-    "rg_canonical",
-    "ginverse_extend",
-    "rg_sandwich",
-    "rg_via_gram",
-    "pinv_svd",
-    "pinv_cr",
-    "LsSolution",
-    "ProjectorReport",
-    "ls_normal",
-    "ls_svd_minnorm",
-    "observation_split",
-    "projector_column",
-    "projector_row",
-    "projector_diagnostics",
-    "consistent_unique_solve",
-    "right_solve",
+    *errors.__all__,
+    *matrix.__all__,
+    *spectral.__all__,
+    *factorizations.__all__,
+    *subspaces.__all__,
+    *inverses.__all__,
+    *solve.__all__,
 ]

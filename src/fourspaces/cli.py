@@ -133,7 +133,7 @@ def _rows_from_json(text):
     if not isinstance(doc, dict) or not {"rows", "cols", "data"} <= set(doc):
         raise ParseError('expected an object with "rows", "cols" and "data"')
     rows_n, cols_n, data = doc["rows"], doc["cols"], doc["data"]
-    if not isinstance(rows_n, int) or not isinstance(cols_n, int):
+    if type(rows_n) is not int or type(cols_n) is not int:  # bool is an int subclass
         raise ParseError('"rows" and "cols" must be integers')
     if not isinstance(data, list) or len(data) != rows_n:
         raise ParseError(f'"data" must hold {rows_n} rows, got {len(data)}')

@@ -4,6 +4,22 @@ Every error carries a short ``code`` string; the command line layer reports
 that code verbatim so scripted callers can branch on it.
 """
 
+__all__ = [
+    "MatrixError",
+    "ShapeError",
+    "NonFiniteEntryError",
+    "NotSymmetricError",
+    "ConvergenceError",
+    "SingularMatrixError",
+    "RankDeficientError",
+    "NotAGInverseError",
+    "NotInRowSpaceError",
+    "DependentBasisError",
+    "InconsistentSystemError",
+    "ParseError",
+    "RaggedRowsError",
+]
+
 
 class MatrixError(Exception):
     """Base class for all library errors."""

@@ -28,7 +28,6 @@ __all__ = [
     "svd_full",
     "svd_reduced",
     "cr_decompose",
-    "GRAM_RANK_FLOOR",
 ]
 
 # The Gram-matrix route cannot certify singular values below roughly

@@ -88,7 +88,8 @@ def _penrose_threshold(x, g, tol):
 
 
 def _require_c1(x, g, tol, who):
-    defect = frobenius_norm(x @ g @ x - x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = frobenius_norm(x @ g @ x - x)
     if defect > _penrose_threshold(x, g, tol):
         raise NotAGInverseError(
             f"{who} fails the g-inverse identity (defect {defect:.3e})"
@@ -126,14 +127,17 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
     n, p = x.shape
     if g.shape != (p, n):
         raise ShapeError(f"candidate must be {p}x{n}, got {g.shape[0]}x{g.shape[1]}")
-    xg = x @ g
-    gx = g @ x
-    residuals = (
-        frobenius_norm(x @ gx - x),
-        frobenius_norm(g @ xg - g),
-        frobenius_norm(xg.T - xg),
-        frobenius_norm(gx.T - gx),
-    )
+    # products past the float range reach frobenius_norm as inf, which it
+    # rejects with NonFiniteEntryError; the overflow itself is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xg = x @ g
+        gx = g @ x
+        residuals = (
+            frobenius_norm(x @ gx - x),
+            frobenius_norm(g @ xg - g),
+            frobenius_norm(xg.T - xg),
+            frobenius_norm(gx.T - gx),
+        )
     thr = _penrose_threshold(x, g, tol)
     flags = PenroseFlags(*(r <= thr for r in residuals))
     if flags.all_four():

@@ -135,12 +135,10 @@ def observation_split(x, y, tol=DEFAULT_TOL):
 
     Returns ``(y_hat, e)`` with ``y_hat = X X^+ y`` and ``e = y - y_hat``;
     the residual satisfies ``X^T e = 0`` and ``X^+ e = 0`` up to rounding.
+    These are the ``y_hat`` and ``residual`` of :func:`ls_svd_minnorm`.
     """
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    y = as_vector(y, length=x.shape[0], name="y")
-    y_hat = x @ (pinv_svd(x, tol) @ y)
-    return y_hat, y - y_hat
+    sol = ls_svd_minnorm(x, y, tol)
+    return sol.y_hat, sol.residual
 
 
 def projector_column(x, tol=DEFAULT_TOL):

@@ -22,7 +22,7 @@ from .matrix import (
     pivot_rank,
 )
 
-__all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check", "MAX_SWEEPS"]
+__all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check"]
 
 MAX_SWEEPS = 50
 

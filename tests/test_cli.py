@@ -98,6 +98,14 @@ def test_parse_json_requires_header_fields(tmp_path):
         parse_matrix(path, "json")
 
 
+@pytest.mark.parametrize("header", ['"rows":true,"cols":2', '"rows":1.5,"cols":2', '"rows":1,"cols":2.0'])
+def test_parse_json_header_counts_must_be_integers(tmp_path, header):
+    # true is an int to isinstance; it must not pass for the row count 1
+    path = write(tmp_path, "bad.json", f'{{{header},"data":[[1,2]]}}')
+    with pytest.raises(ParseError, match='"rows" and "cols" must be integers'):
+        parse_matrix(path, "json")
+
+
 def test_parse_json_ragged_data(tmp_path):
     path = write(tmp_path, "bad.json", '{"rows":2,"cols":2,"data":[[1,2],[3]]}')
     with pytest.raises(RaggedRowsError):
@@ -231,6 +239,17 @@ def test_ginv_command_with_block_files(tmp_path, capsys):
     assert code == 0
     assert doc["payload"]["flags"]["c1"] is True
     assert doc["payload"]["flags"]["c2"] is True
+
+
+def test_ginv_whose_penrose_products_overflow_fails_without_a_warning(tmp_path, capsys):
+    # X G X = X is finite at 2^600, but with a unit free block its partial
+    # products pass the float range; RuntimeWarning is an error under pytest
+    x = np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600)
+    path = write_matrix(tmp_path, "x.csv", x)
+    a = write_matrix(tmp_path, "a.csv", np.ones((4, 2)))
+    code, doc = run_json(capsys, ["ginv", "--input", path, "--a", a])
+    assert code == 1
+    assert doc["payload"]["error"] == "non-finite-entry"
 
 
 def test_leftinv_methods(tmp_path, capsys):

@@ -15,6 +15,7 @@ from fourspaces import (
     SingularMatrixError,
     Tolerance,
     as_matrix,
+    as_vector,
     frobenius_norm,
     invert,
     matmul,
@@ -41,6 +42,8 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(NonFiniteEntryError):
         as_matrix([[np.inf]])
+    with pytest.raises(NonFiniteEntryError):
+        as_vector([1.0, np.inf])
 
 
 def test_frobenius_hand_value():
@@ -56,6 +59,25 @@ def test_frobenius_norm_scales_exactly_by_powers_of_two(k):
     # squaring the raw entries overflows at 2^600 and underflows at 2^-600
     x = np.random.default_rng(3).standard_normal((6, 4))
     assert frobenius_norm(np.ldexp(x, k)) == np.ldexp(frobenius_norm(x), k)
+
+
+def test_root_reexports_each_module_all_once():
+    # the package root lists no name itself: a later star import that
+    # shadowed an earlier module's name would show here as a different object
+    modules = [
+        fourspaces.errors,
+        fourspaces.matrix,
+        fourspaces.spectral,
+        fourspaces.factorizations,
+        fourspaces.subspaces,
+        fourspaces.inverses,
+        fourspaces.solve,
+    ]
+    assert fourspaces.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(fourspaces.__all__)) == len(fourspaces.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(fourspaces, name) is getattr(m, name), name
 
 
 def test_src_uses_no_external_linear_algebra():

@@ -249,6 +249,12 @@ def test_similarity_general_nonsingular_skips_eigenvalues():
 def test_similarity_rejects_singular_conjugator():
     with pytest.raises(SingularMatrixError):
         similarity_check(np.eye(2), [[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ShapeError, match="square"):
+        similarity_check(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ShapeError, match="conjugating matrix"):
+        similarity_check(np.eye(2), np.eye(3))
+    with pytest.raises(NotSymmetricError):
+        similarity_check([[1.0, 2.0], [0.0, 1.0]], np.eye(2))
 
 
 def test_similarity_random_orthogonal():

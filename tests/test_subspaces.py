@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import ShapeError
+from fourspaces import NonFiniteEntryError, ShapeError
 from fourspaces.errors import DependentBasisError, NotInRowSpaceError
 from fourspaces.subspaces import (
     column_basis_from_row_basis,
@@ -77,11 +77,18 @@ def test_column_basis_from_row_basis_fixtures():
     assert_allclose(out, [[5.0], [10.0]], atol=1e-12)
     out = column_basis_from_row_basis([[0.0, 1.0], [0.0, 0.0]], np.array([[0.0], [1.0]]))
     assert_allclose(out, [[1.0], [0.0]], atol=1e-12)
+    # an empty basis maps to an empty one with the column dimension
+    assert column_basis_from_row_basis(np.ones((3, 2)), np.zeros((2, 0))).shape == (3, 0)
 
 
 def test_column_basis_rejects_vector_outside_row_space():
     with pytest.raises(NotInRowSpaceError):
         column_basis_from_row_basis([[0.0, 1.0], [0.0, 0.0]], np.array([[1.0], [0.0]]))
+
+
+def test_column_basis_rejects_wrong_vector_length():
+    with pytest.raises(ShapeError, match="length 2"):
+        column_basis_from_row_basis(np.ones((3, 2)), np.ones((3, 1)))
 
 
 def test_column_basis_rejects_dependent_vectors():
@@ -105,11 +112,17 @@ def test_subspaces_equal_fixture_rotated_plane():
     a = np.column_stack([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     assert subspaces_equal(a, np.eye(2)) is True
     assert subspaces_equal(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])) is False
+    # a 1-D input is one column vector
+    assert subspaces_equal(np.array([0.0, 1.0]), np.array([[0.0], [-1.0]])) is True
 
 
 def test_subspaces_equal_rejects_mixed_ambient_dims():
     with pytest.raises(ShapeError):
         subspaces_equal(np.eye(2), np.eye(3))
+    with pytest.raises(ShapeError, match="column vectors"):
+        subspaces_equal(np.zeros((2, 1, 1)), np.eye(2))
+    with pytest.raises(NonFiniteEntryError, match="second basis"):
+        subspaces_equal(np.eye(2), [[1.0], [np.nan]])
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200], ids=["1", "1e160", "1e-200"])
