@@ -14,11 +14,16 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``repr`` write differently, and a 6 x 4 matrix scaled by 2^600 whose
   ``solve`` gap passes the float range), each through all 12 subcommands,
   every ``--method`` (``family`` with and without ``--y``), both ``--side``
-  values, and ``ginv`` with and without free blocks.
+  values, and ``ginv`` with and without free blocks;
+- four malformed files through ``rank`` (a JSON ``data`` that is a number,
+  a JSON integer past the float range, a CSV file that is not UTF-8 and
+  JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
+  ``classify``.
 
 Each invocation runs in JSON mode and in text mode.  Every output is one
 record of argv, mode, exit code and standard output, with the temporary
-directory replaced by ``<tmp>``.
+directory replaced by ``<tmp>``.  An exception that escapes ``cli.main``
+is recorded too, as ``raised``: its type and message.
 
 A third set, in ``usage`` mode, records what the argument parser itself
 prints: ``--help`` of the root parser and of each subcommand, and the
@@ -27,10 +32,10 @@ usage errors of an unknown subcommand and of an unknown ``--method`` for
 Help is wrapped at a fixed width of 80 columns.
 
 The script prints the number of outputs, how many JSON- and text-mode runs
-wrote to standard error (a warning, say; every warning is shown, and
-standard error is not part of those records), and the sha256 of the sorted
-records: of the JSON-mode ones, of the text-mode ones, of the usage-mode
-ones, and of all.  ``--dump FILE`` also writes the records as JSON lines,
+raised, how many wrote to standard error (a warning, say; every warning is
+shown, and standard error is not part of those records), and the sha256 of
+the sorted records: of the JSON-mode ones, of the text-mode ones, of the
+usage-mode ones, and of all.  ``--dump FILE`` also writes the records as JSON lines,
 so two checkouts can be diffed.
 
 A refactor that claims unchanged output should give the same sha256 on both
@@ -97,6 +102,27 @@ def small_inputs(rng):
         # ||X'r|| passes the float range, so solve reports a non-finite path
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
     }
+
+
+# files the parser must turn into a typed failure, by name and format
+MALFORMED = {
+    "data_not_array": ("json", b'{"rows":1,"cols":1,"data":5}'),
+    "int_past_float_range": ("json", b'{"rows":1,"cols":1,"data":[[1' + b"0" * 400 + b"]]}"),
+    "not_utf8": ("csv", b"1,2\n3,\xff\n"),
+    "nested_deep": ("json", b"[" * 200_000 + b"]" * 200_000),
+}
+
+
+def malformed_invocations(tmp):
+    """Argument vectors reading each malformed file."""
+    fixed = _write_csv(tmp / "malformed_x.csv", np.eye(2))
+    invocations = []
+    for name, (fmt, content) in MALFORMED.items():
+        path = tmp / f"{name}.{fmt}"
+        path.write_bytes(content)
+        invocations.append(["rank", "--input", str(path), "--format", fmt])
+    invocations.append(["classify", "--input", fixed, "--g", str(tmp / "not_utf8.csv")])
+    return invocations
 
 
 def _write_csv(path, x):
@@ -172,11 +198,16 @@ def run_usage(argv, tmp):
 
 def run(argv, json_mode, tmp):
     """One in-process CLI run as a record and whether it wrote to standard
-    error; the temporary path is masked, and standard error is not hashed."""
+    error; the temporary path is masked, and standard error is not hashed.
+    An exception escaping ``cli.main`` leaves exit code None and is recorded."""
     full = argv + (["--json"] if json_mode else [])
     out, err = io.StringIO(), io.StringIO()
+    code, raised = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(full)
+        try:
+            code = cli.main(full)
+        except Exception as exc:
+            raised = f"{type(exc).__name__}: {exc}"
     mask = str(tmp)
     record = {
         "argv": [a.replace(mask, "<tmp>") for a in argv],
@@ -184,6 +215,8 @@ def run(argv, json_mode, tmp):
         "exit": code,
         "stdout": out.getvalue().replace(mask, "<tmp>"),
     }
+    if raised is not None:
+        record["raised"] = raised.replace(mask, "<tmp>")
     return record, bool(err.getvalue())
 
 
@@ -197,6 +230,7 @@ def main(argv=None):
         tmp = Path(name)
         invocations = corpus_invocations(tmp)
         invocations += small_invocations(np.random.default_rng(SMALL_SEED), tmp)
+        invocations += malformed_invocations(tmp)
         runs = [run(a, mode, tmp) for a in invocations for mode in (True, False)]
         records = [rec for rec, _ in runs]
         usage = usage_invocations(tmp)
@@ -206,9 +240,10 @@ def main(argv=None):
     lines["all"] = sorted(lines["json"] + lines["text"] + lines["usage"])
     if args.dump:
         Path(args.dump).write_text("\n".join(lines["all"]) + "\n")
-    failed = sum(rec["exit"] != 0 for rec in records)
+    failed = sum(rec["exit"] not in (0, None) for rec in records)
+    raised = sum("raised" in rec for rec in records)
     print(f"{len(invocations) + len(usage)} invocations, {len(records)} outputs, "
-          f"{failed} with nonzero exit, "
+          f"{failed} with nonzero exit, {raised} json and text runs raising, "
           f"{sum(wrote for _, wrote in runs)} json and text runs writing to standard error")
     for mode, kept in lines.items():
         digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()

@@ -46,7 +46,6 @@ from .matrix import (
     Tolerance,
     _prescaled,
     _scaled_back,
-    _vector_norm,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -123,9 +122,16 @@ def _rows_from_csv(text):
 _NUMBER_TYPES = {int, float}
 
 
+def _json_int(literal):
+    # an integer past the float range reads as inf, as 1e999 does; int() would
+    # overflow on the way to float, and refuses literals past 4300 digits
+    value = float(literal)
+    return int(literal) if math.isfinite(value) else value
+
+
 def _rows_from_json(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -136,7 +142,8 @@ def _rows_from_json(text):
     if type(rows_n) is not int or type(cols_n) is not int:  # bool is an int subclass
         raise ParseError('"rows" and "cols" must be integers')
     if not isinstance(data, list) or len(data) != rows_n:
-        raise ParseError(f'"data" must hold {rows_n} rows, got {len(data)}')
+        got = len(data) if hasattr(data, "__len__") else "no array"
+        raise ParseError(f'"data" must hold {rows_n} rows, got {got}')
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols_n:
             raise RaggedRowsError(
@@ -162,8 +169,11 @@ def parse_matrix(path, format="csv"):
     """
     if format not in ("csv", "json"):
         raise ParseError(f"unknown format {format!r}")
-    text = Path(path).read_text()
-    rows = _rows_from_csv(text) if format == "csv" else _rows_from_json(text)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        rows = _rows_from_csv(text) if format == "csv" else _rows_from_json(text)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ParseError(f"unreadable {format} file: {exc}") from None
     return as_matrix(np.array(rows, dtype=float), name=str(path))
 
 
@@ -366,7 +376,7 @@ def _cmd_solve(x, args, tol):
     xs, e = _prescaled(x)
     residuals = {
         "residual_norm": float(sol.residual_norm),
-        "normal_equation_gap": float(_scaled_back(_vector_norm(xs.T @ sol.residual), e)),
+        "normal_equation_gap": float(_scaled_back(frobenius_norm(xs.T @ sol.residual), e)),
     }
     return payload, residuals
 
@@ -384,11 +394,7 @@ def _cmd_project(x, args, tol):
         "symmetric": diag.symmetric,
         "spectrum_binary": diag.spectrum_binary,
     }
-    residuals = {
-        "idempotency": frobenius_norm(proj @ proj - proj),
-        "symmetry": frobenius_norm(proj - proj.T),
-    }
-    return payload, residuals
+    return payload, {"idempotency": diag.idempotency, "symmetry": diag.symmetry}
 
 
 def _cmd_report(x, args, tol):
@@ -602,13 +608,9 @@ def _text_row(row, where):
     return text
 
 
-def _is_matrix_doc(value):
-    return isinstance(value, dict) and {"rows", "cols", "data"} <= set(value)
-
-
 def _render_entry(lines, key, value, indent, where):
     pad = "  " * indent
-    if _is_matrix_doc(value):
+    if isinstance(value, dict) and {"rows", "cols", "data"} <= set(value):
         lines.append(f"{pad}{key} ({value['rows']} x {value['cols']}):")
         for i, row in enumerate(value["data"]):
             lines.append("  " * (indent + 1) + _text_row(row, f"{where}.data[{i}]"))

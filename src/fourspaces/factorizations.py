@@ -123,24 +123,6 @@ def _complete_basis(accepted, dim):
     return q
 
 
-def _svd_kernel(x, tol):
-    """Rank, singular values, and the first ``rank`` columns of each side."""
-    n, p = x.shape
-    if n < p:
-        r, sigma, v_r, u_r = _svd_kernel(x.T, tol)
-        return r, sigma, u_r, v_r
-    # with the largest entry in [0.5, 1), X'X cannot overflow, and a tiny
-    # input no longer underflows to rank zero
-    x, e = _prescaled(x)
-    eig = eig_symmetric(x.T @ x, tol)
-    sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
-    cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
-    r = int(np.sum(sig_all > cutoff))
-    v_r = eig.q[:, :r]
-    u_r = (x @ v_r) / sig_all[:r]
-    return r, np.ldexp(sig_all[:r], e), u_r, v_r
-
-
 def svd_full(x, tol=DEFAULT_TOL):
     """Full singular value decomposition ``x = u @ sigma_matrix() @ v.T``.
 
@@ -163,8 +145,20 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
-    r, sigma, u_r, v_r = _svd_kernel(x, tol)
-    return SvdResult(u_r, sigma, v_r, r, "reduced", tol)
+    n, p = x.shape
+    if n < p:
+        res = svd_reduced(x.T, tol)
+        return SvdResult(res.v, res.sigma, res.u, res.rank, "reduced", tol)
+    # with the largest entry in [0.5, 1), X'X cannot overflow, and a tiny
+    # input no longer underflows to rank zero
+    x, e = _prescaled(x)
+    eig = eig_symmetric(x.T @ x, tol)
+    sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
+    cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
+    r = int(np.sum(sig_all > cutoff))
+    v_r = eig.q[:, :r]
+    u_r = (x @ v_r) / sig_all[:r]
+    return SvdResult(u_r, np.ldexp(sig_all[:r], e), v_r, r, "reduced", tol)
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):

@@ -104,20 +104,14 @@ def _scaled_back(value, e):
 
 
 def frobenius_norm(a):
-    """Square root of the sum of squared entries.
+    """Square root of the sum of squared entries; a 1-D array is read as one row.
 
     The entries are squared at the scale of :func:`_prescaled`, so the norm
     overflows or underflows only where its own value does.
     """
-    arr, e = _prescaled(as_matrix(a))
+    arr = np.asarray(a, dtype=float)
+    arr, e = _prescaled(as_matrix(arr[None] if arr.ndim == 1 else arr))
     return float(np.ldexp(np.sqrt(np.sum(arr * arr)), e))
-
-
-def _vector_norm(v):
-    """Euclidean norm ``sqrt(v @ v)`` of a nonempty 1-D array, squared at the
-    scale of :func:`_prescaled` like :func:`frobenius_norm`."""
-    w, e = _prescaled(v)
-    return float(np.ldexp(np.sqrt(w @ w), e))
 
 
 def matmul(a, b):

@@ -21,7 +21,6 @@ from .inverses import left_inverse, pinv_svd, right_inverse
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
-    _vector_norm,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -67,6 +66,8 @@ class ProjectorReport:
 
     ``spectrum_binary`` is ``None`` when the matrix is not symmetric,
     since the eigenvalue check runs on the symmetric engine only.
+    ``idempotency`` and ``symmetry`` are the defects ``||P^2 - P||_F`` and
+    ``||P - P'||_F`` behind the ``idempotent`` and ``symmetric`` flags.
     """
 
     idempotent: bool
@@ -74,6 +75,8 @@ class ProjectorReport:
     trace: float
     rank: int
     spectrum_binary: bool | None
+    idempotency: float
+    symmetry: float
 
 
 def _finish(x, y, beta, rank_used, method):
@@ -83,7 +86,7 @@ def _finish(x, y, beta, rank_used, method):
         beta_hat=beta,
         y_hat=y_hat,
         residual=residual,
-        residual_norm=_vector_norm(residual),
+        residual_norm=frobenius_norm(residual),
         rank_used=rank_used,
         method=method,
     )
@@ -168,8 +171,10 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
     if p.shape[0] != p.shape[1]:
         raise ShapeError(f"projector must be square, got {p.shape}")
     scale = frobenius_norm(p)
-    idem = frobenius_norm(p @ p - p) <= 100.0 * tol.relative * max(1.0, scale * scale)
-    sym = frobenius_norm(p - p.T) <= tol.relative * max(1.0, scale)
+    idempotency = frobenius_norm(p @ p - p)
+    symmetry = frobenius_norm(p - p.T)
+    idem = idempotency <= 100.0 * tol.relative * max(1.0, scale * scale)
+    sym = symmetry <= tol.relative * max(1.0, scale)
     spectrum_binary = None
     if sym:
         values = eig_symmetric((p + p.T) / 2.0, tol).values
@@ -183,6 +188,8 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
         trace=float(np.trace(p)),
         rank=pivot_rank(p, tol),
         spectrum_binary=spectrum_binary,
+        idempotency=idempotency,
+        symmetry=symmetry,
     )
 
 
@@ -197,7 +204,7 @@ def consistent_unique_solve(x, y, tol=DEFAULT_TOL):
     silently returning a best fit.
     """
     sol = _left_inverse_solve(x, y, tol, "a unique solution", "unique-consistent")
-    band = max(100.0 * _as_tolerance(tol).relative, 1e-8) * _vector_norm(as_vector(y))
+    band = max(100.0 * _as_tolerance(tol).relative, 1e-8) * frobenius_norm(as_vector(y))
     if sol.residual_norm > band:
         raise InconsistentSystemError(
             f"system is inconsistent: left-inverse residual {sol.residual_norm:.3e} "

@@ -64,7 +64,7 @@ def _offdiag_norm(a):
     # cancels catastrophically once the true value is below sqrt(eps)*||a||
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    return math.sqrt(np.sum(off * off))
+    return frobenius_norm(off)
 
 
 @functools.lru_cache(maxsize=None)

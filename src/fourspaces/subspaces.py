@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DependentBasisError, NonFiniteEntryError, NotInRowSpaceError, ShapeError
 from .factorizations import svd_full, svd_reduced
-from .matrix import DEFAULT_TOL, _as_tolerance, _vector_norm, as_matrix, frobenius_norm, pivot_rank
+from .matrix import DEFAULT_TOL, _as_tolerance, as_matrix, frobenius_norm, pivot_rank
 
 __all__ = [
     "SubspaceBases",
@@ -118,8 +118,8 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     proj = row_space @ (row_space.T @ rb)
     band = max(100.0 * tol.relative, 1e-8)
     for j in range(k):
-        drift = _vector_norm(proj[:, j] - rb[:, j])
-        if drift > band * _vector_norm(rb[:, j]):
+        drift = frobenius_norm(proj[:, j] - rb[:, j])
+        if drift > band * frobenius_norm(rb[:, j]):
             raise NotInRowSpaceError(
                 f"column {j} of the supplied basis leaves the row space "
                 f"(projection drift {drift:.3e})"

@@ -1,6 +1,7 @@
 """Command-line contract: parsing, dispatch, emission, exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -508,6 +509,83 @@ def test_parse_error_maps_to_exit_one(tmp_path, capsys):
     assert doc["payload"]["error"] == "ragged-rows"
 
 
+# integers past the float range, and past the 4300 digits int() accepts
+BIG_INT = b"1" + b"0" * 400
+LONG_INT = b"1" + b"0" * 5000
+
+
+@pytest.mark.parametrize(
+    "name, content, error, message",
+    [
+        ("scalar.json", b'{"rows":1,"cols":1,"data":5}', "parse-error",
+         '"data" must hold 1 rows, got no array'),
+        ("big.json", b'{"rows":1,"cols":1,"data":[[' + BIG_INT + b"]]}", "non-finite-entry",
+         "{path} contains NaN or infinite entries"),
+        ("long.json", b'{"rows":1,"cols":1,"data":[[-' + LONG_INT + b"]]}", "non-finite-entry",
+         "{path} contains NaN or infinite entries"),
+        ("long_header.json", b'{"rows":' + LONG_INT + b',"cols":1,"data":[[1]]}', "parse-error",
+         '"rows" and "cols" must be integers'),
+        ("latin1.csv", b"1,2\n3,\xff\n", "parse-error",
+         "unreadable csv file: 'utf-8' codec can't decode byte 0xff in position 6: "
+         "invalid start byte"),
+        ("deep.json", b"[" * 200_000 + b"]" * 200_000, "parse-error",
+         "unreadable json file: maximum recursion depth exceeded"),
+    ],
+    ids=["data-not-array", "int-past-float-range", "int-past-4300-digits",
+         "header-past-4300-digits", "not-utf8", "nested-200000-deep"],
+)
+def test_malformed_input_file_ends_as_typed_failure(tmp_path, capsys, name, content, error, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    fmt = path.suffix[1:]
+    code, doc = run_json(capsys, ["rank", "--input", str(path), "--format", fmt])
+    assert code == 1
+    assert doc["payload"]["error"] == error
+    # the recursion error's own wording varies across Python versions
+    assert doc["payload"]["message"].startswith(message.format(path=path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--y", "{bad}"],
+        ["classify", "--g", "{bad}"],
+        ["ginv", "--a", "{bad}"],
+        ["ginv", "--b", "{bad}"],
+        ["leftinv", "--method", "family", "--y", "{bad}"],
+    ],
+    ids=["solve-y", "classify-g", "ginv-a", "ginv-b", "leftinv-y"],
+)
+def test_non_utf8_side_file_is_a_parse_error(tmp_path, capsys, argv):
+    x = write(tmp_path, "x.csv", "1,0\n0,0\n0,0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xfe\n")
+    cmd, *rest = argv
+    code, doc = run_json(capsys, [cmd, "--input", x, *(a.format(bad=bad) for a in rest)])
+    assert code == 1
+    assert doc["payload"]["error"] == "parse-error"
+    assert doc["input_shape"] == [3, 2]
+
+
+@given(st.binary(max_size=48))
+@settings(max_examples=200, deadline=None)
+def test_any_input_bytes_end_in_a_report(tmp_path_factory, content):
+    # every failure is typed: whatever the file holds, main returns 0 or 1
+    tmp = tmp_path_factory.getbasetemp()
+    x = tmp / "fixed.csv"
+    x.write_text("1,2\n3,4\n")
+    path = tmp / "any.bin"
+    path.write_bytes(content)
+    runs = [
+        ["rank", "--input", str(path)],
+        ["rank", "--input", str(path), "--format", "json"],
+        ["classify", "--input", str(x), "--g", str(path)],
+    ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     path = write(tmp_path, "x.csv", "1\n")
     assert main([]) == 2
@@ -693,6 +771,12 @@ def test_emitter_matches_two_pass_oracle_on_edge_literals():
         assert emit_report(rep, json_mode=True, stream=io.StringIO()) == two_pass_emit(rep, True)
     # text mode: the same document, whose layouts are those reports have
     assert emit_report(report, json_mode=False, stream=io.StringIO()) == two_pass_emit(report, False)
+    # a value json.dumps cannot write raises its TypeError, word for word
+    odd = Report("edge", None, 1e-10, {"set": {1.5}}, {})
+    with pytest.raises(TypeError) as oracle:
+        two_pass_emit(odd, True)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(oracle.value))}$"):
+        emit_report(odd, json_mode=True, stream=io.StringIO())
 
 
 @given(

@@ -52,6 +52,13 @@ def test_frobenius_hand_value():
     assert oracle == 5.0
     assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(oracle, abs=1e-10)
     assert frobenius_norm(np.zeros((3, 2))) == 0.0
+    # a vector is read as one row: its Euclidean norm
+    assert frobenius_norm([3.0, 4.0]) == 5.0
+    for bad in (3.0, np.ones((2, 2, 2)), []):
+        with pytest.raises(ShapeError):
+            frobenius_norm(bad)
+    with pytest.raises(NonFiniteEntryError):
+        frobenius_norm([1.0, np.inf])
 
 
 @pytest.mark.parametrize("k", [600, -600])
@@ -59,6 +66,7 @@ def test_frobenius_norm_scales_exactly_by_powers_of_two(k):
     # squaring the raw entries overflows at 2^600 and underflows at 2^-600
     x = np.random.default_rng(3).standard_normal((6, 4))
     assert frobenius_norm(np.ldexp(x, k)) == np.ldexp(frobenius_norm(x), k)
+    assert frobenius_norm(np.ldexp(x[:, 0], k)) == np.ldexp(frobenius_norm(x[:, 0]), k)
 
 
 def test_root_reexports_each_module_all_once():
@@ -171,6 +179,7 @@ def test_pivot_threshold_is_relative_to_largest_entry():
     a = [[1.0, 0.0], [0.0, 1e-14]]
     assert pivot_rank(a) == 1
     assert pivot_rank(a, Tolerance(1e-15)) == 2
+    assert pivot_rank(a, None) == 1  # None means the default tolerance
     # scaling the matrix must not change the decision
     assert pivot_rank(np.array(a) * 1e6) == 1
     assert pivot_rank(np.array(a) * 1e-6) == 1

@@ -1,5 +1,7 @@
 """Least-squares solvers, the observation split, and projector laws."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -289,6 +291,7 @@ def test_projector_diagnostics_on_the_half_matrix():
     assert rep.trace == pytest.approx(1.0, abs=1e-12)
     assert rep.rank == 1
     assert rep.spectrum_binary is True
+    assert rep.idempotency == 0.0 and rep.symmetry == 0.0
 
 
 def test_projector_diagnostics_identity():
@@ -304,6 +307,9 @@ def test_projector_diagnostics_flags_non_projector():
     assert not rep.idempotent
     assert not rep.symmetric
     assert rep.spectrum_binary is None
+    # the defects behind the flags: ||P^2 - P|| = ||[[0,1],[0,0]]||, ||P - P'|| = sqrt(2)
+    assert rep.idempotency == 1.0
+    assert rep.symmetry == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_projector_diagnostics_requires_square_input():

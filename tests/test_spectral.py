@@ -308,6 +308,12 @@ def test_offdiag_norm_past_the_float_range_still_raises_convergence_error(monkey
     assert "off-diagonal norm inf still above" in str(info.value)
 
 
+def test_offdiag_norm_does_not_underflow():
+    # squaring the raw off-diagonal entries underflows to a wrong 0.0
+    off = _offdiag_norm(np.array([[1.0, 1e-170], [1e-170, 1.0]]))
+    assert off == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-15, abs=0.0)
+
+
 def test_eigenvalue_past_the_float_range_raises_non_finite_entry():
     # 1e308 off the diagonal, 0 on it: the largest eigenvalue is 2e308, and
     # scaling it back overflowed with a warning ahead of an inf eigenvalue
