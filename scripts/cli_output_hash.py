@@ -11,10 +11,12 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
 - a fixed set of small inputs drawn from ``numpy.random.default_rng(11)``
   (tall, wide, square, rank-deficient, zero, 1 x 1, single row and column,
   identity, integer, a column of float literals that ``%.12g`` and
-  ``repr`` write differently, and a 6 x 4 matrix scaled by 2^600 whose
-  ``solve`` gap passes the float range), each through all 12 subcommands,
-  every ``--method`` (``family`` with and without ``--y``), both ``--side``
-  values, and ``ginv`` with and without free blocks;
+  ``repr`` write differently, a 6 x 4 matrix scaled by 2^600 whose
+  ``solve`` gap passes the float range, and the same matrix, drawn afresh
+  from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
+  largest singular value pass the float range), each through all 12
+  subcommands, every ``--method`` (``family`` with and without ``--y``),
+  both ``--side`` values, and ``ginv`` with and without free blocks;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -101,6 +103,8 @@ def small_inputs(rng):
         ),
         # ||X'r|| passes the float range, so solve reports a non-finite path
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
+        # ||X||_F and sigma_1 pass the float range: typed failures, no warning
+        "scaled_5e307": np.random.default_rng(3).standard_normal((6, 4)) * 5e307,
     }
 
 

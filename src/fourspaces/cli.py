@@ -662,9 +662,10 @@ def _write_report(report, json_mode, out_path):
 
 def _failure_report(args, report, exc):
     code = exc.code if isinstance(exc, MatrixError) else "io-error"
-    residuals = {}
-    if hasattr(exc, "residual_norm"):
-        residuals["residual_norm"] = float(exc.residual_norm)
+    # what a typed error measured: how far an inconsistent system missed, or
+    # where a Jacobi iteration stopped
+    keys = ("residual_norm", "sweeps", "offdiag_norm")
+    residuals = {key: getattr(exc, key) for key in keys if hasattr(exc, key)}
     return Report(
         command=args.command,
         input_shape=report.input_shape if report else getattr(exc, "input_shape", None),

@@ -6,9 +6,10 @@ A wide input runs on its transpose with the two sides swapped, so the Gram
 matrix is always the smaller one.  The input is first scaled by the power of
 two that brings its largest entry into [0.5, 1) and ``sigma`` is scaled
 back; the scaling is exact, so it changes no bits unless ``X'X`` would
-otherwise overflow or underflow.  :func:`svd_full` completes both sides of
-:func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass over
-standard basis candidates.  The CR factorization reuses the tracked row
+otherwise overflow or underflow, and a ``sigma`` that scales back past the
+float range raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
+sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
+over standard basis candidates.  The CR factorization reuses the tracked row
 reduction: original pivot columns times the nonzero echelon rows reproduce
 the matrix.
 """
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, as_matrix, rref_rows
+from .errors import NonFiniteEntryError
+from .matrix import (
+    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, rref_rows,
+)
 from .spectral import _sign_columns, eig_symmetric
 
 __all__ = [
@@ -158,7 +162,10 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     r = int(np.sum(sig_all > cutoff))
     v_r = eig.q[:, :r]
     u_r = (x @ v_r) / sig_all[:r]
-    return SvdResult(u_r, np.ldexp(sig_all[:r], e), v_r, r, "reduced", tol)
+    sigma = _scaled_back(sig_all[:r], e)
+    if np.any(sigma == np.inf):
+        raise NonFiniteEntryError("a singular value lies beyond the float range")
+    return SvdResult(u_r, sigma, v_r, r, "reduced", tol)
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):

@@ -107,11 +107,15 @@ def frobenius_norm(a):
     """Square root of the sum of squared entries; a 1-D array is read as one row.
 
     The entries are squared at the scale of :func:`_prescaled`, so the norm
-    overflows or underflows only where its own value does.
+    underflows only where its own value does, and one past the float range
+    raises :class:`NonFiniteEntryError`.
     """
     arr = np.asarray(a, dtype=float)
     arr, e = _prescaled(as_matrix(arr[None] if arr.ndim == 1 else arr))
-    return float(np.ldexp(np.sqrt(np.sum(arr * arr)), e))
+    norm = float(_scaled_back(np.sqrt(np.sum(arr * arr)), e))
+    if norm == np.inf:
+        raise NonFiniteEntryError("the Frobenius norm lies beyond the float range")
+    return norm
 
 
 def matmul(a, b):

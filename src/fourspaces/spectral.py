@@ -1,11 +1,13 @@
 """Symmetric eigendecomposition by round-robin Jacobi rotations.
 
-The decomposition is fully constructive: plane rotations are accumulated
-into the orthogonal factor, so ``s == q @ diag(values) @ q.T`` up to
-roundoff with no reliance on an external eigensolver.  Each sweep visits the
-off-diagonal pairs in the parallel ordering of Brent and Luk (SISC 1985;
-Golub and Van Loan, *Matrix Computations*, section 8.5): n - 1 rounds of
-disjoint pairs, each round applied as a few array operations.
+The decomposition is fully constructive: one working array ``[A | I]`` is
+rotated to ``[Lambda | Q']``, the way ``rref_rows`` takes ``[A | I]`` to
+``[R | E]``, so ``s == q @ diag(values) @ q.T`` up to roundoff with no
+reliance on an external eigensolver.  Each sweep visits the off-diagonal
+pairs in the parallel ordering of Brent and Luk (SISC 1985; Golub and Van
+Loan, *Matrix Computations*, section 8.5): n - 1 rounds of disjoint pairs,
+each round applied as a few array operations, its rotations taken from one
+branch-free closed-form tangent.
 """
 
 from __future__ import annotations
@@ -91,18 +93,14 @@ def _rounds(n):
 def _rotation(app, aqq, apq):
     """Cosines and sines of the Jacobi rotations that annihilate ``apq``, elementwise.
 
-    With ``tau = (aqq - app) / (2 apq)`` the tangent is
-    ``t = sign(tau) / (|tau| + sqrt(1 + tau^2))``; once the angle is below
-    rounding the large-tau limit ``t = apq / (aqq - app)`` replaces it, which
-    avoids overflow in the quotient.  A zero ``apq`` gives no rotation.  Each
-    branch is evaluated only where it applies, so nothing divides by zero.
+    The tangent is the smaller root of ``t^2 + 2 t h / apq = 1``,
+    ``t = apq / (h + sign(h) hypot(h, apq))`` with ``h = aqq / 2 - app / 2``
+    from halves; nothing overflows for entries below 7e307.  The denominator
+    is 0 only at ``h = apq = 0``, where it is read as 1, so ``t = 0``.
     """
-    diff = aqq - app
-    tiny = np.abs(diff) > 1e12 * np.abs(apq)
-    # tau stays infinite where apq is zero, which makes t zero there
-    tau = np.divide(diff, 2.0 * apq, out=np.full_like(diff, np.inf), where=(apq != 0.0) & ~tiny)
-    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    np.divide(apq, diff, out=t, where=tiny)
+    h = aqq / 2.0 - app / 2.0
+    d = h + np.copysign(np.hypot(h, apq), h)
+    t = apq / (d + (d == 0.0))
     c = 1.0 / np.hypot(1.0, t)
     return c, t * c
 
@@ -119,30 +117,22 @@ def _rotate_rows(a, ij, g):
     a[ij] = (g @ a[ij].reshape(len(g), 2, -1)).reshape(len(ij), -1)
 
 
-def _sweep(a, qt, rounds):
-    """One round-robin pass over all off-diagonal pairs; returns the rotated matrix.
+def _sweep(w):
+    """One round-robin pass over all off-diagonal pairs of ``w = [A | Q']``, in place.
 
     The rotations of one round touch disjoint pairs, so they commute and are
-    applied together: ``a <- R' a R`` and ``qt <- R' qt``, where ``qt`` holds
-    the eigenvectors as rows.  Rotating the rows of ``a`` gives ``R' a``,
-    whose transpose is ``a R`` because ``a`` is symmetric; rotating rows once
-    more gives ``R' a R``.
+    applied together.  Rotating the rows of ``w`` gives ``[R' A | R' Q']``;
+    rotating the rows of the left block's transposed view then gives
+    ``R' A R``, as ``A`` is symmetric.
     """
-    for i, j, ij in rounds:
+    a = w[:, : w.shape[0]]
+    for i, j, ij in _rounds(w.shape[0]):
         c, s = _rotation(a[i, i], a[j, j], a[i, j])
-        g = np.empty((len(i), 2, 2))
-        g[:, 0, 0] = c
-        g[:, 0, 1] = -s
-        g[:, 1, 0] = s
-        g[:, 1, 1] = c
-        _rotate_rows(a, ij, g)
-        a = a.T.copy()
-        _rotate_rows(a, ij, g)
+        g = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
+        _rotate_rows(w, ij, g)
+        _rotate_rows(a.T, ij, g)
         # each rotation annihilates its pair analytically; pin the zeros
-        a[i, j] = 0.0
-        a[j, i] = 0.0
-        _rotate_rows(qt, ij, g)
-    return a
+        a[i, j] = a[j, i] = 0.0
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):
@@ -194,13 +184,15 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
             "matrix is not symmetric within tolerance (asymmetry "
             f"{_scaled_back(asymmetry, e):.3e} vs bound {_scaled_back(threshold, e):.3e})"
         )
-    work = (s + s.T) / 2.0
-    qt = np.eye(n)
-    rounds = _rounds(n)
-    sweeps = 0
-    off = _offdiag_norm(work)
-    while off > threshold:
-        if sweeps == MAX_SWEEPS:
+    # [A | I] is rotated to [Lambda | Q']; a is the left block, a view
+    w = np.hstack(((s + s.T) / 2.0, np.eye(n)))
+    a = w[:, :n]
+    sweeps, polish = 0, False
+    off = _offdiag_norm(a)
+    # the sweep that starts at or below the threshold is the polish, and the last
+    while off > 0.0 and not polish:
+        polish = off <= threshold
+        if sweeps == MAX_SWEEPS and not polish:
             off, threshold = _scaled_back(off, e), _scaled_back(threshold, e)
             raise ConvergenceError(
                 f"off-diagonal norm {off:.3e} still above "
@@ -208,19 +200,14 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
                 sweeps,
                 off,
             )
-        work = _sweep(work, qt, rounds)
+        _sweep(w)
         sweeps += 1
-        off = _offdiag_norm(work)
-    if n > 1 and off > 0.0:
-        work = _sweep(work, qt, rounds)
-        sweeps += 1
-        off = _offdiag_norm(work)
-    values = np.diag(work).copy()
-    order = np.argsort(-values, kind="stable")
-    values = _scaled_back(values[order], e)
+        off = _offdiag_norm(a)
+    order = np.argsort(-np.diag(a), kind="stable")
+    values = _scaled_back(np.diag(a)[order], e)
     if not np.all(np.isfinite(values)):
         raise NonFiniteEntryError("an eigenvalue lies beyond the float range")
-    q = qt.T[:, order]
+    q = w[order, n:].T
     _sign_columns(q)
     return EigResult(values, q, sweeps, float(_scaled_back(off, e)))
 

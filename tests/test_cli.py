@@ -19,6 +19,7 @@ from fourspaces import (
     ShapeError,
     cli,
     factorizations,
+    spectral,
 )
 from fourspaces.cli import (
     Report,
@@ -430,6 +431,48 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
     for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
         expected = reference if applies else (1, "rank-deficient")
         assert outcome(["solve", "--y", y, "--method", method]) == expected
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+def test_commands_past_the_top_of_the_float_range_fail_typed(tmp_path, capsys, wide):
+    # ||X||_F and sigma_1 of X * 5e307 lie past the float range.  They came
+    # back inf after an overflow warning: rank and subspaces answered, ginv
+    # passed c1 against an infinite threshold, and project built a rank-3
+    # projector of this rank-4 input
+    x = np.random.default_rng(3).standard_normal((6, 4)) * 5e307
+    x = x.T if wide else x
+    path = write_matrix(tmp_path, "x.csv", x)
+    zero = write_matrix(tmp_path, "g.csv", np.zeros(x.T.shape))
+    y = write_matrix(tmp_path, "y.csv", x[:, :1])
+
+    def outcome(*argv):
+        code, doc = run_json(capsys, [*argv, "--input", path])
+        return code, doc["payload"].get("error")
+
+    past_range = (1, "non-finite-entry")
+    for argv in (["rank"], ["svd"], ["subspaces"], ["pinv"], ["report"], ["ginv"],
+                 ["classify", "--g", zero], ["project", "--side", "col"],
+                 ["project", "--side", "row"], ["solve", "--y", y, "--method", "svd"]):
+        assert outcome(*argv) == past_range, argv
+    # elimination answers wherever its rank condition holds
+    assert outcome("cr") == (0, None)
+    for cmd, applies in (("leftinv", not wide), ("rightinv", wide)):
+        for method in ("normal", "elementary", "family"):
+            expected = (0, None) if applies else (1, "rank-deficient")
+            assert outcome(cmd, "--method", method) == expected
+    for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
+        expected = past_range if applies else (1, "rank-deficient")
+        assert outcome("solve", "--y", y, "--method", method) == expected
+
+
+def test_convergence_failure_report_carries_sweeps_and_offdiag_norm(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    path = write(tmp_path, "x.csv", "2,1\n1,3\n0,1\n")
+    code, doc = run_json(capsys, ["rank", "--input", path])
+    assert code == 1
+    assert doc["payload"]["error"] == "non-convergence"
+    assert doc["residuals"]["sweeps"] == 0
+    assert doc["residuals"]["offdiag_norm"] > 0.0
 
 
 def test_parser_lists_each_handler_once_with_its_docstring():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import Tolerance, frobenius_norm, pivot_rank
+from fourspaces import NonFiniteEntryError, Tolerance, frobenius_norm, pivot_rank
 from fourspaces.factorizations import (
     _complete_basis,
     cr_decompose,
@@ -97,6 +97,15 @@ def test_svd_route_is_scale_safe(shape, scale):
     # max-abs, not Frobenius: squaring entries near 2^600 overflows
     expected = pinv_svd(x) / scale
     assert np.max(np.abs(pinv_svd(scaled) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+def test_sigma_past_the_float_range_raises_non_finite_entry(shape):
+    # sigma_1 of X * 5e307 is about 4e308: it scaled back to inf with a
+    # warning, and project then built a rank-3 projector of a rank-4 input
+    x = np.random.default_rng(3).standard_normal(shape) * 5e307
+    with pytest.raises(NonFiniteEntryError, match="singular value lies beyond the float range"):
+        svd_reduced(x)
 
 
 def test_svd_rank_cutoff_scales_with_tolerance():

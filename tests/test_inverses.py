@@ -71,6 +71,14 @@ def test_classify_rejects_zero_candidate_for_huge_matrix():
     assert classify_inverse(x, np.zeros((4, 6))).class_label == "none"
 
 
+def test_classify_past_the_top_of_the_float_range_raises_non_finite_entry():
+    # ||X||_F = inf (with an overflow warning) once made the zero matrix a
+    # pseudo-inverse of X * 5e307
+    x = np.random.default_rng(3).standard_normal((6, 4)) * 5e307
+    with pytest.raises(NonFiniteEntryError, match="Frobenius norm lies beyond the float range"):
+        classify_inverse(x, np.zeros((4, 6)))
+
+
 def test_classify_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         classify_inverse(np.ones((2, 3)), np.ones((2, 3)))

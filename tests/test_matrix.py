@@ -59,6 +59,9 @@ def test_frobenius_hand_value():
             frobenius_norm(bad)
     with pytest.raises(NonFiniteEntryError):
         frobenius_norm([1.0, np.inf])
+    # finite entries whose norm passes the float range; it was inf after a warning
+    with pytest.raises(NonFiniteEntryError, match="norm lies beyond the float range"):
+        frobenius_norm([1.5e308, 1.5e308])
 
 
 @pytest.mark.parametrize("k", [600, -600])

@@ -160,13 +160,16 @@ def test_round_robin_schedule_covers_each_pair_once(n):
 def test_rotation_matches_scalar_formula_and_stays_quiet():
     rng = np.random.default_rng(8)
     aii, ajj, aij = rng.standard_normal((3, 40))
-    # zero pairs, a tie, huge and tiny angles, and large-tau quotients that overflow
-    aii = np.concatenate([aii, [0.0, 1.0, 2.0, 1e300, 0.0, 1.0]])
-    ajj = np.concatenate([ajj, [0.0, 3.0, 2.0, -1e300, 1e-300, 1.0 + 1e-13]])
-    aij = np.concatenate([aij, [0.0, 0.0, 1.5, 1e-10, 1e-300, 1.0]])
+    # zero pairs, a tie, huge and tiny angles, large-tau quotients that
+    # overflow, and pairs whose 1e12 * |aij| passes the float range
+    aii = np.concatenate([aii, [0.0, 1.0, 2.0, 1e300, 0.0, 1.0, 0.0, 1e307]])
+    ajj = np.concatenate([ajj, [0.0, 3.0, 2.0, -1e300, 1e-300, 1.0 + 1e-13, 1.0, -1e307]])
+    aij = np.concatenate([aij, [0.0, 0.0, 1.5, 1e-10, 1e-300, 1.0, 1e297, 1e307]])
     c, s = _rotation(aii, ajj, aij)
     for k in range(len(aij)):
-        t = 0.0 if aij[k] == 0.0 else _scalar_tangent(aii[k], ajj[k], aij[k])
+        # Python floats: the oracle's own products overflow silently there
+        args = float(aii[k]), float(ajj[k]), float(aij[k])
+        t = 0.0 if aij[k] == 0.0 else _scalar_tangent(*args)
         c_k = 1.0 / math.hypot(1.0, t)
         assert_allclose([c[k], s[k]], [c_k, t * c_k], rtol=1e-15, atol=0.0)
     assert np.array_equal(c[40:42], [1.0, 1.0]) and np.array_equal(s[40:42], [0.0, 0.0])
