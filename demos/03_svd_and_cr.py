@@ -1,6 +1,6 @@
 """Two factorizations of the same rank-deficient matrix.
 
-The SVD here is constructive: eigendecompose the smaller Gram matrix, take
+The SVD here is constructive: eigendecompose a rank-sized Gram matrix, take
 sigma as the square roots, and recover the other side through x itself.
 The silent directions are completed from standard basis vectors, so u and
 v are genuinely square and orthogonal in the full form.  The CR

@@ -14,7 +14,9 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``repr`` write differently, a 6 x 4 matrix scaled by 2^600 whose
   ``solve`` gap passes the float range, and the same matrix, drawn afresh
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
-  largest singular value pass the float range), each through all 12
+  largest singular value pass the float range, and Kahan's 20 x 20 matrix
+  at theta = 0.3, where the SVD's rank probe finds 19 pivot rows for a
+  numerical rank of 11), each through all 12
   subcommands, every ``--method`` (``family`` with and without ``--y``),
   both ``--side`` values, and ``ginv`` with and without free blocks;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
@@ -105,7 +107,16 @@ def small_inputs(rng):
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
         # ||X||_F and sigma_1 pass the float range: typed failures, no warning
         "scaled_5e307": np.random.default_rng(3).standard_normal((6, 4)) * 5e307,
+        # partial pivoting keeps 19 rows of this numerical rank 11, so the
+        # SVD's rank probe overestimates and Jacobi runs on 19 x 19
+        "kahan_20": kahan(20, 0.3),
     }
+
+
+def kahan(n, theta):
+    """Kahan's upper triangular matrix ``diag(s^i) (I - c U)``, ``U`` the strict upper ones."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
 
 
 # files the parser must turn into a typed failure, by name and format

@@ -1,9 +1,13 @@
 """Singular value and CR factorizations, built constructively.
 
-The SVD comes out of the symmetric eigendecomposition of the Gram matrix
-``X'X``: its eigenvectors supply ``v`` and ``u_i = X v_i / sigma_i`` follows.
-A wide input runs on its transpose with the two sides swapped, so the Gram
-matrix is always the smaller one.  The input is first scaled by the power of
+The SVD comes out of the symmetric eigendecomposition of a Gram matrix: its
+eigenvectors supply ``v`` and ``u_i = X v_i / sigma_i`` follows.  A wide
+input runs on its transpose with the two sides swapped, so ``X`` is tall.
+The row reduction first probes the rank: its ``k`` pivot rows of ``X``,
+orthonormalised into ``Q``, carry the row space, and when ``k`` is below the
+column count and ``X - X Q Q'`` is small enough that no singular value above
+the cutoff can hide in it, Jacobi runs on the k x k Gram matrix of ``X Q``
+instead of the full ``X'X``.  The input is first scaled by the power of
 two that brings its largest entry into [0.5, 1) and ``sigma`` is scaled
 back; the scaling is exact, so it changes no bits unless ``X'X`` would
 otherwise overflow or underflow, and a ``sigma`` that scales back past the
@@ -16,13 +20,15 @@ the matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, rref_rows,
+    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, frobenius_norm,
+    rref_rows,
 )
 from .spectral import _sign_columns, eig_symmetric
 
@@ -141,11 +147,46 @@ def svd_full(x, tol=DEFAULT_TOL):
     return SvdResult(u, res.sigma, v, res.rank, "full", res.tol_used)
 
 
+def _orthonormal_columns(c):
+    """Orthonormal columns spanning those of ``c``, by classical Gram-Schmidt.
+
+    Each column is projected off the ones kept before it twice over, as in
+    :func:`_residuals` ("twice is enough").  A column whose second pass
+    leaves no more than half of what the first left lies in their span up
+    to rounding (Kahan and Parlett), and is dropped.
+    """
+    q = np.empty_like(c)
+    k = 0
+    for w in c.T.copy():
+        norms = []
+        for _ in range(2):
+            w -= q[:, :k] @ (q[:, :k].T @ w)
+            norms.append(math.sqrt(w @ w))
+        if norms[1] > 0.5 * norms[0]:
+            q[:, k] = w / norms[1]
+            k += 1
+    return q[:, :k]
+
+
 def svd_reduced(x, tol=DEFAULT_TOL):
     """Rank-sized factors only: ``u (n, r)``, ``sigma (r,)``, ``v (p, r)``.
 
     Agrees with the leading columns of :func:`svd_full` exactly, because the
     full form completes these factors.
+
+    A rank probe, the row reduction of :func:`cr_decompose` on ``X'``, picks
+    pivot rows of the tall ``X`` (n >= p; a wide input runs on its
+    transpose).  When there are fewer than ``p``, they are orthonormalised
+    into ``Q`` (p x k; a row that Gram-Schmidt finds in the span of the
+    others is dropped) and the Jacobi eigendecomposition runs on the k x k
+    Gram matrix of ``Y = X Q``, giving ``v = Q W`` with the sign rule of
+    :func:`eig_symmetric`; otherwise ``Y = X`` and ``Q = I``.
+    The rank-sized route is taken only if ``||X - Y Q'||_F`` is at most a
+    tenth of the relative cutoff times ``||Y||_F / sqrt(k)``, a lower bound
+    on ``sigma_max``: by Weyl's inequality each singular value it drops then
+    lies under a tenth of the cutoff.  A probe that overestimates the rank
+    only makes the eigenproblem larger; one that underestimates it fails
+    the guard.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -156,11 +197,25 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     # with the largest entry in [0.5, 1), X'X cannot overflow, and a tiny
     # input no longer underflows to rank zero
     x, e = _prescaled(x)
-    eig = eig_symmetric(x.T @ x, tol)
+    relative = max(tol.relative * max(n, p), GRAM_RANK_FLOOR)
+    y, q = x, None
+    probe = cr_decompose(x.T, tol)
+    if 0 < probe.rank < p:
+        q = _orthonormal_columns(probe.c)
+        y = x @ q
+        # Weyl: ||Y||_F / sqrt(k) <= sigma_max, so each dropped singular
+        # value lies under a tenth of the cutoff
+        bound = 0.1 * relative * frobenius_norm(y) / math.sqrt(q.shape[1])
+        if frobenius_norm(x - y @ q.T) > bound:
+            y, q = x, None
+    eig = eig_symmetric(y.T @ y, tol)
     sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
-    cutoff = max(tol.relative * max(n, p), GRAM_RANK_FLOOR) * sig_all[0]
+    cutoff = relative * sig_all[0]
     r = int(np.sum(sig_all > cutoff))
     v_r = eig.q[:, :r]
+    if q is not None:
+        v_r = q @ v_r
+        _sign_columns(v_r)
     u_r = (x @ v_r) / sig_all[:r]
     sigma = _scaled_back(sig_all[:r], e)
     if np.any(sigma == np.inf):

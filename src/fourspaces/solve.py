@@ -21,6 +21,8 @@ from .inverses import left_inverse, pinv_svd, right_inverse
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
+    _prescaled,
+    _scaled_back,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -80,7 +82,10 @@ class ProjectorReport:
 
 
 def _finish(x, y, beta, rank_used, method):
-    y_hat = x @ beta
+    # formed at the scale of _prescaled, where the partial sums of X beta
+    # cannot overflow though its entries stay finite
+    x, e = _prescaled(x)
+    y_hat = _scaled_back(x @ beta, e)
     residual = y - y_hat
     return LsSolution(
         beta_hat=beta,

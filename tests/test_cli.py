@@ -362,12 +362,15 @@ def test_report_command(tmp_path, capsys):
 
 def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
     counts = {"eig_symmetric": 0, "_complete_basis": 0}
+    eig_shapes = []
 
     def counted(name):
         original = getattr(factorizations, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "eig_symmetric":
+                eig_shapes.append(args[0].shape)
             return original(*args, **kwargs)
 
         return wrapper
@@ -384,6 +387,8 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
 
     payload, calls = run_counted("report")
     assert calls == (1, 2)
+    # the rank probe finds the 2 pivot rows, so Jacobi runs on a rank-sized Gram matrix
+    assert eig_shapes == [(2, 2)]
     assert run_counted("rank")[1] == (1, 0)
     x = parse_matrix(path)
     assert np.array_equal(payload["pinv"]["data"], pinv_svd(x))
@@ -463,6 +468,19 @@ def test_commands_past_the_top_of_the_float_range_fail_typed(tmp_path, capsys, w
     for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
         expected = past_range if applies else (1, "rank-deficient")
         assert outcome("solve", "--y", y, "--method", method) == expected
+
+
+def test_right_solve_past_the_top_of_the_float_range_ends_without_warning(tmp_path, capsys):
+    # X beta is about y, but its partial sums at the input's scale overflowed,
+    # and the warning escaped main in place of a report
+    x = np.random.default_rng(3).standard_normal((6, 4)) * 5e307
+    path = write_matrix(tmp_path, "x.csv", x.T)
+    y = write_matrix(tmp_path, "y.csv", x[:4, :1])
+    code, doc = run_json(capsys, ["solve", "--input", path, "--y", y, "--method", "right"])
+    if code == 0:
+        assert all(math.isfinite(v) for v in doc["payload"]["y_hat"])
+    else:
+        assert (code, doc["payload"]["error"]) == (1, "non-finite-entry")
 
 
 def test_convergence_failure_report_carries_sweeps_and_offdiag_norm(tmp_path, capsys, monkeypatch):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import NonFiniteEntryError, Tolerance, frobenius_norm, pivot_rank
+from fourspaces import NonFiniteEntryError, Tolerance, factorizations, frobenius_norm, pivot_rank
 from fourspaces.factorizations import (
     _complete_basis,
     cr_decompose,
     svd_full,
     svd_reduced,
 )
-from fourspaces.inverses import pinv_svd
+from fourspaces.inverses import classify_inverse, pinv_svd
 from support import full_col_rank, full_row_rank, rank_deficient
 
 
@@ -114,6 +114,97 @@ def test_svd_rank_cutoff_scales_with_tolerance():
     assert svd_full(x, Tolerance(1e-2)).rank == 1
     # far below the certifiable band at default tolerance
     assert svd_full(np.diag([1.0, 1e-13])).rank == 1
+
+
+@pytest.fixture
+def eig_sizes(monkeypatch):
+    """Orders of the Gram matrices that svd_reduced hands to Jacobi."""
+    sizes = []
+    original = factorizations.eig_symmetric
+
+    def spy(s, tol):
+        sizes.append(s.shape[0])
+        return original(s, tol)
+
+    monkeypatch.setattr(factorizations, "eig_symmetric", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+@pytest.mark.parametrize("r", range(1, 21))
+def test_rank_sized_route_matches_numpy_at_every_rank(eig_sizes, shape, r):
+    x = rank_deficient(np.random.default_rng(r), *shape, r)
+    res = svd_reduced(x)
+    # the probe finds r pivot rows, so Jacobi runs on r x r below full rank;
+    # at full rank there is nothing to cut and the direct route runs
+    assert eig_sizes == [r]
+    u, s, vt = np.linalg.svd(x)
+    assert res.rank == r
+    assert np.max(np.abs(res.sigma - s[:r])) <= 1e-12 * s[0]
+    assert_allclose(res.u @ res.u.T, u[:, :r] @ u[:, :r].T, rtol=0, atol=1e-10)
+    assert_allclose(res.v @ res.v.T, vt[:r].T @ vt[:r], rtol=0, atol=1e-10)
+
+
+def _kahan(n, theta):
+    s, c = math.sin(theta), math.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def test_kahan_probe_overestimates_and_the_route_still_cuts(eig_sizes):
+    # partial pivoting reveals Kahan's rank badly: 19 pivot rows for a
+    # numerical rank of 11.  Overestimating is the safe side, and the
+    # eigenproblem is still smaller than 30 x 30
+    x = _kahan(30, 0.3)
+    assert cr_decompose(x.T).rank == 19
+    res = svd_reduced(x)
+    assert eig_sizes == [19]
+    s = np.linalg.svd(x, compute_uv=False)
+    assert res.rank == int(np.sum(s > max(1e-10 * 30, factorizations.GRAM_RANK_FLOOR) * s[0])) == 11
+
+
+def test_pivot_row_in_the_span_of_the_others_is_dropped(eig_sizes):
+    # columns 0..28 of X' are the unit lower bidiagonal with -1 below the
+    # diagonal, whose elimination doubles the entries row by row; the other
+    # two are combinations of them, and the doubled rounding of one passes
+    # the pivot threshold.  Gram-Schmidt sees it in the span and drops it
+    p = 31
+    w = np.eye(p) - np.tril(np.ones((p, p)), -1)
+    xt = np.hstack([w[:, :29], w[:, :29] @ np.random.default_rng(0).standard_normal((29, 2))])
+    assert cr_decompose(xt).rank == 30
+    res = svd_reduced(xt.T)
+    assert eig_sizes == [29]
+    s = np.linalg.svd(xt, compute_uv=False)
+    assert res.rank == 29
+    assert np.max(np.abs(res.sigma - s[:29])) <= 1e-12 * s[0]
+
+
+def test_rank_probe_guard_falls_back_to_the_direct_route(eig_sizes):
+    # one pivot row leaves a residual of 5e-3, above a tenth of the 0.02
+    # cutoff, so the dropped value could have been kept: run on X itself
+    tol = Tolerance(1e-2)
+    x = np.diag([1.0, 5e-3])
+    assert cr_decompose(x.T, tol).rank == 1
+    assert svd_reduced(x, tol).rank == 1
+    assert eig_sizes == [2]
+
+
+def _graded(rng, n, p, r, cond):
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, r)))[0]
+    return (u * np.geomspace(1.0, 1.0 / cond, r)) @ v.T
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
+def test_rank_deficient_pinv_is_labelled_pseudo_inverse(cond):
+    # on X'X of the whole input, rounding at eps * sigma_1^2 tilted v toward
+    # the null space by about eps * cond^2: 14, 9 and 0 of these 18 were
+    # labelled below pseudo-inverse
+    for seed in range(3):
+        for shape in ((60, 40), (40, 60)):
+            for r in (8, 20, 30):
+                x = _graded(np.random.default_rng(seed), *shape, r, cond)
+                assert svd_reduced(x).rank == r
+                assert classify_inverse(x, pinv_svd(x)).class_label == "pseudo-inverse"
 
 
 @pytest.mark.parametrize("seed", range(9))
