@@ -14,9 +14,11 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``repr`` write differently, a 6 x 4 matrix scaled by 2^600 whose
   ``solve`` gap passes the float range, and the same matrix, drawn afresh
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
-  largest singular value pass the float range, and Kahan's 20 x 20 matrix
+  largest singular value pass the float range, Kahan's 20 x 20 matrix
   at theta = 0.3, where the SVD's rank probe finds 19 pivot rows for a
-  numerical rank of 11), each through all 12
+  numerical rank of 11 and the CR route of ``pinv`` fails, and the same
+  ``default_rng(3)`` matrix scaled by 2^-1040, whose entries are subnormal
+  and whose pseudo inverse lies past the float range), each through all 12
   subcommands, every ``--method`` (``family`` with and without ``--y``),
   both ``--side`` values, and ``ginv`` with and without free blocks;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
@@ -110,6 +112,9 @@ def small_inputs(rng):
         # partial pivoting keeps 19 rows of this numerical rank 11, so the
         # SVD's rank probe overestimates and Jacobi runs on 19 x 19
         "kahan_20": kahan(20, 0.3),
+        # subnormal entries: projectors answer, a pseudo inverse past the
+        # float range fails typed
+        "scaled_2^-1040": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), -1040),
     }
 
 

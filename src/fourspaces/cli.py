@@ -211,7 +211,11 @@ def _max_abs_dot(a, b):
 
 
 def _pinv_section(x, g, tol):
-    """Payload fields and residuals of a pseudo inverse: Penrose audit, CR route gap."""
+    """Payload fields and residuals of a pseudo inverse: Penrose audit, CR route gap.
+
+    The CR route only cross-checks ``g``: when it fails, its error code goes
+    into the payload as ``route_check`` and ``route_agreement`` is left out.
+    """
     rep = classify_inverse(x, g, tol)
     payload = {
         "pinv": _matrix_doc(g),
@@ -219,7 +223,10 @@ def _pinv_section(x, g, tol):
         "class_label": rep.class_label,
     }
     residuals = _penrose_residuals(rep)
-    residuals["route_agreement"] = frobenius_norm(g - pinv_cr(x, tol))
+    try:
+        residuals["route_agreement"] = frobenius_norm(g - pinv_cr(x, tol))
+    except MatrixError as exc:
+        payload["route_check"] = exc.code
     return payload, residuals
 
 

@@ -73,9 +73,16 @@ class SvdResult:
         """Pseudo inverse ``v_r diag(1/sigma) u_r'`` from the first ``rank`` columns.
 
         Either form gives the same array; at rank zero it is the zero matrix.
+        ``1/sigma`` is taken with ``sigma`` prescaled and the product scaled
+        back, so a pseudo inverse past the float range raises
+        ``NonFiniteEntryError`` with no overflow warning ahead of it.
         """
         r = self.rank
-        return self.v[:, :r] / self.sigma @ self.u[:, :r].T
+        s, e = _prescaled(self.sigma) if r else (self.sigma, 0)
+        g = _scaled_back(self.v[:, :r] / s @ self.u[:, :r].T, -e)
+        if np.any(np.isinf(g)):
+            raise NonFiniteEntryError("the pseudo inverse lies beyond the float range")
+        return g
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ the observation onto the column space, and the residual left over in the
 left null space.  The normal-equation route requires full column rank; the
 SVD route works at any rank and picks the minimum-norm minimizer, which is
 the one lying entirely in the row space.  Projectors onto the column and
-row spaces round out the picture, with a diagnostics helper that checks
-the idempotent-and-symmetric laws directly.
+row spaces, ``U_r U_r'`` and ``V_r V_r'`` off one SVD record, round out the
+picture, with a diagnostics helper that checks the projector laws directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InconsistentSystemError, RankDeficientError, ShapeError
 from .factorizations import svd_reduced
-from .inverses import left_inverse, pinv_svd, right_inverse
+from .inverses import left_inverse, right_inverse
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
@@ -150,17 +150,15 @@ def observation_split(x, y, tol=DEFAULT_TOL):
 
 
 def projector_column(x, tol=DEFAULT_TOL):
-    """Orthogonal projector ``X X^+`` onto the column space (n by n)."""
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    return x @ pinv_svd(x, tol)
+    """Orthogonal projector ``X X^+ = U_r U_r'`` onto the column space (n by n)."""
+    u = svd_reduced(x, tol).u
+    return u @ u.T
 
 
 def projector_row(x, tol=DEFAULT_TOL):
-    """Orthogonal projector ``X^+ X`` onto the row space (p by p)."""
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    return pinv_svd(x, tol) @ x
+    """Orthogonal projector ``X^+ X = V_r V_r'`` onto the row space (p by p)."""
+    v = svd_reduced(x, tol).v
+    return v @ v.T
 
 
 def projector_diagnostics(p, tol=DEFAULT_TOL):

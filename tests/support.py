@@ -25,6 +25,20 @@ def rank_deficient(rng, n, p, r):
     return x
 
 
+def graded(rng, n, p, r, cond):
+    """Random n x p of rank r with singular values geometric from 1 to 1/cond."""
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, r)))[0]
+    return (u * np.geomspace(1.0, 1.0 / cond, r)) @ v.T
+
+
+def kahan(n, theta):
+    """Kahan's upper triangular ``diag(s^i) (I - c U)``, ``U`` the strict upper ones;
+    partial pivoting overestimates its numerical rank."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
 def random_orthogonal(rng, n):
     """Haar-ish orthogonal factor from a QR of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))

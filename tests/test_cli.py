@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourspaces import (
@@ -18,6 +18,7 @@ from fourspaces import (
     RaggedRowsError,
     ShapeError,
     cli,
+    errors,
     factorizations,
     spectral,
 )
@@ -33,6 +34,8 @@ from fourspaces.cli import (
 )
 from fourspaces.inverses import pinv_svd
 from fourspaces.subspaces import fundamental_bases
+
+from support import graded, kahan
 
 
 def write(tmp_path, name, text):
@@ -481,6 +484,119 @@ def test_right_solve_past_the_top_of_the_float_range_ends_without_warning(tmp_pa
         assert all(math.isfinite(v) for v in doc["payload"]["y_hat"])
     else:
         assert (code, doc["payload"]["error"]) == (1, "non-finite-entry")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [kahan(20, 0.3), graded(np.random.default_rng(7), 80, 60, 60, 1e7)],
+    ids=["kahan_20", "graded_1e7"],
+)
+@pytest.mark.parametrize("cmd", ["pinv", "report"])
+def test_failing_cr_route_is_reported_not_a_veto(tmp_path, capsys, cmd, x):
+    # pinv_cr raises singular-matrix on both; it only cross-checks the SVD's
+    # answer, which exists, and once ended the whole command in exit 1
+    path = write_matrix(tmp_path, "x.csv", x)
+    code, doc = run_json(capsys, [cmd, "--input", path])
+    assert code == 0, doc["payload"]
+    assert doc["payload"]["route_check"] == "singular-matrix"
+    assert "route_agreement" not in doc["residuals"]
+    assert (doc["payload"]["pinv"]["rows"], doc["payload"]["pinv"]["cols"]) == x.T.shape
+
+
+@pytest.mark.parametrize("cmd", ["pinv", "report"])
+def test_succeeding_cr_route_keeps_route_agreement(tmp_path, capsys, cmd):
+    path = write_matrix(tmp_path, "x.csv", np.random.default_rng(3).standard_normal((6, 4)))
+    code, doc = run_json(capsys, [cmd, "--input", path])
+    assert code == 0
+    assert "route_check" not in doc["payload"]
+    assert doc["residuals"]["route_agreement"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "scale", [1e-310, 2.0**-1030, 2.0**-1040], ids=["1e-310", "2^-1030", "2^-1040"]
+)
+def test_subnormal_input_projects_and_its_pinv_fails_typed(tmp_path, capsys, scale):
+    # a projector is dimensionless, and the pseudo inverse lies past the
+    # float range; through 1/sigma all four commands warned of an overflow
+    # and ended in non-finite-entry.  RuntimeWarning is an error under pytest
+    path = write_matrix(tmp_path, "x.csv", np.random.default_rng(3).standard_normal((6, 4)) * scale)
+    for side in ("col", "row"):
+        code, doc = run_json(capsys, ["project", "--input", path, "--side", side])
+        assert code == 0, doc["payload"]
+        payload = doc["payload"]
+        assert payload["rank"] == 4
+        assert payload["idempotent"] and payload["symmetric"] and payload["spectrum_binary"]
+    for cmd in ("pinv", "report"):
+        code, doc = run_json(capsys, [cmd, "--input", path])
+        assert (code, doc["payload"]["error"]) == (1, "non-finite-entry")
+
+
+# Scaling X by 2^k is exact, so every answer scales by 2^(d k), d the degree
+# of its field: 1 for sigma, the columns C of CR and a reconstruction
+# residual, 0 for bases, projectors and every other field here
+SCALE_INPUTS = {
+    "tall": np.random.default_rng(3).standard_normal((6, 4)),
+    "wide": np.random.default_rng(3).standard_normal((6, 4)).T,
+    # rank 2, so the SVD takes the rank-sized route
+    "deficient": np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+}
+SCALE_DEGREE = {"sigma": 1, "c": 1, "reconstruction": 1}
+EQUIVARIANT = (["rank"], ["svd"], ["cr"], ["subspaces"],
+               ["project", "--side", "col"], ["project", "--side", "row"])
+ANSWER_OR_TYPED = (["rank"], ["svd"], ["subspaces"], ["project", "--side", "col"],
+                   ["project", "--side", "row"], ["pinv"], ["report"])
+# below 2^-960 a residual of 1e-16 relative is no longer a normal float
+NORMAL_K = range(-960, 1001)
+TYPED_CODES = {getattr(errors, name).code for name in errors.__all__}
+
+
+def _run(argv):
+    """Exit code and JSON document of one run; a RuntimeWarning is an error
+    under pytest, so none can pass unseen."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, json.loads(out.getvalue())
+
+
+def _assert_scaled(base, got, k, degree=0):
+    """``got`` is ``base`` with each float times ``2^(degree k)``, to the
+    12 significant digits each was written with."""
+    if isinstance(base, dict):
+        assert base.keys() == got.keys()
+        for key in base:
+            _assert_scaled(base[key], got[key], k, SCALE_DEGREE.get(key, degree))
+    elif isinstance(base, list):
+        assert len(base) == len(got)
+        for a, b in zip(base, got):
+            _assert_scaled(a, b, k, degree)
+    elif isinstance(base, float):
+        assert math.isclose(got, math.ldexp(base, degree * k), rel_tol=1e-11, abs_tol=0.0)
+    else:
+        assert got == base
+
+
+@given(name=st.sampled_from(sorted(SCALE_INPUTS)), k=st.integers(-1080, 1000))
+@example(name="tall", k=-1040)
+@example(name="wide", k=-1030)
+@example(name="deficient", k=1000)
+@settings(max_examples=40, deadline=None)
+def test_scaling_by_a_power_of_two_is_exact_or_fails_typed(tmp_path_factory, name, k):
+    tmp = tmp_path_factory.getbasetemp()
+    x = SCALE_INPUTS[name]
+    base_path = write_matrix(tmp, f"scale_{name}.csv", x)
+    path = write_matrix(tmp, f"scale_{name}_k.csv", np.ldexp(x, k))
+    for argv in ANSWER_OR_TYPED:
+        code, doc = _run([*argv, "--input", path])
+        assert code == 0 or (code == 1 and doc["payload"]["error"] in TYPED_CODES), (argv, doc)
+    if k not in NORMAL_K:
+        return
+    for argv in EQUIVARIANT:
+        base_code, base = _run([*argv, "--input", base_path])
+        code, doc = _run([*argv, "--input", path])
+        assert code == base_code == 0, (argv, doc["payload"])
+        _assert_scaled(base["payload"], doc["payload"], k)
+        _assert_scaled(base["residuals"], doc["residuals"], k)
 
 
 def test_convergence_failure_report_carries_sweeps_and_offdiag_norm(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from fourspaces.factorizations import (
     svd_reduced,
 )
 from fourspaces.inverses import classify_inverse, pinv_svd
-from support import full_col_rank, full_row_rank, rank_deficient
+from support import full_col_rank, full_row_rank, graded, kahan, rank_deficient
 
 
 def test_svd_full_rank_one_fixture():
@@ -145,16 +145,11 @@ def test_rank_sized_route_matches_numpy_at_every_rank(eig_sizes, shape, r):
     assert_allclose(res.v @ res.v.T, vt[:r].T @ vt[:r], rtol=0, atol=1e-10)
 
 
-def _kahan(n, theta):
-    s, c = math.sin(theta), math.cos(theta)
-    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
-
-
 def test_kahan_probe_overestimates_and_the_route_still_cuts(eig_sizes):
     # partial pivoting reveals Kahan's rank badly: 19 pivot rows for a
     # numerical rank of 11.  Overestimating is the safe side, and the
     # eigenproblem is still smaller than 30 x 30
-    x = _kahan(30, 0.3)
+    x = kahan(30, 0.3)
     assert cr_decompose(x.T).rank == 19
     res = svd_reduced(x)
     assert eig_sizes == [19]
@@ -188,12 +183,6 @@ def test_rank_probe_guard_falls_back_to_the_direct_route(eig_sizes):
     assert eig_sizes == [2]
 
 
-def _graded(rng, n, p, r, cond):
-    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    v = np.linalg.qr(rng.standard_normal((p, r)))[0]
-    return (u * np.geomspace(1.0, 1.0 / cond, r)) @ v.T
-
-
 @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
 def test_rank_deficient_pinv_is_labelled_pseudo_inverse(cond):
     # on X'X of the whole input, rounding at eps * sigma_1^2 tilted v toward
@@ -202,7 +191,7 @@ def test_rank_deficient_pinv_is_labelled_pseudo_inverse(cond):
     for seed in range(3):
         for shape in ((60, 40), (40, 60)):
             for r in (8, 20, 30):
-                x = _graded(np.random.default_rng(seed), *shape, r, cond)
+                x = graded(np.random.default_rng(seed), *shape, r, cond)
                 assert svd_reduced(x).rank == r
                 assert classify_inverse(x, pinv_svd(x)).class_label == "pseudo-inverse"
 

@@ -291,6 +291,27 @@ def test_pinv_zero_matrix():
     assert np.array_equal(pinv_cr(np.zeros((2, 3))), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize(
+    "scale", [1e-310, 2.0**-1030, 2.0**-1040], ids=["1e-310", "2^-1030", "2^-1040"]
+)
+def test_pinv_svd_past_the_float_range_raises_without_a_warning(scale):
+    # 1/sigma overflowed to inf ("overflow encountered in divide") and the
+    # product then met inf * 0 ("invalid value encountered in matmul");
+    # RuntimeWarning is an error under pytest
+    x = np.random.default_rng(3).standard_normal((6, 4)) * scale
+    with pytest.raises(NonFiniteEntryError, match="pseudo inverse lies beyond the float range"):
+        pinv_svd(x)
+
+
+def test_pinv_svd_inside_the_float_range_where_one_over_sigma_is_not():
+    # X = 2^-1025 H with H a 4 x 4 Hadamard matrix: every sigma is 2^-1024,
+    # so 1/sigma overflows, yet X^+ = H' / (4 * 2^-1025) = 2^1023 H' is finite
+    h = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                  [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+    g = pinv_svd(np.ldexp(h, -1025))
+    assert_allclose(np.ldexp(g, -1023), h.T, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pinv_routes_agree_and_are_penrose(seed):
     rng = np.random.default_rng(seed)

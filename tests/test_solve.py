@@ -24,7 +24,7 @@ from fourspaces import (
 )
 from fourspaces.inverses import left_inverse_family
 
-from support import full_col_rank, full_row_rank, rank_deficient
+from support import full_col_rank, full_row_rank, kahan, rank_deficient
 
 
 def normal_equation_oracle(x, y):
@@ -330,6 +330,19 @@ def test_projector_diagnostics_accepts_library_projectors():
         assert rep.spectrum_binary is True
         assert rep.rank == r
         assert rep.trace == pytest.approx(r, abs=1e-6)
+
+
+def test_projectors_of_kahans_matrix_pass_their_own_audit():
+    # X^+ X through 1/sigma had idempotency 1.7e-6 and symmetry 2.4e-6 here,
+    # so the library's own row projector failed the audit; V_r V_r' is exact
+    # to the orthonormality of V_r
+    x = kahan(20, 0.3)
+    for proj in (projector_column(x), projector_row(x)):
+        rep = projector_diagnostics(proj)
+        assert rep.idempotent and rep.symmetric and rep.spectrum_binary is True
+        assert rep.symmetry == 0.0
+        assert rep.rank == 11
+        assert rep.trace == pytest.approx(11.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
