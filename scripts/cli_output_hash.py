@@ -15,7 +15,7 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``solve`` gap passes the float range, and the same matrix, drawn afresh
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
   largest singular value pass the float range, Kahan's 20 x 20 matrix
-  at theta = 0.3, where the SVD's rank probe finds 19 pivot rows for a
+  at theta = 0.3, where the SVD's pivoted QR keeps 26 directions for a
   numerical rank of 11 and the CR route of ``pinv`` fails, and the same
   ``default_rng(3)`` matrix scaled by 2^-1040, whose entries are subnormal
   and whose pseudo inverse lies past the float range), each through all 12
@@ -109,8 +109,8 @@ def small_inputs(rng):
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
         # ||X||_F and sigma_1 pass the float range: typed failures, no warning
         "scaled_5e307": np.random.default_rng(3).standard_normal((6, 4)) * 5e307,
-        # partial pivoting keeps 19 rows of this numerical rank 11, so the
-        # SVD's rank probe overestimates and Jacobi runs on 19 x 19
+        # numerical rank 11, but 26 directions above rounding: the SVD's
+        # pivoted QR keeps them all and the cutoff alone sets the rank
         "kahan_20": kahan(20, 0.3),
         # subnormal entries: projectors answer, a pseudo inverse past the
         # float range fails typed

@@ -1,17 +1,18 @@
 """Singular value and CR factorizations, built constructively.
 
-The SVD comes out of the symmetric eigendecomposition of a Gram matrix: its
-eigenvectors supply ``v`` and ``u_i = X v_i / sigma_i`` follows.  A wide
+The SVD runs Jacobi on the triangular factor of a QR, as in A = QR: a
+column-pivoted, re-orthogonalised Gram-Schmidt gives ``X = Q R`` up to
+rounding, with ``Q`` n x k, and the symmetric eigendecomposition of the
+k x k matrix ``R R'`` supplies ``u = Q W`` and ``v = R' W / sigma``.  A wide
 input runs on its transpose with the two sides swapped, so ``X`` is tall.
-The row reduction first probes the rank: its ``k`` pivot rows of ``X``,
-orthonormalised into ``Q``, carry the row space, and when ``k`` is below the
-column count and ``X - X Q Q'`` is small enough that no singular value above
-the cutoff can hide in it, Jacobi runs on the k x k Gram matrix of ``X Q``
-instead of the full ``X'X``.  The input is first scaled by the power of
-two that brings its largest entry into [0.5, 1) and ``sigma`` is scaled
-back; the scaling is exact, so it changes no bits unless ``X'X`` would
-otherwise overflow or underflow, and a ``sigma`` that scales back past the
-float range raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
+Pivoting grades the rows of ``R``, so Jacobi needs few sweeps and keeps
+small singular values to relative accuracy (Drmac and Veselic, SIMAX 2008),
+and the QR stops at rounding level, so a rank-deficient input gives a
+rank-sized eigenproblem.  The input is first scaled by the power of two that
+brings its largest entry into [0.5, 1) and ``sigma`` is scaled back; the
+scaling is exact, so it changes no bits unless ``R R'`` would otherwise
+overflow or underflow, and a ``sigma`` that scales back past the float range
+raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
 sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
 over standard basis candidates.  The CR factorization reuses the tracked row
 reduction: original pivot columns times the nonzero echelon rows reproduce
@@ -27,8 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, frobenius_norm,
-    rref_rows,
+    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, rref_rows,
 )
 from .spectral import _sign_columns, eig_symmetric
 
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 # The Gram-matrix route cannot certify singular values below roughly
-# sqrt(eps) * sigma_max: forming X'X already perturbs zero eigenvalues by
+# sqrt(eps) * sigma_max: forming R R' already perturbs zero eigenvalues by
 # eps * sigma_max^2.  Measured spurious values on exactly rank-deficient
 # inputs reach 2e-8 of sigma_max, so the rank cutoff never goes below this.
 GRAM_RANK_FLOOR = 1e-6
@@ -53,7 +53,9 @@ class SvdResult:
 
     ``sigma`` holds the ``rank`` accepted singular values in descending
     order.  In ``full`` form ``u`` and ``v`` are square orthogonal; in
-    ``reduced`` form they keep only the first ``rank`` columns.
+    ``reduced`` form they keep only the first ``rank`` columns.  ``cutoff``
+    is the absolute threshold a singular value had to exceed, and
+    ``sweeps`` the Jacobi sweeps of the eigendecomposition behind them.
     """
 
     u: np.ndarray
@@ -62,6 +64,8 @@ class SvdResult:
     rank: int
     form: str
     tol_used: Tolerance
+    cutoff: float
+    sweeps: int
 
     def sigma_matrix(self):
         """Materialize sigma as ``u.shape[1] x v.shape[1]``: ``r x r`` reduced, ``n x p`` full."""
@@ -151,28 +155,7 @@ def svd_full(x, tol=DEFAULT_TOL):
     res = svd_reduced(x, tol)
     u = _complete_basis(res.u, res.u.shape[0])
     v = _complete_basis(res.v, res.v.shape[0])
-    return SvdResult(u, res.sigma, v, res.rank, "full", res.tol_used)
-
-
-def _orthonormal_columns(c):
-    """Orthonormal columns spanning those of ``c``, by classical Gram-Schmidt.
-
-    Each column is projected off the ones kept before it twice over, as in
-    :func:`_residuals` ("twice is enough").  A column whose second pass
-    leaves no more than half of what the first left lies in their span up
-    to rounding (Kahan and Parlett), and is dropped.
-    """
-    q = np.empty_like(c)
-    k = 0
-    for w in c.T.copy():
-        norms = []
-        for _ in range(2):
-            w -= q[:, :k] @ (q[:, :k].T @ w)
-            norms.append(math.sqrt(w @ w))
-        if norms[1] > 0.5 * norms[0]:
-            q[:, k] = w / norms[1]
-            k += 1
-    return q[:, :k]
+    return SvdResult(u, res.sigma, v, res.rank, "full", res.tol_used, res.cutoff, res.sweeps)
 
 
 def svd_reduced(x, tol=DEFAULT_TOL):
@@ -181,53 +164,54 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     Agrees with the leading columns of :func:`svd_full` exactly, because the
     full form completes these factors.
 
-    A rank probe, the row reduction of :func:`cr_decompose` on ``X'``, picks
-    pivot rows of the tall ``X`` (n >= p; a wide input runs on its
-    transpose).  When there are fewer than ``p``, they are orthonormalised
-    into ``Q`` (p x k; a row that Gram-Schmidt finds in the span of the
-    others is dropped) and the Jacobi eigendecomposition runs on the k x k
-    Gram matrix of ``Y = X Q``, giving ``v = Q W`` with the sign rule of
-    :func:`eig_symmetric`; otherwise ``Y = X`` and ``Q = I``.
-    The rank-sized route is taken only if ``||X - Y Q'||_F`` is at most a
-    tenth of the relative cutoff times ``||Y||_F / sqrt(k)``, a lower bound
-    on ``sigma_max``: by Weyl's inequality each singular value it drops then
-    lies under a tenth of the cutoff.  A probe that overestimates the rank
-    only makes the eigenproblem larger; one that underestimates it fails
-    the guard.
+    A wide input runs on its transpose, so ``X`` is n x p with n >= p.  A
+    column-pivoted Gram-Schmidt builds ``Q`` (n x k): each step takes the
+    residual column of largest norm, projects it off ``Q`` once more
+    ("twice is enough"), normalises it and removes it from every residual,
+    whose norms are then recomputed.  It stops once ``||X - Q Q' X||_F`` is
+    at most ``eps * max(n, p) * ||X||_F``, so nothing above rounding is
+    dropped.  With ``R = Q' X`` (k x p), Jacobi runs on the k x k matrix
+    ``R R'``, whose pivoted rows are graded, and its eigenvectors ``W``
+    give ``u = Q W`` and ``v = R' W / sigma``.  ``v`` takes the sign rule
+    of :func:`eig_symmetric` and ``u`` the same flips.  ``cutoff`` records
+    the absolute cutoff applied and ``sweeps`` the Jacobi sweeps.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
     if n < p:
         res = svd_reduced(x.T, tol)
-        return SvdResult(res.v, res.sigma, res.u, res.rank, "reduced", tol)
-    # with the largest entry in [0.5, 1), X'X cannot overflow, and a tiny
+        return SvdResult(res.v, res.sigma, res.u, res.rank, "reduced", tol, res.cutoff, res.sweeps)
+    # with the largest entry in [0.5, 1), R R' cannot overflow, and a tiny
     # input no longer underflows to rank zero
     x, e = _prescaled(x)
-    relative = max(tol.relative * max(n, p), GRAM_RANK_FLOOR)
-    y, q = x, None
-    probe = cr_decompose(x.T, tol)
-    if 0 < probe.rank < p:
-        q = _orthonormal_columns(probe.c)
-        y = x @ q
-        # Weyl: ||Y||_F / sqrt(k) <= sigma_max, so each dropped singular
-        # value lies under a tenth of the cutoff
-        bound = 0.1 * relative * frobenius_norm(y) / math.sqrt(q.shape[1])
-        if frobenius_norm(x - y @ q.T) > bound:
-            y, q = x, None
-    eig = eig_symmetric(y.T @ y, tol)
+    q, w = np.empty((n, p)), x.copy()
+    norms = np.sum(w * w, axis=0)
+    # squared, and n = max(n, p): ||X - Q Q' X||_F <= eps * max(n, p) * ||X||_F
+    stop = (np.finfo(float).eps * n) ** 2 * np.sum(norms)
+    k = 0
+    while k < p and np.sum(norms) > stop:
+        c = w[:, np.argmax(norms)]
+        c = c - q[:, :k] @ (q[:, :k].T @ c)
+        q[:, k] = c / math.sqrt(c @ c)
+        w -= np.outer(q[:, k], q[:, k] @ w)
+        k += 1
+        norms = np.sum(w * w, axis=0)
+    q = q[:, :k]
+    if k == 0:  # the zero matrix: nothing for Jacobi to decompose
+        return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", tol, 0.0, 0)
+    rt = x.T @ q  # R' = X' Q
+    eig = eig_symmetric(rt.T @ rt, tol)
     sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
-    cutoff = relative * sig_all[0]
+    cutoff = max(tol.relative * n, GRAM_RANK_FLOOR) * sig_all[0]
     r = int(np.sum(sig_all > cutoff))
-    v_r = eig.q[:, :r]
-    if q is not None:
-        v_r = q @ v_r
-        _sign_columns(v_r)
-    u_r = (x @ v_r) / sig_all[:r]
+    u_r = q @ eig.q[:, :r]
+    v_r = rt @ eig.q[:, :r] / sig_all[:r]
+    u_r[:, _sign_columns(v_r)] *= -1.0
     sigma = _scaled_back(sig_all[:r], e)
     if np.any(sigma == np.inf):
         raise NonFiniteEntryError("a singular value lies beyond the float range")
-    return SvdResult(u_r, sigma, v_r, r, "reduced", tol)
+    return SvdResult(u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), eig.sweeps)
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):

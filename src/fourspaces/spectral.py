@@ -106,10 +106,16 @@ def _rotation(app, aqq, apq):
 
 
 def _sign_columns(q):
-    """Flip columns of ``q`` in place to the sign rule :class:`EigResult` states."""
+    """Flip columns of ``q`` in place to the sign rule :class:`EigResult` states.
+
+    Returns the boolean mask of the flipped columns, so a partner factor can
+    take the same flips.
+    """
     mag = np.abs(q)
     lead = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
-    q[:, q[lead, np.arange(q.shape[1])] < 0.0] *= -1.0
+    flip = q[lead, np.arange(q.shape[1])] < 0.0
+    q[:, flip] *= -1.0
+    return flip
 
 
 def _rotate_rows(a, ij, g):

@@ -390,7 +390,7 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
 
     payload, calls = run_counted("report")
     assert calls == (1, 2)
-    # the rank probe finds the 2 pivot rows, so Jacobi runs on a rank-sized Gram matrix
+    # the pivoted QR stops after 2 columns, so Jacobi runs on a rank-sized R R'
     assert eig_shapes == [(2, 2)]
     assert run_counted("rank")[1] == (1, 0)
     x = parse_matrix(path)

@@ -135,8 +135,8 @@ def eig_sizes(monkeypatch):
 def test_rank_sized_route_matches_numpy_at_every_rank(eig_sizes, shape, r):
     x = rank_deficient(np.random.default_rng(r), *shape, r)
     res = svd_reduced(x)
-    # the probe finds r pivot rows, so Jacobi runs on r x r below full rank;
-    # at full rank there is nothing to cut and the direct route runs
+    # the pivoted QR leaves a rounding-level residual after r columns, so
+    # Jacobi runs on r x r
     assert eig_sizes == [r]
     u, s, vt = np.linalg.svd(x)
     assert res.rank == r
@@ -145,14 +145,13 @@ def test_rank_sized_route_matches_numpy_at_every_rank(eig_sizes, shape, r):
     assert_allclose(res.v @ res.v.T, vt[:r].T @ vt[:r], rtol=0, atol=1e-10)
 
 
-def test_kahan_probe_overestimates_and_the_route_still_cuts(eig_sizes):
-    # partial pivoting reveals Kahan's rank badly: 19 pivot rows for a
-    # numerical rank of 11.  Overestimating is the safe side, and the
-    # eigenproblem is still smaller than 30 x 30
+def test_kahan_qr_stops_at_rounding_and_the_cutoff_cuts(eig_sizes):
+    # the pivoted QR keeps every direction above rounding level, 26 of
+    # Kahan's 30 for a numerical rank of 11 at the cutoff; the eigenproblem
+    # is never larger than 30 x 30 and the cutoff alone sets the rank
     x = kahan(30, 0.3)
-    assert cr_decompose(x.T).rank == 19
     res = svd_reduced(x)
-    assert eig_sizes == [19]
+    assert len(eig_sizes) == 1 and eig_sizes[0] <= 30
     s = np.linalg.svd(x, compute_uv=False)
     assert res.rank == int(np.sum(s > max(1e-10 * 30, factorizations.GRAM_RANK_FLOOR) * s[0])) == 11
 
@@ -161,7 +160,8 @@ def test_pivot_row_in_the_span_of_the_others_is_dropped(eig_sizes):
     # columns 0..28 of X' are the unit lower bidiagonal with -1 below the
     # diagonal, whose elimination doubles the entries row by row; the other
     # two are combinations of them, and the doubled rounding of one passes
-    # the pivot threshold.  Gram-Schmidt sees it in the span and drops it
+    # the pivot threshold of the row reduction.  The pivoted QR leaves a
+    # residual at rounding level after 29 columns and stops there
     p = 31
     w = np.eye(p) - np.tril(np.ones((p, p)), -1)
     xt = np.hstack([w[:, :29], w[:, :29] @ np.random.default_rng(0).standard_normal((29, 2))])
@@ -173,14 +173,45 @@ def test_pivot_row_in_the_span_of_the_others_is_dropped(eig_sizes):
     assert np.max(np.abs(res.sigma - s[:29])) <= 1e-12 * s[0]
 
 
-def test_rank_probe_guard_falls_back_to_the_direct_route(eig_sizes):
-    # one pivot row leaves a residual of 5e-3, above a tenth of the 0.02
-    # cutoff, so the dropped value could have been kept: run on X itself
+def test_residual_above_rounding_keeps_the_qr_going(eig_sizes):
+    # after one column the residual is 5e-3, far above rounding level, so the
+    # QR takes the second column too; the cutoff 0.02 then drops its value
     tol = Tolerance(1e-2)
     x = np.diag([1.0, 5e-3])
-    assert cr_decompose(x.T, tol).rank == 1
-    assert svd_reduced(x, tol).rank == 1
+    res = svd_reduced(x, tol)
     assert eig_sizes == [2]
+    assert res.rank == 1
+    assert res.cutoff == 0.02
+
+
+def test_svd_records_its_absolute_cutoff_and_sweeps():
+    x = np.random.default_rng(5).standard_normal((7, 4))
+    sweeps = svd_reduced(x).sweeps
+    assert sweeps > 0
+    for scale in (1.0, 2.0**-700, 2.0**700):
+        sigma_1 = np.linalg.svd(x * scale, compute_uv=False)[0]
+        for res in (svd_reduced(x * scale), svd_reduced(x.T * scale), svd_full(x * scale)):
+            assert res.cutoff == pytest.approx(factorizations.GRAM_RANK_FLOOR * sigma_1, rel=1e-13)
+            assert res.sweeps == sweeps
+    zero = svd_full(np.zeros((3, 2)))
+    assert (zero.cutoff, zero.sweeps) == (0.0, 0)
+
+
+@pytest.mark.parametrize("shape", [(80, 60), (60, 80)], ids=["tall", "wide"])
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+def test_full_rank_graded_pinv_is_accurate_in_few_sweeps(shape, cond):
+    # on X'X the sweeps grew with conditioning (10-16), the pinv error reached
+    # 2e-5 and from cond 1e4 the label fell to g-inverse; the pivoted QR
+    # grades R R' so that Jacobi converges in a few sweeps to relative accuracy
+    for seed in range(3):
+        x = graded(np.random.default_rng(seed), *shape, min(shape), cond)
+        res = svd_reduced(x)
+        g = res.pinv()
+        expected = np.linalg.pinv(x)
+        assert res.rank == min(shape)
+        assert res.sweeps <= 8
+        assert frobenius_norm(g - expected) <= 1e-10 * frobenius_norm(expected)
+        assert classify_inverse(x, g).class_label == "pseudo-inverse"
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
