@@ -12,7 +12,7 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   (tall, wide, square, rank-deficient, zero, 1 x 1, single row and column,
   identity, integer, a column of float literals that ``%.12g`` and
   ``repr`` write differently, a 6 x 4 matrix scaled by 2^600 whose
-  ``solve`` gap passes the float range, and the same matrix, drawn afresh
+  ``X'r`` in ``solve`` passes the float range, and the same matrix, drawn afresh
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
   largest singular value pass the float range, Kahan's 20 x 20 matrix
   at theta = 0.3, where the SVD's pivoted QR keeps 26 directions for a

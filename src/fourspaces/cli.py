@@ -45,7 +45,6 @@ from .inverses import (
 from .matrix import (
     Tolerance,
     _prescaled,
-    _scaled_back,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -378,14 +377,24 @@ def _cmd_solve(x, args, tol):
         "rank_used": sol.rank_used,
         "method": sol.method,
     }
-    # X'r at the prescaled size; a gap past the float range comes back as
-    # inf, which the emitter reports as non-finite
-    xs, e = _prescaled(x)
     residuals = {
         "residual_norm": float(sol.residual_norm),
-        "normal_equation_gap": float(_scaled_back(frobenius_norm(xs.T @ sol.residual), e)),
+        "normal_equation_gap": _normal_equation_gap(x, sol.residual),
     }
     return payload, residuals
+
+
+def _normal_equation_gap(x, r):
+    """``||X'r||_F / (||X||_F ||r||)``, 0.0 when ``r`` or ``X`` is zero.
+
+    Formed from prescaled copies of ``X`` and ``r``, whose powers of two
+    cancel in the quotient, so it is finite at every scale and unchanged by
+    scaling either by 2^k.
+    """
+    xs, _ = _prescaled(x)
+    rs, _ = _prescaled(r)
+    scale = frobenius_norm(xs) * frobenius_norm(rs)
+    return frobenius_norm(xs.T @ rs) / scale if scale else 0.0
 
 
 def _cmd_project(x, args, tol):
@@ -543,22 +552,17 @@ def _text_literal(s):
     return f"{float(s):.12g}" if "e-3" in s else s
 
 
-def _float_row(row, where, sep, literal):
-    """The literals of a nonempty list of plain floats joined by ``sep``, or
-    None for any other list.  A NaN or infinity raises, named by its index.
-
-    The row is formatted by one ``%`` call.  ``literal`` then rewrites the
-    items only if some item lacks a ``"."`` or has an exponent from e+1x
-    or e-3xx; otherwise it would return every item as it is.
-    """
+def _float_row(row, where, sep):
+    """The ``%.12g`` literals of a nonempty list of plain floats joined by
+    ``sep``, formatted by one ``%`` call, or None for any other list.  A NaN
+    or infinity raises, named by its index.  The caller rewrites the items
+    that its literal function would change."""
     if set(map(type, row)) != _FLOATS:
         return None
     text = sep.join(["%.12g"] * len(row)) % tuple(row)
     if "n" in text:  # "inf" or "nan"; finite literals hold no "n"
         i = next(i for i, v in enumerate(row) if not math.isfinite(v))
         raise NonFiniteEntryError(f"{where}[{i}] is not finite")
-    if text.count(".") != len(row) or "e+1" in text or "e-3" in text:
-        text = sep.join(map(literal, text.split(sep)))
     return text
 
 
@@ -579,9 +583,13 @@ def _json(obj, where, pad=""):
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        body = _float_row(obj, where, sep, _json_literal)
+        body = _float_row(obj, where, sep)
         if body is None:
             body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
+        # _json_literal changes only items that lack a "." or have an
+        # exponent from e+1x or e-3xx
+        elif body.count(".") != len(obj) or "e+1" in body or "e-3" in body:
+            body = sep.join(map(_json_literal, body.split(sep)))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return _json_string(obj)
@@ -609,9 +617,12 @@ def _fmt(value, where):
 
 
 def _text_row(row, where):
-    text = _float_row(row, where, " ", _text_literal)
+    text = _float_row(row, where, " ")
     if text is None:
         text = " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
+    # _text_literal changes only items with an exponent from e-3xx
+    elif "e-3" in text:
+        text = " ".join(map(_text_literal, text.split(" ")))
     return text
 
 

@@ -6,8 +6,9 @@ rotated to ``[Lambda | Q']``, the way ``rref_rows`` takes ``[A | I]`` to
 reliance on an external eigensolver.  Each sweep visits the off-diagonal
 pairs in the parallel ordering of Brent and Luk (SISC 1985; Golub and Van
 Loan, *Matrix Computations*, section 8.5): n - 1 rounds of disjoint pairs,
-each round applied as a few array operations, its rotations taken from one
-branch-free closed-form tangent.
+each round applied as a few array operations addressed by a table of flat
+indices cached per order, its rotations taken from one branch-free
+closed-form tangent.
 """
 
 from __future__ import annotations
@@ -123,22 +124,46 @@ def _rotate_rows(a, ij, g):
     a[ij] = (g @ a[ij].reshape(len(g), 2, -1)).reshape(len(ij), -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_rounds(n):
+    """:func:`_rounds` as flat indices into the C-ordered n x 2n array ``[A | Q']``.
+
+    Each round is ``(ij, diag, pins)``: ``ij`` as in :func:`_rounds`, ``diag``
+    addressing ``(i, i)``, ``(j, j)`` and ``(i, j)`` pair by pair, one block
+    after the other, and ``pins`` addressing ``(i, j)`` and ``(j, i)``.  The
+    one round without pairs, at n = 1, is left out.
+    """
+    stride = 2 * n
+    return tuple(
+        (ij, np.concatenate((i * stride + i, j * stride + j, i * stride + j)),
+         np.concatenate((i * stride + j, j * stride + i)))
+        for i, j, ij in _rounds(n)
+        if len(ij)
+    )
+
+
 def _sweep(w):
     """One round-robin pass over all off-diagonal pairs of ``w = [A | Q']``, in place.
 
-    The rotations of one round touch disjoint pairs, so they commute and are
-    applied together.  Rotating the rows of ``w`` gives ``[R' A | R' Q']``;
-    rotating the rows of the left block's transposed view then gives
-    ``R' A R``, as ``A`` is symmetric.
+    ``w`` is C-ordered, n x 2n.  The rotations of one round touch disjoint
+    pairs, so they commute and are applied together.  Rotating the rows of
+    ``w`` gives ``[R' A | R' Q']``; rotating the rows of the left block's
+    transposed view then gives ``R' A R``, as ``A`` is symmetric.
     """
-    a = w[:, : w.shape[0]]
-    for i, j, ij in _rounds(w.shape[0]):
-        c, s = _rotation(a[i, i], a[j, j], a[i, j])
-        g = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
+    n = w.shape[0]
+    a = w[:, :n]
+    # every round of one order has n // 2 pairs; g[k] = [[c, -s], [s, c]]
+    g = np.empty((n // 2, 2, 2))
+    cs = g.reshape(-1, 4)
+    for ij, diag, pins in _flat_rounds(n):
+        c, s = _rotation(*w.take(diag).reshape(3, -1))
+        cs[:, ::3] = c[:, None]
+        cs[:, 2] = s
+        np.negative(s, out=cs[:, 1])
         _rotate_rows(w, ij, g)
         _rotate_rows(a.T, ij, g)
         # each rotation annihilates its pair analytically; pin the zeros
-        a[i, j] = a[j, i] = 0.0
+        w.put(pins, 0.0)
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):

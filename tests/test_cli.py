@@ -436,9 +436,27 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
         assert outcome([cmd, "--method", "normal"]) == outcome([cmd, "--method", "elementary"])
     y = write_matrix(tmp_path, "y.csv", (x @ np.arange(1.0, x.shape[1] + 1))[:, None])
     reference = outcome(["solve", "--y", y, "--method", "svd"])
+    # the relative normal-equation gap is finite at every scale; the absolute
+    # ||X'r|| lay past the float range at 2^600
+    assert reference == (0, None)
     for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
         expected = reference if applies else (1, "rank-deficient")
         assert outcome(["solve", "--y", y, "--method", method]) == expected
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -1, 1, 600, 1000])
+def test_normal_equation_gap_is_relative_and_blind_to_powers_of_two(k):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 4))
+    r = rng.standard_normal(6)
+    gap = cli._normal_equation_gap(x, r)
+    oracle = np.linalg.norm(x.T @ r) / (np.linalg.norm(x) * np.linalg.norm(r))
+    assert gap == pytest.approx(oracle, rel=1e-14)
+    assert cli._normal_equation_gap(np.ldexp(x, k), r) == gap
+    assert cli._normal_equation_gap(x, np.ldexp(r, k)) == gap
+    assert cli._normal_equation_gap(np.ldexp(x, k), np.ldexp(r, -k)) == gap
+    assert cli._normal_equation_gap(x, np.zeros(6)) == 0.0
+    assert cli._normal_equation_gap(np.zeros((6, 4)), r) == 0.0
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
@@ -468,8 +486,10 @@ def test_commands_past_the_top_of_the_float_range_fail_typed(tmp_path, capsys, w
         for method in ("normal", "elementary", "family"):
             expected = (0, None) if applies else (1, "rank-deficient")
             assert outcome(cmd, "--method", method) == expected
+    # so do the elimination routes of solve: their relative normal-equation
+    # gap is finite, where the absolute ||X'r|| lay past the float range
     for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
-        expected = past_range if applies else (1, "rank-deficient")
+        expected = (0, None) if applies else (1, "rank-deficient")
         assert outcome("solve", "--y", y, "--method", method) == expected
 
 
@@ -954,6 +974,21 @@ def test_emitter_matches_two_pass_oracle_on_edge_literals():
         two_pass_emit(odd, True)
     with pytest.raises(TypeError, match=f"^{re.escape(str(oracle.value))}$"):
         emit_report(odd, json_mode=True, stream=io.StringIO())
+
+
+def test_text_rows_match_the_per_item_rewrite():
+    # only a literal with an exponent from e-3xx can need rewriting in text
+    # mode; integer-valued and e+1x literals are kept as "%.12g" writes them
+    rows = [
+        [1.0, -2.0, 0.0, 100.0],
+        [1e12, 1e15, 123456789012345.0, 2.5],
+        [5e-324, 1.000000000003e-312, 2.2250738585072014e-308, 1e-30],
+        [3.0, 1e13, 5e-324, 0.25, -0.0],
+        EDGE_FLOATS,
+    ]
+    for row in rows:
+        per_item = " ".join(cli._fmt(v, "row") for v in row)
+        assert cli._text_row(row, "row") == per_item
 
 
 @given(

@@ -14,10 +14,13 @@ from fourspaces import (
     pivot_rank,
 )
 from fourspaces.spectral import (
+    _flat_rounds,
     _offdiag_norm,
+    _rotate_rows,
     _rotation,
     _rounds,
     _sign_columns,
+    _sweep,
     eig_symmetric,
     similarity_check,
 )
@@ -58,6 +61,20 @@ def _scalar_sweep(a, q):
             qj = q[:, j].copy()
             q[:, i] = c * qi - s * qj
             q[:, j] = s * qi + c * qj
+
+
+def _reference_sweep(w):
+    """Reference: the round-robin sweep with fancy diagonal gathers, ``np.stack``
+    and a two-index zero pin, which the flat-index round must match bit for bit."""
+    a = w[:, : w.shape[0]]
+    for i, j, ij in _rounds(w.shape[0]):
+        if not len(ij):  # n = 1: nothing to rotate, and no rows to reshape
+            continue
+        c, s = _rotation(a[i, i], a[j, j], a[i, j])
+        g = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
+        _rotate_rows(w, ij, g)
+        _rotate_rows(a.T, ij, g)
+        a[i, j] = a[j, i] = 0.0
 
 
 def _scalar_eig(s, relative=1e-10):
@@ -155,6 +172,44 @@ def test_round_robin_schedule_covers_each_pair_once(n):
         assert ij.tolist() == np.column_stack([i, j]).ravel().tolist()
         pairs += list(zip(i.tolist(), j.tolist()))
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flat_rounds_address_the_pair_entries(n):
+    stride = 2 * n
+    rounds = [r for r in _rounds(n) if len(r[2])]
+    assert len(_flat_rounds(n)) == len(rounds) == (n > 1) * (n - 1 + n % 2)
+    for (ij, diag, pins), (i, j, ij_ref) in zip(_flat_rounds(n), rounds):
+        assert ij is ij_ref
+        rows, cols = np.divmod(np.concatenate((diag, pins)), stride)
+        k = len(i)
+        assert rows.tolist() == np.concatenate((i, j, i, i, j)).tolist()
+        assert cols.tolist() == np.concatenate((i, j, j, j, i)).tolist()
+        assert len(diag) == 3 * k and len(pins) == 2 * k
+
+
+def _sweep_inputs(n):
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal((n, n))
+    v = rng.standard_normal(n)
+    yield "random", s + s.T
+    yield "diagonal", np.diag(rng.standard_normal(n))
+    # exact ties: n - 1 eigenvalues equal to 1
+    yield "ties", np.eye(n) + np.outer(v, v)
+    yield "zero", np.zeros((n, n))
+    yield "2^600", np.ldexp(s + s.T, 600)
+    yield "2^-600", np.ldexp(s + s.T, -600)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 21, 40, 60])
+def test_flat_round_matches_the_reference_round_bit_for_bit(n):
+    for name, s in _sweep_inputs(n):
+        w = np.hstack(((s + s.T) / 2.0, np.eye(n)))
+        ref = w.copy()
+        for sweep in range(6):
+            _sweep(w)
+            _reference_sweep(ref)
+            assert np.array_equal(w, ref), (name, sweep)
 
 
 def test_rotation_matches_scalar_formula_and_stays_quiet():
