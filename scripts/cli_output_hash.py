@@ -39,10 +39,12 @@ Help is wrapped at a fixed width of 80 columns.
 
 The script prints the number of outputs, how many JSON- and text-mode runs
 raised, how many wrote to standard error (a warning, say; every warning is
-shown, and standard error is not part of those records), and the sha256 of
-the sorted records: of the JSON-mode ones, of the text-mode ones, of the
-usage-mode ones, and of all.  ``--dump FILE`` also writes the records as JSON lines,
-so two checkouts can be diffed.
+shown, and standard error is not part of those records), then the mode and
+argv of each such run, one a line, so a change in that count can be traced
+to the runs behind it, and the sha256 of the sorted records: of the
+JSON-mode ones, of the text-mode ones, of the usage-mode ones, and of all.
+``--dump FILE`` also writes the records as JSON lines, so two checkouts can
+be diffed.
 
 A refactor that claims unchanged output should give the same sha256 on both
 sides.  The hash depends on the BLAS build, so it compares two checkouts on
@@ -265,6 +267,9 @@ def main(argv=None):
     print(f"{len(invocations) + len(usage)} invocations, {len(records)} outputs, "
           f"{failed} with nonzero exit, {raised} json and text runs raising, "
           f"{sum(wrote for _, wrote in runs)} json and text runs writing to standard error")
+    for rec, wrote in runs:
+        if wrote:
+            print(f"standard error: {rec['mode']:4} {' '.join(rec['argv'])}")
     for mode, kept in lines.items():
         digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
         print(f"sha256 {mode:5} {digest}")

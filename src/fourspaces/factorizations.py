@@ -14,9 +14,9 @@ scaling is exact, so it changes no bits unless ``R R'`` would otherwise
 overflow or underflow, and a ``sigma`` that scales back past the float range
 raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
 sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
-over standard basis candidates.  The CR factorization reuses the tracked row
-reduction: original pivot columns times the nonzero echelon rows reproduce
-the matrix.
+over standard basis candidates.  The CR factorization reuses the row
+reduction of :mod:`matrix`, without its transform: original pivot columns
+times the nonzero echelon rows reproduce the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _prescaled, _scaled_back, as_matrix, rref_rows,
+    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _prescaled, _scaled_back, as_matrix,
 )
 from .spectral import _sign_columns, eig_symmetric
 
@@ -126,13 +126,16 @@ def _complete_basis(accepted, dim):
     q = np.empty((dim, dim))
     q[:, :r] = basis
     w = _residuals(basis)
+    update = np.empty(dim * dim)
     for k in range(dim):
         if r == dim:
             break
         nrm = float(np.sqrt(w[:, k] @ w[:, k]))
         if nrm > 0.5:
             q[:, r] = w[:, k] / nrm
-            w[:, k + 1 :] -= np.outer(q[:, r], q[:, r] @ w[:, k + 1 :])
+            rest = w[:, k + 1 :]
+            out = update[: rest.size].reshape(rest.shape)
+            rest -= np.dot(q[:, r, None], (q[:, r] @ rest)[None, :], out=out)
             r += 1
     while r < dim:
         w = _residuals(q[:, :r])
@@ -185,7 +188,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     # with the largest entry in [0.5, 1), R R' cannot overflow, and a tiny
     # input no longer underflows to rank zero
     x, e = _prescaled(x)
-    q, w = np.empty((n, p)), x.copy()
+    q, w, update = np.empty((n, p)), x.copy(), np.empty((n, p))
     norms = np.sum(w * w, axis=0)
     # squared, and n = max(n, p): ||X - Q Q' X||_F <= eps * max(n, p) * ||X||_F
     stop = (np.finfo(float).eps * n) ** 2 * np.sum(norms)
@@ -194,7 +197,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
         c = w[:, np.argmax(norms)]
         c = c - q[:, :k] @ (q[:, :k].T @ c)
         q[:, k] = c / math.sqrt(c @ c)
-        w -= np.outer(q[:, k], q[:, k] @ w)
+        w -= np.dot(q[:, k, None], (q[:, k] @ w)[None, :], out=update)
         k += 1
         norms = np.sum(w * w, axis=0)
     q = q[:, :k]
@@ -215,18 +218,17 @@ def svd_reduced(x, tol=DEFAULT_TOL):
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):
-    """Column-row factorization from the tracked row reduction.
+    """Column-row factorization from the row reduction.
 
     ``c`` keeps the original pivot columns of ``x`` in pivot order and
     ``r_factor`` the nonzero rows of the echelon form, so ``c @ r_factor``
     reproduces ``x`` and both factors have full rank equal to ``rank``.
     A zero matrix yields empty factors whose product is still the right
-    shape.
+    shape.  No transform is read, so the reduction runs on a copy of ``x``
+    alone; its echelon form and pivots are those of ``rref_rows``.
     """
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    res = rref_rows(x, tol)
-    r = res.pivot_rank
-    c = x[:, list(res.pivot_cols)].copy()
-    r_factor = res.reduced[:r, :].copy()
-    return CrFactors(c, r_factor, r)
+    reduced = x.copy()
+    pivots = _eliminate(reduced, x.shape[1], _as_tolerance(tol))
+    r = len(pivots)
+    return CrFactors(x[:, list(pivots)].copy(), reduced[:r].copy(), r)

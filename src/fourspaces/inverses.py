@@ -23,6 +23,7 @@ from .matrix import (
     as_matrix,
     frobenius_norm,
     invert,
+    pivot_rank,
     rref_cols,
     rref_rows,
 )
@@ -161,7 +162,7 @@ def left_inverse(x, tol=DEFAULT_TOL):
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
-    if rref_rows(x, tol).pivot_rank < p:
+    if pivot_rank(x, tol) < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     xs, e = _prescaled(x)
     return np.ldexp(invert(xs.T @ xs, tol) @ xs.T, -e)
@@ -173,7 +174,7 @@ def right_inverse(x, tol=DEFAULT_TOL):
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
-    if rref_rows(x, tol).pivot_rank < n:
+    if pivot_rank(x, tol) < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     xs, e = _prescaled(x)
     return np.ldexp(xs.T @ invert(xs @ xs.T, tol), -e)

@@ -3,6 +3,12 @@
 Validation, Frobenius norms, and reduced row (and column) echelon
 factorizations that track the elementary transform applied, so every
 downstream construction can reuse the transform instead of refactoring.
+
+One Gauss-Jordan loop, :func:`_eliminate`, does every reduction.  It runs on
+``[A | I]`` only where the transform is read (:func:`rref_rows`,
+:func:`rref_cols`, :func:`invert`); a caller that needs only the echelon form
+or the rank (:func:`pivot_rank`, ``cr_decompose``) reduces a copy of ``A``
+alone and gets the same form and pivots, bit for bit.
 """
 
 from __future__ import annotations
@@ -145,6 +151,51 @@ class RrefResult:
     pivot_rank: int
 
 
+def _eliminate(work, p, tol):
+    """Reduce the first ``p`` columns of ``work`` to reduced row echelon form
+    in place, carrying every later column along; return the pivot columns.
+
+    This is the one Gauss-Jordan loop of the library, with the pivoting rule
+    of :func:`rref_rows` and a threshold of ``tol.relative`` times the
+    largest entry of ``work[:, :p]``.  The columns past ``p`` (an identity
+    block, for a caller that reads the transform) never steer a pivot, so
+    ``work[:, :p]`` and the pivots come out bit for bit the same with or
+    without them.  Each step subtracts one rank-1 product, formed by BLAS
+    into a buffer allocated once per call.
+    """
+    n = work.shape[0]
+    threshold = tol.relative * np.max(np.abs(work[:, :p]))
+    update = np.empty_like(work)
+    pivots = []
+    row = 0
+    for col in range(p):
+        if row == n:
+            break
+        candidates = np.abs(work[row:, col])
+        k = int(np.argmax(candidates))
+        if candidates[k] <= threshold:
+            work[row:, col] = 0.0
+            continue
+        piv = row + k
+        if piv != row:
+            work[row], work[piv] = work[piv], work[row].copy()
+        pivot_row = work[row]
+        pivot_row /= pivot_row[col]
+        # a zero divided by a negative pivot is -0.0, and subtracting the
+        # +0.0 products BLAS forms for the row's zero factor would keep it;
+        # adding +0.0 stores every zero of a pivot row as +0.0
+        pivot_row += 0.0
+        factors = work[:, col].copy()
+        factors[row] = 0.0
+        work -= np.dot(factors[:, None], pivot_row[None, :], out=update)
+        # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
+        work[:, col] = 0.0
+        work[row, col] = 1.0
+        pivots.append(col)
+        row += 1
+    return tuple(pivots)
+
+
 def rref_rows(a, tol=DEFAULT_TOL):
     """Reduced row echelon form with the accumulated row transform.
 
@@ -174,35 +225,18 @@ def rref_rows(a, tol=DEFAULT_TOL):
     best candidate falls under the acceptance threshold are flushed to exact
     zeros below the current row, so ``pivot_rank`` always equals the number
     of nonzero rows.
+
+    The identity block is carried for the callers that read ``E``: the
+    elementary one-sided inverses and their families, ``ginv``,
+    :func:`rref_cols` and :func:`invert`.  :func:`pivot_rank` and
+    ``cr_decompose`` reduce ``A`` alone, which gives the same ``R`` and
+    pivots bit for bit.
     """
     a = as_matrix(a)
-    tol = _as_tolerance(tol)
     n, p = a.shape
     aug = np.hstack([a, np.eye(n)])
-    threshold = tol.relative * np.max(np.abs(a))
-    pivots = []
-    row = 0
-    for col in range(p):
-        if row == n:
-            break
-        candidates = np.abs(aug[row:, col])
-        k = int(np.argmax(candidates))
-        if candidates[k] <= threshold:
-            aug[row:, col] = 0.0
-            continue
-        piv = row + k
-        if piv != row:
-            aug[[row, piv], :] = aug[[piv, row], :]
-        aug[row, :] /= aug[row, col]
-        factors = aug[:, col].copy()
-        factors[row] = 0.0
-        aug -= np.outer(factors, aug[row, :])
-        # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
-        aug[:, col] = 0.0
-        aug[row, col] = 1.0
-        pivots.append(col)
-        row += 1
-    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), tuple(pivots), len(pivots))
+    pivots = _eliminate(aug, p, _as_tolerance(tol))
+    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), pivots, len(pivots))
 
 
 def rref_cols(a, tol=DEFAULT_TOL):
@@ -222,15 +256,21 @@ def rref_cols(a, tol=DEFAULT_TOL):
 
 
 def pivot_rank(a, tol=DEFAULT_TOL):
-    """Number of accepted pivots in the row echelon form."""
-    return rref_rows(a, tol).pivot_rank
+    """Number of accepted pivots in the row echelon form.
+
+    The reduction runs on a copy of ``a`` alone, with no identity block,
+    since no transform is read; the count is that of :func:`rref_rows`.
+    """
+    a = as_matrix(a)
+    return len(_eliminate(a.copy(), a.shape[1], _as_tolerance(tol)))
 
 
 def invert(a, tol=DEFAULT_TOL):
     """Inverse of a square nonsingular matrix via the tracked row reduction.
 
     The row transform that carries ``a`` to the identity *is* the inverse, so
-    no separate elimination pass is needed.
+    no separate elimination pass is needed: :func:`rref_rows` reduces
+    ``[A | I]`` to ``[I | A^-1]``, and this caller reads the identity block.
     """
     a = as_matrix(a)
     n, p = a.shape

@@ -563,7 +563,7 @@ SCALE_INPUTS = {
 SCALE_DEGREE = {"sigma": 1, "c": 1, "reconstruction": 1}
 EQUIVARIANT = (["rank"], ["svd"], ["cr"], ["subspaces"],
                ["project", "--side", "col"], ["project", "--side", "row"])
-ANSWER_OR_TYPED = (["rank"], ["svd"], ["subspaces"], ["project", "--side", "col"],
+ANSWER_OR_TYPED = (["rank"], ["svd"], ["cr"], ["subspaces"], ["project", "--side", "col"],
                    ["project", "--side", "row"], ["pinv"], ["report"])
 # below 2^-960 a residual of 1e-16 relative is no longer a normal float
 NORMAL_K = range(-960, 1001)

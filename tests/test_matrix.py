@@ -16,6 +16,7 @@ from fourspaces import (
     Tolerance,
     as_matrix,
     as_vector,
+    cr_decompose,
     frobenius_norm,
     invert,
     matmul,
@@ -239,3 +240,98 @@ def test_invert_rejects_singular_and_rectangular():
         invert([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ShapeError):
         invert(np.ones((2, 3)))
+
+
+def _reference_rref(a, tol):
+    """The Gauss-Jordan loop as it read before the one elimination core:
+    ``np.outer`` update, fancy-index row swap, and the pivot row's own
+    zero-factor update in place of ``+= 0.0``."""
+    n, p = a.shape
+    aug = np.hstack([a, np.eye(n)])
+    threshold = tol.relative * np.max(np.abs(a))
+    pivots = []
+    row = 0
+    for col in range(p):
+        if row == n:
+            break
+        candidates = np.abs(aug[row:, col])
+        k = int(np.argmax(candidates))
+        if candidates[k] <= threshold:
+            aug[row:, col] = 0.0
+            continue
+        piv = row + k
+        if piv != row:
+            aug[[row, piv], :] = aug[[piv, row], :]
+        aug[row, :] /= aug[row, col]
+        factors = aug[:, col].copy()
+        factors[row] = 0.0
+        aug -= np.outer(factors, aug[row, :])
+        aug[:, col] = 0.0
+        aug[row, col] = 1.0
+        pivots.append(col)
+        row += 1
+    return aug[:, :p].copy(), aug[:, p:].copy(), tuple(pivots)
+
+
+def _bitwise_inputs():
+    """Named inputs for the bitwise comparison with :func:`_reference_rref`."""
+    rng = np.random.default_rng(21)
+    signed_zeros = rng.standard_normal((6, 5))
+    signed_zeros[rng.random((6, 5)) < 0.4] = -0.0
+    signed_zeros[0, 1] = 0.0
+    zero_columns = rng.standard_normal((5, 6))
+    zero_columns[:, 1] = 0.0
+    zero_columns[:, 4] = -0.0
+    inputs = {
+        "one_by_one": np.array([[-3.0]]),
+        "one_row": rng.standard_normal((1, 7)),
+        "one_column": rng.standard_normal((7, 1)),
+        "negative_pivots": np.array([[-2.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 3.0]]),
+        "signed_zeros": signed_zeros,
+        "zero_columns": zero_columns,
+        "zero": np.zeros((3, 4)),
+        "tied": rng.choice([-1.0, 1.0], size=(6, 6)),
+        "tied_rank_one": np.ones((4, 5)),
+        "near_threshold": np.diag([1.0, 0.05, 1e-11, 2.0]),
+    }
+    for n, p in ((6, 6), (9, 5), (5, 9), (12, 12)):
+        inputs[f"random_{n}x{p}"] = rng.standard_normal((n, p))
+        inputs[f"integer_{n}x{p}"] = rng.integers(-3, 4, size=(n, p)).astype(float)
+        inputs[f"deficient_{n}x{p}"] = rank_deficient(rng, n, p, min(n, p) // 2)
+    return inputs
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("k", [0, 600, -600])
+@pytest.mark.parametrize("relative", [1e-10, 1e-2])
+def test_elimination_matches_the_reference_loop_bit_for_bit(relative, k):
+    # every product is the one the old update formed, signed zeros included,
+    # and a reduction without the identity block leaves R and the pivots as
+    # they are with it
+    tol = Tolerance(relative)
+    for name, x in _bitwise_inputs().items():
+        a = np.ldexp(x, k)
+        want_r, want_e, want_piv = _reference_rref(a, tol)
+        res = rref_rows(a, tol)
+        _assert_same_bits(res.reduced, want_r)
+        _assert_same_bits(res.transform, want_e)
+        assert res.pivot_cols == want_piv and res.pivot_rank == len(want_piv), name
+        assert pivot_rank(a, tol) == len(want_piv), name
+        fac = cr_decompose(a, tol)
+        assert fac.rank == len(want_piv), name
+        _assert_same_bits(fac.c, a[:, list(want_piv)])
+        _assert_same_bits(fac.r_factor, want_r[: len(want_piv)])
+        if a.shape[0] != a.shape[1]:
+            continue
+        if len(want_piv) == a.shape[0]:
+            _assert_same_bits(invert(a, tol), want_e)
+        else:
+            wording = (f"matrix is singular at the working tolerance "
+                       f"(pivot rank {len(want_piv)} of {a.shape[0]})")
+            with pytest.raises(SingularMatrixError, match=re.escape(wording) + "$"):
+                invert(a, tol)

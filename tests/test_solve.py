@@ -460,19 +460,19 @@ def test_loose_tolerance_reaches_the_rank_decision():
 @pytest.mark.parametrize("solver", [ls_normal, consistent_unique_solve])
 def test_solvers_reduce_x_once(monkeypatch, solver):
     # left_inverse's rank check is the solver's own: one reduction of x and
-    # one of the Gram matrix inside invert
-    import fourspaces.inverses as inverses
+    # one of the Gram matrix inside invert.  Every reduction runs the one
+    # elimination loop; a call is recorded by the shape it reduces, the
+    # rows of its work array by the p columns it pivots on
     import fourspaces.matrix as matrix
 
     calls = []
-    original = matrix.rref_rows
+    original = matrix._eliminate
 
-    def counted(a, tol=None):
-        calls.append(np.shape(a))
-        return original(a, tol)
+    def counted(work, p, tol):
+        calls.append((work.shape[0], p))
+        return original(work, p, tol)
 
-    monkeypatch.setattr(matrix, "rref_rows", counted)
-    monkeypatch.setattr(inverses, "rref_rows", counted)
+    monkeypatch.setattr(matrix, "_eliminate", counted)
     rng = np.random.default_rng(8)
     x = full_col_rank(rng, 7, 4)
     sol = solver(x, x @ rng.standard_normal(4))
