@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/cli_output_hash.py [--dump FILE]
+    python3 scripts/cli_output_hash.py [--dump FILE] [--against FILE]
 
 Two sets of invocations run in-process through ``fourspaces.cli.main``:
 
@@ -44,7 +44,12 @@ argv of each such run, one a line, so a change in that count can be traced
 to the runs behind it, and the sha256 of the sorted records: of the
 JSON-mode ones, of the text-mode ones, of the usage-mode ones, and of all.
 ``--dump FILE`` also writes the records as JSON lines, so two checkouts can
-be diffed.
+be diffed.  ``--against FILE`` compares the records with those of an
+earlier ``--dump``, matched by mode and argv, and counts three kinds:
+identical; float-only, where a JSON-mode record equals its earlier self
+once every float in its document is masked, and a text-mode record has a
+float-only JSON twin and the same exit code; and other, listed by mode and
+argv, one a line.  A record present on one side only counts as other.
 
 A refactor that claims unchanged output should give the same sha256 on both
 sides.  The hash depends on the BLAS build, so it compares two checkouts on
@@ -242,9 +247,54 @@ def run(argv, json_mode, tmp):
     return record, bool(err.getvalue())
 
 
+def _masked(obj):
+    """``obj`` with every float replaced by a placeholder, containers walked."""
+    if isinstance(obj, float):
+        return "<float>"
+    if isinstance(obj, dict):
+        return {key: _masked(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_masked(value) for value in obj]
+    return obj
+
+
+def _float_masked(record):
+    """A JSON-mode record with its document parsed and every float masked."""
+    try:
+        doc = json.loads(record["stdout"])
+    except json.JSONDecodeError:
+        doc = record["stdout"]
+    return _masked({**record, "stdout": doc})
+
+
+def compare(records, earlier):
+    """Kind of each record against ``earlier``, keyed by mode and argv:
+    ``identical``, ``float-only`` or ``other``, as the module docstring says."""
+    before = {(rec["mode"], *rec["argv"]): rec for rec in earlier}
+    now = {(rec["mode"], *rec["argv"]): rec for rec in records}
+    kinds = {key: "other" for key in before.keys() - now.keys()}
+    # JSON-mode records first, so a text-mode record finds its twin's kind
+    for key in sorted(now, key=lambda key: key[0] != "json"):
+        rec, old = now[key], before.get(key)
+        if rec == old:
+            kinds[key] = "identical"
+        elif old is None:
+            kinds[key] = "other"
+        elif rec["mode"] == "json" and _float_masked(rec) == _float_masked(old):
+            kinds[key] = "float-only"
+        elif (rec["mode"] == "text" and rec["exit"] == old["exit"]
+              and kinds.get(("json", *key[1:])) == "float-only"):
+            kinds[key] = "float-only"
+        else:
+            kinds[key] = "other"
+    return kinds
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON lines")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare the records with an earlier --dump")
     args = parser.parse_args(argv)
     # every warning reaches standard error, not only its first occurrence
     warnings.simplefilter("always")
@@ -273,6 +323,14 @@ def main(argv=None):
     for mode, kept in lines.items():
         digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
         print(f"sha256 {mode:5} {digest}")
+    if args.against:
+        earlier = [json.loads(line) for line in Path(args.against).read_text().splitlines()]
+        kinds = compare(records, earlier)
+        counts = {kind: sum(k == kind for k in kinds.values())
+                  for kind in ("identical", "float-only", "other")}
+        print(f"against {args.against}: " + ", ".join(f"{n} {kind}" for kind, n in counts.items()))
+        for key in sorted(key for key, kind in kinds.items() if kind == "other"):
+            print(f"other: {key[0]:5} {' '.join(key[1:])}")
 
 
 if __name__ == "__main__":

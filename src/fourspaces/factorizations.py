@@ -2,35 +2,38 @@
 
 The SVD runs Jacobi on the triangular factor of a QR, as in A = QR: a
 column-pivoted, re-orthogonalised Gram-Schmidt gives ``X = Q R`` up to
-rounding, with ``Q`` n x k, and the symmetric eigendecomposition of the
-k x k matrix ``R R'`` supplies ``u = Q W`` and ``v = R' W / sigma``.  A wide
-input runs on its transpose with the two sides swapped, so ``X`` is tall.
-Pivoting grades the rows of ``R``, so Jacobi needs few sweeps and keeps
-small singular values to relative accuracy (Drmac and Veselic, SIMAX 2008),
-and the QR stops at rounding level, so a rank-deficient input gives a
-rank-sized eigenproblem.  The input is first scaled by the power of two that
-brings its largest entry into [0.5, 1) and ``sigma`` is scaled back; the
-scaling is exact, so it changes no bits unless ``R R'`` would otherwise
-overflow or underflow, and a ``sigma`` that scales back past the float range
-raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
-sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
-over standard basis candidates.  The CR factorization reuses the row
-reduction of :mod:`matrix`, without its transform: original pivot columns
-times the nonzero echelon rows reproduce the matrix.
+rounding, with ``Q`` n x k, and one-sided Jacobi rotates the k rows of ``R``
+until they are orthogonal.  Its rotations are those that diagonalise
+``R R'``, read off the rows, and give the eigenvectors ``W`` of ``R R'``,
+``u = Q W`` and ``v = R' W / sigma``.  A wide input runs on its transpose
+with the two sides swapped, so ``X`` is tall.  Pivoting grades the rows of
+``R``, so Jacobi needs few sweeps and keeps small singular values to
+relative accuracy (Drmac and Veselic, SIMAX 2008), and the QR stops at
+rounding level, so a rank-deficient input gives a rank-sized problem.  The
+input is first scaled by the power of two that brings its largest entry
+into [0.5, 1) and ``sigma`` is scaled back; the scaling is exact, so it
+changes no bits unless a product of entries would otherwise overflow or
+underflow, and a ``sigma`` that scales back past the float range raises
+``NonFiniteEntryError``.  :func:`svd_full` completes both sides of
+:func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass over
+standard basis candidates.  The CR factorization reuses the row reduction
+of :mod:`matrix`, without its transform: original pivot columns times the
+nonzero echelon rows reproduce the matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _prescaled, _scaled_back, as_matrix,
+    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _inverse_scaled_back, _prescaled,
+    _scaled_back, as_matrix,
 )
-from .spectral import _sign_columns, eig_symmetric
+from .spectral import _jacobi_rows, _sign_columns
 
 __all__ = [
     "SvdResult",
@@ -40,10 +43,13 @@ __all__ = [
     "cr_decompose",
 ]
 
-# The Gram-matrix route cannot certify singular values below roughly
-# sqrt(eps) * sigma_max: forming R R' already perturbs zero eigenvalues by
-# eps * sigma_max^2.  Measured spurious values on exactly rank-deficient
-# inputs reach 2e-8 of sigma_max, so the rank cutoff never goes below this.
+# The rank cutoff never goes below this fraction of sigma_max.  It was set for
+# the Gram-matrix route, which could not certify singular values below
+# roughly sqrt(eps) * sigma_max: forming R R' perturbed zero eigenvalues by
+# eps * sigma_max^2, and spurious values on exactly rank-deficient inputs
+# reached 2e-8 of sigma_max.  Jacobi now rotates the rows of R and forms
+# R R' only to test convergence, so the floor guards the cutoff rule alone;
+# lowering it changes ranks.
 GRAM_RANK_FLOOR = 1e-6
 
 
@@ -54,8 +60,10 @@ class SvdResult:
     ``sigma`` holds the ``rank`` accepted singular values in descending
     order.  In ``full`` form ``u`` and ``v`` are square orthogonal; in
     ``reduced`` form they keep only the first ``rank`` columns.  ``cutoff``
-    is the absolute threshold a singular value had to exceed, and
-    ``sweeps`` the Jacobi sweeps of the eigendecomposition behind them.
+    is the absolute threshold a singular value had to exceed,
+    ``largest_rejected`` the largest computed singular value at or below
+    it (0.0 when every computed value passed; the QR leaves none above
+    rounding level uncomputed), and ``sweeps`` the Jacobi sweeps behind them.
     """
 
     u: np.ndarray
@@ -65,6 +73,7 @@ class SvdResult:
     form: str
     tol_used: Tolerance
     cutoff: float
+    largest_rejected: float
     sweeps: int
 
     def sigma_matrix(self):
@@ -83,10 +92,7 @@ class SvdResult:
         """
         r = self.rank
         s, e = _prescaled(self.sigma) if r else (self.sigma, 0)
-        g = _scaled_back(self.v[:, :r] / s @ self.u[:, :r].T, -e)
-        if np.any(np.isinf(g)):
-            raise NonFiniteEntryError("the pseudo inverse lies beyond the float range")
-        return g
+        return _inverse_scaled_back(self.v[:, :r] / s @ self.u[:, :r].T, e, "pseudo inverse")
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def svd_full(x, tol=DEFAULT_TOL):
     res = svd_reduced(x, tol)
     u = _complete_basis(res.u, res.u.shape[0])
     v = _complete_basis(res.v, res.v.shape[0])
-    return SvdResult(u, res.sigma, v, res.rank, "full", res.tol_used, res.cutoff, res.sweeps)
+    return replace(res, u=u, v=v, form="full")
 
 
 def svd_reduced(x, tol=DEFAULT_TOL):
@@ -173,18 +179,21 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     ("twice is enough"), normalises it and removes it from every residual,
     whose norms are then recomputed.  It stops once ``||X - Q Q' X||_F`` is
     at most ``eps * max(n, p) * ||X||_F``, so nothing above rounding is
-    dropped.  With ``R = Q' X`` (k x p), Jacobi runs on the k x k matrix
-    ``R R'``, whose pivoted rows are graded, and its eigenvectors ``W``
-    give ``u = Q W`` and ``v = R' W / sigma``.  ``v`` takes the sign rule
-    of :func:`eig_symmetric` and ``u`` the same flips.  ``cutoff`` records
-    the absolute cutoff applied and ``sweeps`` the Jacobi sweeps.
+    dropped.  With ``R = Q' X`` (k x p), whose pivoted rows are graded,
+    one-sided Jacobi rotates ``[R | I]`` to ``[Sigma V' | W']`` with the
+    rotations and stopping rule :func:`eig_symmetric` would apply to
+    ``R R'``; ``sigma`` is the rotated row norms, and ``W`` gives
+    ``u = Q W`` and ``v = R' W / sigma``.  ``v`` takes the sign rule of
+    :func:`eig_symmetric` and ``u`` the same flips.  ``cutoff`` records the
+    absolute cutoff applied, ``largest_rejected`` the largest computed
+    ``sigma`` it cut, and ``sweeps`` the Jacobi sweeps.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
     if n < p:
         res = svd_reduced(x.T, tol)
-        return SvdResult(res.v, res.sigma, res.u, res.rank, "reduced", tol, res.cutoff, res.sweeps)
+        return replace(res, u=res.v, v=res.u)
     # with the largest entry in [0.5, 1), R R' cannot overflow, and a tiny
     # input no longer underflows to rank zero
     x, e = _prescaled(x)
@@ -202,19 +211,21 @@ def svd_reduced(x, tol=DEFAULT_TOL):
         norms = np.sum(w * w, axis=0)
     q = q[:, :k]
     if k == 0:  # the zero matrix: nothing for Jacobi to decompose
-        return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", tol, 0.0, 0)
+        return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", tol, 0.0, 0.0, 0)
     rt = x.T @ q  # R' = X' Q
-    eig = eig_symmetric(rt.T @ rt, tol)
-    sig_all = np.sqrt(np.clip(eig.values, 0.0, None))
+    sig_all, rot, sweeps = _jacobi_rows(rt.T, tol)  # rot is W
     cutoff = max(tol.relative * n, GRAM_RANK_FLOOR) * sig_all[0]
     r = int(np.sum(sig_all > cutoff))
-    u_r = q @ eig.q[:, :r]
-    v_r = rt @ eig.q[:, :r] / sig_all[:r]
+    u_r = q @ rot[:, :r]
+    v_r = rt @ rot[:, :r] / sig_all[:r]
     u_r[:, _sign_columns(v_r)] *= -1.0
     sigma = _scaled_back(sig_all[:r], e)
     if np.any(sigma == np.inf):
         raise NonFiniteEntryError("a singular value lies beyond the float range")
-    return SvdResult(u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), eig.sweeps)
+    rejected = float(_scaled_back(sig_all[r], e)) if r < k else 0.0
+    return SvdResult(
+        u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), rejected, sweeps
+    )
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):

@@ -19,6 +19,7 @@ from .factorizations import cr_decompose, svd_reduced
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
+    _inverse_scaled_back,
     _prescaled,
     as_matrix,
     frobenius_norm,
@@ -157,7 +158,8 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
 def left_inverse(x, tol=DEFAULT_TOL):
     """Normal-equation left inverse ``(X'X)^-1 X'`` of a full-column-rank matrix.
 
-    ``X'X`` is formed at the scale of :func:`_prescaled`, and ``(cX)_L = X_L / c``.
+    ``X'X`` is formed at the scale of :func:`_prescaled`, and ``(cX)_L = X_L / c``;
+    a left inverse past the float range raises ``NonFiniteEntryError``.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -165,7 +167,7 @@ def left_inverse(x, tol=DEFAULT_TOL):
     if pivot_rank(x, tol) < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     xs, e = _prescaled(x)
-    return np.ldexp(invert(xs.T @ xs, tol) @ xs.T, -e)
+    return _inverse_scaled_back(invert(xs.T @ xs, tol) @ xs.T, e, "left inverse")
 
 
 def right_inverse(x, tol=DEFAULT_TOL):
@@ -177,7 +179,7 @@ def right_inverse(x, tol=DEFAULT_TOL):
     if pivot_rank(x, tol) < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     xs, e = _prescaled(x)
-    return np.ldexp(xs.T @ invert(xs @ xs.T, tol), -e)
+    return _inverse_scaled_back(xs.T @ invert(xs @ xs.T, tol), e, "right inverse")
 
 
 def left_inverse_elementary(x, tol=DEFAULT_TOL):
@@ -299,7 +301,8 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     about the implementation.  ``x`` is first scaled by the power of two
     that brings its largest entry into [0.5, 1), so ``C'C`` neither
     overflows nor underflows; since ``pinv(cX) = pinv(X) / c`` the result is
-    scaled back by the same power.
+    scaled back by the same power, and past the float range it raises
+    ``NonFiniteEntryError``.
     """
     x, e = _prescaled(as_matrix(x))
     tol = _as_tolerance(tol)
@@ -308,4 +311,5 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     if factors.rank == 0:
         return np.zeros((p, n))
     c, rf = factors.c, factors.r_factor
-    return np.ldexp(rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T, -e)
+    g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
+    return _inverse_scaled_back(g, e, "pseudo inverse")

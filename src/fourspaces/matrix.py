@@ -109,6 +109,18 @@ def _scaled_back(value, e):
         return np.ldexp(value, e)
 
 
+def _inverse_scaled_back(g, e, what):
+    """An inverse ``g`` of a matrix prescaled by ``2**-e``, at the input's scale.
+
+    Past the float range it raises :class:`NonFiniteEntryError` naming
+    ``what``, with no overflow warning ahead of it.
+    """
+    g = _scaled_back(g, -e)
+    if np.any(np.isinf(g)):
+        raise NonFiniteEntryError(f"the {what} lies beyond the float range")
+    return g
+
+
 def frobenius_norm(a):
     """Square root of the sum of squared entries; a 1-D array is read as one row.
 

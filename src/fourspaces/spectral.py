@@ -9,6 +9,13 @@ Loan, *Matrix Computations*, section 8.5): n - 1 rounds of disjoint pairs,
 each round applied as a few array operations addressed by a table of flat
 indices cached per order, its rotations taken from one branch-free
 closed-form tangent.
+
+The same rotations also run one-sidedly, for the SVD: rotating the rows of
+a k x p matrix ``R`` takes ``R R'`` where the two-sided sweep would, with
+each pair's entries of ``R R'`` read as dot products of its rows, so one
+array ``[R | I]`` is rotated once per round to ``[Sigma V' | W']`` and
+``R R'`` is formed only to test convergence (Hestenes 1958; Demmel and
+Veselic, SIMAX 1992).  Both share one convergence loop and stopping rule.
 """
 
 from __future__ import annotations
@@ -142,6 +149,15 @@ def _flat_rounds(n):
     )
 
 
+def _set_rotations(g, app, aqq, apq):
+    """Write ``g[k] = [[c, -s], [s, c]]``, the rotation :func:`_rotation` gives for pair k."""
+    c, s = _rotation(app, aqq, apq)
+    cs = g.reshape(-1, 4)
+    cs[:, ::3] = c[:, None]
+    cs[:, 2] = s
+    np.negative(s, out=cs[:, 1])
+
+
 def _sweep(w):
     """One round-robin pass over all off-diagonal pairs of ``w = [A | Q']``, in place.
 
@@ -152,18 +168,61 @@ def _sweep(w):
     """
     n = w.shape[0]
     a = w[:, :n]
-    # every round of one order has n // 2 pairs; g[k] = [[c, -s], [s, c]]
+    # every round of one order has n // 2 pairs
     g = np.empty((n // 2, 2, 2))
-    cs = g.reshape(-1, 4)
     for ij, diag, pins in _flat_rounds(n):
-        c, s = _rotation(*w.take(diag).reshape(3, -1))
-        cs[:, ::3] = c[:, None]
-        cs[:, 2] = s
-        np.negative(s, out=cs[:, 1])
+        _set_rotations(g, *w.take(diag).reshape(3, -1))
         _rotate_rows(w, ij, g)
         _rotate_rows(a.T, ij, g)
         # each rotation annihilates its pair analytically; pin the zeros
         w.put(pins, 0.0)
+
+
+def _row_sweep(w, p):
+    """One round-robin pass over all row pairs of ``w = [R | W']``, in place.
+
+    ``w`` is C-ordered, k x (p + k).  Each round gathers its pairs once and
+    reads ``alpha = r_i . r_i``, ``beta = r_j . r_j`` and ``gamma = r_i . r_j``
+    off the gathered left block: the entries of ``R R'`` that a two-sided
+    round of :func:`_sweep` reads, without forming ``R R'``.  Rotating the
+    rows takes ``R R'`` to ``G' R R' G`` with the rotation that round would
+    apply.
+    """
+    k = w.shape[0]
+    g = np.empty((k // 2, 2, 2))
+    for _, _, ij in _rounds(k):
+        pairs = w.take(ij, axis=0).reshape(len(g), 2, -1)
+        r = pairs[:, :, :p]
+        norms = np.einsum("kij,kij->ki", r, r)
+        _set_rotations(g, norms[:, 0], norms[:, 1], np.einsum("kj,kj->k", r[:, 0], r[:, 1]))
+        w[ij] = (g @ pairs).reshape(len(ij), -1)
+
+
+def _converge(sweep, gram, threshold, e):
+    """Apply ``sweep()`` until the off-diagonal norm of ``gram()`` is at most ``threshold``.
+
+    ``gram()`` is the symmetric matrix the sweeps diagonalise.  The sweep
+    that starts at or below the threshold is the polish, and the last.
+    Returns the sweeps applied and the off-diagonal norm left.  Figures of a
+    :class:`ConvergenceError` are scaled back by ``2**e``; the cap is
+    ``MAX_SWEEPS`` as the module holds it at call time.
+    """
+    sweeps, polish = 0, False
+    off = _offdiag_norm(gram())
+    while off > 0.0 and not polish:
+        polish = off <= threshold
+        if sweeps == MAX_SWEEPS and not polish:
+            off, threshold = _scaled_back(off, e), _scaled_back(threshold, e)
+            raise ConvergenceError(
+                f"off-diagonal norm {off:.3e} still above "
+                f"{threshold:.3e} after {MAX_SWEEPS} sweeps",
+                sweeps,
+                off,
+            )
+        sweep()
+        sweeps += 1
+        off = _offdiag_norm(gram())
+    return sweeps, off
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):
@@ -218,22 +277,7 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     # [A | I] is rotated to [Lambda | Q']; a is the left block, a view
     w = np.hstack(((s + s.T) / 2.0, np.eye(n)))
     a = w[:, :n]
-    sweeps, polish = 0, False
-    off = _offdiag_norm(a)
-    # the sweep that starts at or below the threshold is the polish, and the last
-    while off > 0.0 and not polish:
-        polish = off <= threshold
-        if sweeps == MAX_SWEEPS and not polish:
-            off, threshold = _scaled_back(off, e), _scaled_back(threshold, e)
-            raise ConvergenceError(
-                f"off-diagonal norm {off:.3e} still above "
-                f"{threshold:.3e} after {MAX_SWEEPS} sweeps",
-                sweeps,
-                off,
-            )
-        _sweep(w)
-        sweeps += 1
-        off = _offdiag_norm(a)
+    sweeps, off = _converge(lambda: _sweep(w), lambda: a, threshold, e)
     order = np.argsort(-np.diag(a), kind="stable")
     values = _scaled_back(np.diag(a)[order], e)
     if not np.all(np.isfinite(values)):
@@ -241,6 +285,33 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     q = w[order, n:].T
     _sign_columns(q)
     return EigResult(values, q, sweeps, float(_scaled_back(off, e)))
+
+
+def _jacobi_rows(r, tol=DEFAULT_TOL):
+    """Singular values of a k x p matrix ``R`` by one-sided Jacobi on its rows.
+
+    One C-ordered array ``[R | I]`` is rotated to ``[Sigma V' | W']``, so
+    ``W' R R' W`` is diagonal: the rotations are those of
+    :func:`eig_symmetric` on ``R R'``, read off the rows of ``R`` (Hestenes
+    1958; Demmel and Veselic, SIMAX 1992).  The stopping rule is that of
+    :func:`eig_symmetric` too, evaluated on ``R R'`` formed once per sweep.
+    Returns ``(sigma, w, sweeps)``: the row norms in descending order, a
+    value past the float range read as ``inf``; the k x k orthogonal ``W``
+    with its columns in the same order and signed as the rotations leave
+    them; and the sweeps applied, the polish included.  The work runs at the
+    scale of :func:`_prescaled`, and a ``ConvergenceError`` carries its
+    figures at the scale of ``R R'``.
+    """
+    r, e = _prescaled(as_matrix(r))
+    k, p = r.shape
+    # [R | I] is rotated to [Sigma V' | W']; r is now the left block, a view
+    w = np.hstack((r, np.eye(k)))
+    r = w[:, :p]
+    threshold = tol.relative * frobenius_norm(r @ r.T)
+    sweeps, _ = _converge(lambda: _row_sweep(w, p), lambda: r @ r.T, threshold, 2 * e)
+    sigma = np.sqrt(np.einsum("ij,ij->i", r, r))
+    order = np.argsort(-sigma, kind="stable")
+    return _scaled_back(sigma[order], e), w[order, p:].T, sweeps
 
 
 def similarity_check(a, p, tol=DEFAULT_TOL):

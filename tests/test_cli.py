@@ -364,16 +364,16 @@ def test_report_command(tmp_path, capsys):
 
 
 def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
-    counts = {"eig_symmetric": 0, "_complete_basis": 0}
-    eig_shapes = []
+    counts = {"_jacobi_rows": 0, "_complete_basis": 0}
+    jacobi_orders = []
 
     def counted(name):
         original = getattr(factorizations, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "eig_symmetric":
-                eig_shapes.append(args[0].shape)
+            if name == "_jacobi_rows":
+                jacobi_orders.append(args[0].shape[0])
             return original(*args, **kwargs)
 
         return wrapper
@@ -384,14 +384,14 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
     path = write(tmp_path, "x.csv", "1,2,3\n2,4,6\n1,0,1\n0,1,1\n")
 
     def run_counted(command):
-        counts.update(eig_symmetric=0, _complete_basis=0)
+        counts.update(_jacobi_rows=0, _complete_basis=0)
         report = run_command([command, "--input", path])
-        return report.payload, (counts["eig_symmetric"], counts["_complete_basis"])
+        return report.payload, (counts["_jacobi_rows"], counts["_complete_basis"])
 
     payload, calls = run_counted("report")
     assert calls == (1, 2)
-    # the pivoted QR stops after 2 columns, so Jacobi runs on a rank-sized R R'
-    assert eig_shapes == [(2, 2)]
+    # the pivoted QR stops after 2 columns, so Jacobi rotates the 2 rows of R
+    assert jacobi_orders == [2]
     assert run_counted("rank")[1] == (1, 0)
     x = parse_matrix(path)
     assert np.array_equal(payload["pinv"]["data"], pinv_svd(x))
@@ -564,7 +564,8 @@ SCALE_DEGREE = {"sigma": 1, "c": 1, "reconstruction": 1}
 EQUIVARIANT = (["rank"], ["svd"], ["cr"], ["subspaces"],
                ["project", "--side", "col"], ["project", "--side", "row"])
 ANSWER_OR_TYPED = (["rank"], ["svd"], ["cr"], ["subspaces"], ["project", "--side", "col"],
-                   ["project", "--side", "row"], ["pinv"], ["report"])
+                   ["project", "--side", "row"], ["pinv"], ["report"],
+                   ["leftinv", "--method", "normal"], ["rightinv", "--method", "normal"])
 # below 2^-960 a residual of 1e-16 relative is no longer a normal float
 NORMAL_K = range(-960, 1001)
 TYPED_CODES = {getattr(errors, name).code for name in errors.__all__}

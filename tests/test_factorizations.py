@@ -118,15 +118,15 @@ def test_svd_rank_cutoff_scales_with_tolerance():
 
 @pytest.fixture
 def eig_sizes(monkeypatch):
-    """Orders of the Gram matrices that svd_reduced hands to Jacobi."""
+    """Orders k of the k x p factors R that svd_reduced hands to Jacobi."""
     sizes = []
-    original = factorizations.eig_symmetric
+    original = factorizations._jacobi_rows
 
-    def spy(s, tol):
-        sizes.append(s.shape[0])
-        return original(s, tol)
+    def spy(r, tol):
+        sizes.append(r.shape[0])
+        return original(r, tol)
 
-    monkeypatch.setattr(factorizations, "eig_symmetric", spy)
+    monkeypatch.setattr(factorizations, "_jacobi_rows", spy)
     return sizes
 
 
@@ -193,8 +193,27 @@ def test_svd_records_its_absolute_cutoff_and_sweeps():
         for res in (svd_reduced(x * scale), svd_reduced(x.T * scale), svd_full(x * scale)):
             assert res.cutoff == pytest.approx(factorizations.GRAM_RANK_FLOOR * sigma_1, rel=1e-13)
             assert res.sweeps == sweeps
+            # full rank: every computed value passed the cutoff
+            assert res.largest_rejected == 0.0
     zero = svd_full(np.zeros((3, 2)))
-    assert (zero.cutoff, zero.sweeps) == (0.0, 0)
+    assert (zero.cutoff, zero.largest_rejected, zero.sweeps) == (0.0, 0.0, 0)
+
+
+def test_svd_records_the_largest_rejected_value():
+    # sigma 3e-7 and 1e-9 lie above the QR's rounding-level stop, so both are
+    # computed; the cutoff 2e-6 rejects them and the larger is recorded
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((7, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    x = u @ np.diag([2.0, 1.0, 3e-7, 1e-9]) @ v.T
+    rejected = svd_reduced(x).largest_rejected
+    assert rejected == pytest.approx(np.linalg.svd(x, compute_uv=False)[2], rel=1e-8)
+    for scale in (1.0, 2.0**-700, 2.0**700):
+        for res in (svd_reduced(x * scale), svd_reduced(x.T * scale), svd_full(x * scale)):
+            assert res.rank == 2
+            assert res.largest_rejected < res.cutoff
+            # the prescale is exact, so the recorded value scales exactly
+            assert res.largest_rejected == rejected * scale
 
 
 @pytest.mark.parametrize("shape", [(80, 60), (60, 80)], ids=["tall", "wide"])

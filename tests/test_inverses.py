@@ -303,6 +303,20 @@ def test_pinv_svd_past_the_float_range_raises_without_a_warning(scale):
         pinv_svd(x)
 
 
+@pytest.mark.parametrize(
+    "scale", [1e-310, 2.0**-1030, 2.0**-1040], ids=["1e-310", "2^-1030", "2^-1040"]
+)
+def test_prescaled_inverses_past_the_float_range_raise_typed(scale):
+    # each scaled its answer back with a bare np.ldexp, which warned
+    # "overflow encountered in ldexp" and returned inf entries
+    x = np.random.default_rng(3).standard_normal((6, 4)) * scale
+    cases = ((left_inverse, x, "left inverse"), (right_inverse, x.T, "right inverse"),
+             (pinv_cr, x, "pseudo inverse"), (pinv_cr, x.T, "pseudo inverse"))
+    for route, arg, what in cases:
+        with pytest.raises(NonFiniteEntryError, match=f"the {what} lies beyond the float range"):
+            route(arg)
+
+
 def test_pinv_svd_inside_the_float_range_where_one_over_sigma_is_not():
     # X = 2^-1025 H with H a 4 x 4 Hadamard matrix: every sigma is 2^-1024,
     # so 1/sigma overflows, yet X^+ = H' / (4 * 2^-1025) = 2^1023 H' is finite

@@ -13,18 +13,21 @@ from fourspaces import (
     Tolerance,
     pivot_rank,
 )
+from fourspaces import factorizations, svd_reduced
 from fourspaces.spectral import (
     _flat_rounds,
+    _jacobi_rows,
     _offdiag_norm,
     _rotate_rows,
     _rotation,
     _rounds,
+    _row_sweep,
     _sign_columns,
     _sweep,
     eig_symmetric,
     similarity_check,
 )
-from support import random_orthogonal
+from support import graded, kahan, random_orthogonal, rank_deficient
 
 
 def _scalar_tangent(aii, ajj, aij):
@@ -412,3 +415,93 @@ def test_sign_rule_is_stable_under_near_ties():
         q = np.array([[-1.0, 0.0], [later, -2.0], [0.5, 1.0]])
         _sign_columns(q)
         assert q[0, 0] == 1.0 and q[1, 1] == 2.0
+
+
+@pytest.mark.parametrize("k", [6, 7], ids=["even", "odd"])
+def test_row_sweep_applies_the_rotations_of_the_two_sided_sweep(k):
+    # rotating the rows of [R | I] takes R R' where the two-sided sweep takes
+    # [R R' | I]: the same pairs, the same rotations, one array rotated once
+    p = 9
+    r = np.random.default_rng(k).standard_normal((k, p))
+    w = np.hstack((r, np.eye(k)))
+    w2 = np.hstack((r @ r.T, np.eye(k)))
+    _row_sweep(w, p)
+    _sweep(w2)
+    scale = float(np.sqrt(np.sum((r @ r.T) ** 2)))
+    assert_allclose(w[:, :p] @ w[:, :p].T, w2[:, :k], rtol=0, atol=1e-13 * scale)
+    assert_allclose(w[:, p:], w2[:, k:], rtol=0, atol=1e-13)
+
+
+def _assert_row_svd(r, sigma, w):
+    s = np.linalg.svd(r, compute_uv=False)
+    k = r.shape[0]
+    assert np.all(np.diff(sigma) <= 0.0)
+    assert np.max(np.abs(sigma - np.pad(s, (0, k - len(s))))) <= 1e-12 * s[0]
+    assert_allclose(w.T @ w, np.eye(k), rtol=0, atol=1e-13 * k)
+    # W' R R' W is diagonal, with the squared singular values on its diagonal
+    assert_allclose(w.T @ r @ r.T @ w, np.diag(sigma**2), rtol=0, atol=1e-12 * s[0] ** 2)
+
+
+@pytest.mark.parametrize("rank", range(1, 21))
+def test_row_jacobi_matches_numpy_at_every_rank(rank):
+    x = rank_deficient(np.random.default_rng(rank), 20, 30, rank)
+    _assert_row_svd(x, *_jacobi_rows(x)[:2])
+
+
+def test_row_jacobi_matches_numpy_on_kahans_matrix():
+    x = kahan(30, 0.3)
+    _assert_row_svd(x, *_jacobi_rows(x)[:2])
+
+
+@pytest.mark.parametrize(
+    "r",
+    [np.array([[3.0, 4.0]]), np.random.default_rng(1).standard_normal((5, 7)), np.zeros((3, 4))],
+    ids=["k=1", "odd", "zero"],
+)
+def test_row_jacobi_edge_orders_and_scales(r):
+    sigma, w, sweeps = _jacobi_rows(r)
+    if np.any(r):
+        _assert_row_svd(r, sigma, w)
+    else:
+        assert (sweeps, list(sigma)) == (0, [0.0] * 3)
+        assert np.array_equal(w, np.eye(3))
+    for k in (600, -600):
+        # an exact power-of-two scaling: the same rotations, sigma scaled exactly
+        big_sigma, big_w, big_sweeps = _jacobi_rows(np.ldexp(r, k))
+        assert np.array_equal(big_sigma, np.ldexp(sigma, k))
+        assert np.array_equal(big_w, w)
+        assert big_sweeps == sweeps
+
+
+def test_row_jacobi_takes_the_sweeps_of_the_two_sided_kernel(monkeypatch):
+    # the stopping rule is eig_symmetric's on R R', so on every factor R of
+    # svd_reduced both kernels sweep equally often
+    factors = []
+    original = factorizations._jacobi_rows
+
+    def spy(r, tol):
+        factors.append(r.copy())
+        return original(r, tol)
+
+    monkeypatch.setattr(factorizations, "_jacobi_rows", spy)
+    for seed in range(3):
+        for cond in (1e2, 1e4, 1e5):
+            svd_reduced(graded(np.random.default_rng(seed), 80, 60, 60, cond))
+        svd_reduced(graded(np.random.default_rng(seed), 40, 60, 20, 1e3))
+        svd_reduced(rank_deficient(np.random.default_rng(seed), 20, 30, 7 + seed))
+    svd_reduced(kahan(30, 0.3))
+    assert len(factors) == 16
+    for r in factors:
+        assert _jacobi_rows(r)[2] == eig_symmetric(r @ r.T).sweeps
+
+
+def test_row_jacobi_sweep_cap_is_enforced(monkeypatch):
+    import fourspaces.spectral as spectral
+
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    r = np.random.default_rng(0).standard_normal((6, 8))
+    with pytest.raises(ConvergenceError) as info:
+        _jacobi_rows(r)
+    assert info.value.sweeps == 0
+    # the figures are those of R R', at its own scale
+    assert info.value.offdiag_norm == _offdiag_norm(r @ r.T)
