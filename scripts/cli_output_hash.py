@@ -15,8 +15,8 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``X'r`` in ``solve`` passes the float range, and the same matrix, drawn afresh
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
   largest singular value pass the float range, Kahan's 20 x 20 matrix
-  at theta = 0.3, where the SVD's pivoted QR keeps 26 directions for a
-  numerical rank of 11 and the CR route of ``pinv`` fails, and the same
+  at theta = 0.3, where the SVD's two QRs keep 20 and 19 directions for
+  a numerical rank of 11 and the CR route of ``pinv`` fails, and the same
   ``default_rng(3)`` matrix scaled by 2^-1040, whose entries are subnormal
   and whose pseudo inverse lies past the float range), each through all 12
   subcommands, every ``--method`` (``family`` with and without ``--y``),
@@ -50,6 +50,14 @@ identical; float-only, where a JSON-mode record equals its earlier self
 once every float in its document is masked, and a text-mode record has a
 float-only JSON twin and the same exit code; and other, listed by mode and
 argv, one a line.  A record present on one side only counts as other.
+Last comes the largest float drift: the largest normwise relative change
+``||new - old||_F / ||old||_F`` of any float list or matrix in the payload
+of a float-only JSON-mode record, with its argv and key.  Flat lists of one
+length in one payload are read on one scale, the largest of their norms,
+so the residual of a consistent system, a vector at rounding level, is
+measured against the fitted values and not against itself.  The norms are
+taken at a power-of-two scale, so inputs near the float range do not
+overflow them.
 
 A refactor that claims unchanged output should give the same sha256 on both
 sides.  The hash depends on the BLAS build, so it compares two checkouts on
@@ -70,6 +78,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -116,8 +125,8 @@ def small_inputs(rng):
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
         # ||X||_F and sigma_1 pass the float range: typed failures, no warning
         "scaled_5e307": np.random.default_rng(3).standard_normal((6, 4)) * 5e307,
-        # numerical rank 11, but 26 directions above rounding: the SVD's
-        # pivoted QR keeps them all and the cutoff alone sets the rank
+        # numerical rank 11, but 19 directions above rounding: the SVD's
+        # QRs keep them all and the cutoff alone sets the rank
         "kahan_20": kahan(20, 0.3),
         # subnormal entries: projectors answer, a pseudo inverse past the
         # float range fails typed
@@ -290,6 +299,88 @@ def compare(records, earlier):
     return kinds
 
 
+def _numeric(obj):
+    """Whether ``obj`` is a nonempty list of numbers, or of such lists of one
+    length: a float list, or the ``data`` of a matrix."""
+    if not isinstance(obj, list) or not obj:
+        return False
+    if all(isinstance(v, list) for v in obj):
+        return all(_numeric(v) and len(v) == len(obj[0]) for v in obj)
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+
+
+def _log2_norm(a):
+    """``log2`` of the Frobenius norm of ``a``, ``-inf`` for zero, taken at the
+    power of two that brings the largest entry into [0.5, 1), so entries
+    near either end of the float range neither overflow nor underflow."""
+    top = float(np.max(np.abs(a)))
+    if top == 0.0:
+        return -math.inf
+    e = int(np.frexp(top)[1])
+    scaled = np.ldexp(a, -e)
+    return e + math.log2(math.sqrt(float(np.sum(scaled * scaled))))
+
+
+def _log2_change(new, old):
+    """:func:`_log2_norm` of ``new - old``, the two first scaled by one power
+    of two, so the difference of entries near the float range is finite."""
+    top = max(float(np.max(np.abs(new))), float(np.max(np.abs(old))))
+    if top == 0.0:
+        return -math.inf
+    e = int(np.frexp(top)[1])
+    return e + _log2_norm(np.ldexp(new, -e) - np.ldexp(old, -e))
+
+
+def _lists(new, old, path):
+    """``(path, new, old)`` of every float list and matrix ``data`` of ``new``
+    and its place in ``old``; both documents have one structure."""
+    if _numeric(new) and _numeric(old):
+        yield path, np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    elif isinstance(new, dict) and isinstance(old, dict):
+        for key, value in new.items():
+            yield from _lists(value, old.get(key), f"{path}.{key}")
+    elif isinstance(new, list) and isinstance(old, list):
+        for i, (value, before) in enumerate(zip(new, old)):
+            yield from _lists(value, before, f"{path}[{i}]")
+
+
+def _drifts(new, old):
+    """``(change, path)`` of every float list and matrix of two payloads.
+
+    The change is ``||new - old||_F`` over the scale of the list: its own
+    norm for a matrix and, for a flat list, the largest norm among the flat
+    lists of its length in the payload, which are vectors of one space.  So
+    a residual at rounding level is read on the scale of the fitted values
+    it is the remainder of, not on its own.
+    """
+    found = list(_lists(new, old, "payload"))
+    space = {}
+    for _, _, before in found:
+        if before.ndim == 1:
+            space[len(before)] = max(space.get(len(before), -math.inf), _log2_norm(before))
+    for path, now, before in found:
+        scale = space[len(before)] if before.ndim == 1 else _log2_norm(before)
+        change = _log2_change(now, before)
+        if change == -math.inf:
+            yield 0.0, path
+        else:
+            yield (math.inf if change - scale >= 1024 else 2.0 ** (change - scale)), path
+
+
+def largest_drift(records, earlier, kinds):
+    """The largest change of :func:`_drifts` over the float-only JSON-mode
+    records, as ``(change, key, path)``, or None when none holds a list."""
+    before = {(rec["mode"], *rec["argv"]): rec for rec in earlier}
+    drifts = []
+    for rec in records:
+        key = (rec["mode"], *rec["argv"])
+        if rec["mode"] == "json" and kinds.get(key) == "float-only":
+            new = json.loads(rec["stdout"]).get("payload")
+            old = json.loads(before[key]["stdout"]).get("payload")
+            drifts += [(change, key, path) for change, path in _drifts(new, old)]
+    return max(drifts, default=None, key=lambda drift: drift[0])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON lines")
@@ -331,6 +422,10 @@ def main(argv=None):
         print(f"against {args.against}: " + ", ".join(f"{n} {kind}" for kind, n in counts.items()))
         for key in sorted(key for key, kind in kinds.items() if kind == "other"):
             print(f"other: {key[0]:5} {' '.join(key[1:])}")
+        drift = largest_drift(records, earlier, kinds)
+        if drift:
+            change, key, path = drift
+            print(f"largest float drift: {change:.3e} in {' '.join(key[1:])} at {path}")
 
 
 if __name__ == "__main__":

@@ -48,8 +48,12 @@ class NotSymmetricError(MatrixError):
 class ConvergenceError(MatrixError):
     """An iteration hit its sweep cap before reaching its tolerance.
 
-    ``sweeps`` records how many sweeps ran and ``offdiag_norm`` the
-    off-diagonal norm still left after them.
+    ``sweeps`` records how many sweeps ran and ``offdiag_norm`` the figure
+    its stopping rule still read after them: for ``eig_symmetric`` the
+    off-diagonal Frobenius norm, at the input's scale; for the one-sided
+    Jacobi behind the SVD the largest ``|cosine|`` between two rows of its
+    factor, which is dimensionless and so the same at every scale of the
+    input.
     """
 
     code = "non-convergence"

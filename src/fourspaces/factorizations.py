@@ -1,24 +1,26 @@
 """Singular value and CR factorizations, built constructively.
 
-The SVD runs Jacobi on the triangular factor of a QR, as in A = QR: a
-column-pivoted, re-orthogonalised Gram-Schmidt gives ``X = Q R`` up to
-rounding, with ``Q`` n x k, and one-sided Jacobi rotates the k rows of ``R``
-until they are orthogonal.  Its rotations are those that diagonalise
-``R R'``, read off the rows, and give the eigenvectors ``W`` of ``R R'``,
-``u = Q W`` and ``v = R' W / sigma``.  A wide input runs on its transpose
-with the two sides swapped, so ``X`` is tall.  Pivoting grades the rows of
-``R``, so Jacobi needs few sweeps and keeps small singular values to
-relative accuracy (Drmac and Veselic, SIMAX 2008), and the QR stops at
-rounding level, so a rank-deficient input gives a rank-sized problem.  The
-input is first scaled by the power of two that brings its largest entry
-into [0.5, 1) and ``sigma`` is scaled back; the scaling is exact, so it
-changes no bits unless a product of entries would otherwise overflow or
-underflow, and a ``sigma`` that scales back past the float range raises
-``NonFiniteEntryError``.  :func:`svd_full` completes both sides of
-:func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass over
-standard basis candidates.  The CR factorization reuses the row reduction
-of :mod:`matrix`, without its transform: original pivot columns times the
-nonzero echelon rows reproduce the matrix.
+The SVD runs Jacobi on the triangular factor of a QR, as in A = QR, taken
+twice: a column-pivoted, re-orthogonalised Gram-Schmidt gives ``X = Q R``
+up to rounding, with ``Q`` n x k, the same loop gives ``R' = Q1 R1``, and
+one-sided Jacobi rotates the k1 rows of ``R1`` until every pair is
+orthogonal to ``k1 eps`` in cosine.  Its rotations are those that
+diagonalise ``R1 R1'``, read off the rows, and give the eigenvectors ``W``
+of ``R1 R1'``, ``v = Q1 W`` and ``u = Q R1' W / sigma``.  A wide input runs
+on its transpose with the two sides swapped, so ``X`` is tall.  Pivoting
+grades the rows of ``R`` and the second QR brings ``R1 R1'`` one step
+nearer to diagonal, so Jacobi needs few sweeps and keeps small singular
+values to relative accuracy (Drmac and Veselic, SIMAX 2008), and each QR
+stops at rounding level, so a rank-deficient input gives a rank-sized
+problem.  The input is first scaled by the power of two that brings its
+largest entry into [0.5, 1) and ``sigma`` is scaled back; the scaling is
+exact, so it changes no bits unless a product of entries would otherwise
+overflow or underflow, and a ``sigma`` that scales back past the float
+range raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
+sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
+over standard basis candidates.  The CR factorization reuses the row
+reduction of :mod:`matrix`, without its transform: original pivot columns
+times the nonzero echelon rows reproduce the matrix.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ __all__ = [
 # the Gram-matrix route, which could not certify singular values below
 # roughly sqrt(eps) * sigma_max: forming R R' perturbed zero eigenvalues by
 # eps * sigma_max^2, and spurious values on exactly rank-deficient inputs
-# reached 2e-8 of sigma_max.  Jacobi now rotates the rows of R and forms
-# R R' only to test convergence, so the floor guards the cutoff rule alone;
-# lowering it changes ranks.
+# reached 2e-8 of sigma_max.  Jacobi now rotates the rows of R1, the factor
+# of the second QR, and forms R1 R1' only to test the cosine of each pair, so
+# the floor guards the cutoff rule alone; lowering it changes ranks.
 GRAM_RANK_FLOOR = 1e-6
 
 
@@ -167,26 +169,49 @@ def svd_full(x, tol=DEFAULT_TOL):
     return replace(res, u=u, v=v, form="full")
 
 
+def _pivoted_gram_schmidt(x):
+    """Orthonormal ``Q`` (n x k) with ``X = Q Q' X`` to rounding, for n x p ``X``, n >= p.
+
+    Each step takes the residual column of largest norm, projects it off
+    ``Q`` once more ("twice is enough"), normalises it and removes it from
+    every residual, whose norms are then recomputed.  It stops once
+    ``||X - Q Q' X||_F`` is at most ``eps * n * ||X||_F``, so nothing above
+    rounding is dropped; the zero matrix gives k = 0.
+    """
+    n, p = x.shape
+    q, w, update = np.empty((n, p)), x.copy(), np.empty((n, p))
+    norms = np.sum(w * w, axis=0)
+    # squared: ||X - Q Q' X||_F <= eps * n * ||X||_F
+    stop = (np.finfo(float).eps * n) ** 2 * np.sum(norms)
+    k = 0
+    while k < p and np.sum(norms) > stop:
+        c = w[:, np.argmax(norms)]
+        c = c - q[:, :k] @ (q[:, :k].T @ c)
+        q[:, k] = c / math.sqrt(c @ c)
+        w -= np.dot(q[:, k, None], (q[:, k] @ w)[None, :], out=update)
+        k += 1
+        norms = np.sum(w * w, axis=0)
+    return q[:, :k]
+
+
 def svd_reduced(x, tol=DEFAULT_TOL):
     """Rank-sized factors only: ``u (n, r)``, ``sigma (r,)``, ``v (p, r)``.
 
     Agrees with the leading columns of :func:`svd_full` exactly, because the
     full form completes these factors.
 
-    A wide input runs on its transpose, so ``X`` is n x p with n >= p.  A
-    column-pivoted Gram-Schmidt builds ``Q`` (n x k): each step takes the
-    residual column of largest norm, projects it off ``Q`` once more
-    ("twice is enough"), normalises it and removes it from every residual,
-    whose norms are then recomputed.  It stops once ``||X - Q Q' X||_F`` is
-    at most ``eps * max(n, p) * ||X||_F``, so nothing above rounding is
-    dropped.  With ``R = Q' X`` (k x p), whose pivoted rows are graded,
-    one-sided Jacobi rotates ``[R | I]`` to ``[Sigma V' | W']`` with the
-    rotations and stopping rule :func:`eig_symmetric` would apply to
-    ``R R'``; ``sigma`` is the rotated row norms, and ``W`` gives
-    ``u = Q W`` and ``v = R' W / sigma``.  ``v`` takes the sign rule of
-    :func:`eig_symmetric` and ``u`` the same flips.  ``cutoff`` records the
-    absolute cutoff applied, ``largest_rejected`` the largest computed
-    ``sigma`` it cut, and ``sweeps`` the Jacobi sweeps.
+    A wide input runs on its transpose, so ``X`` is n x p with n >= p.  The
+    pivoted Gram-Schmidt of :func:`_pivoted_gram_schmidt` runs twice: on
+    ``X`` for ``X = Q R`` (``Q`` n x k, ``R = Q' X`` k x p, its rows graded
+    by the pivoting), then on ``R'`` for ``R' = Q1 R1`` (``Q1`` p x k1,
+    ``R1`` k1 x k, k1 <= k).  One-sided Jacobi rotates ``[R1 | I]`` to
+    ``[Sigma Z' | W']``; ``R1 R1'`` is one LQ step closer to diagonal than
+    ``R R' = R1' R1``, so it needs fewer sweeps.  ``sigma`` is the rotated
+    row norms, and ``W`` gives ``v = Q1 W`` and ``u = Q R1' W / sigma``.
+    ``v`` takes the sign rule of :func:`eig_symmetric` and ``u`` the same
+    flips.  ``cutoff`` records the absolute cutoff applied,
+    ``largest_rejected`` the largest computed ``sigma`` it cut, and
+    ``sweeps`` the Jacobi sweeps.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -197,32 +222,23 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     # with the largest entry in [0.5, 1), R R' cannot overflow, and a tiny
     # input no longer underflows to rank zero
     x, e = _prescaled(x)
-    q, w, update = np.empty((n, p)), x.copy(), np.empty((n, p))
-    norms = np.sum(w * w, axis=0)
-    # squared, and n = max(n, p): ||X - Q Q' X||_F <= eps * max(n, p) * ||X||_F
-    stop = (np.finfo(float).eps * n) ** 2 * np.sum(norms)
-    k = 0
-    while k < p and np.sum(norms) > stop:
-        c = w[:, np.argmax(norms)]
-        c = c - q[:, :k] @ (q[:, :k].T @ c)
-        q[:, k] = c / math.sqrt(c @ c)
-        w -= np.dot(q[:, k, None], (q[:, k] @ w)[None, :], out=update)
-        k += 1
-        norms = np.sum(w * w, axis=0)
-    q = q[:, :k]
+    q = _pivoted_gram_schmidt(x)
+    k = q.shape[1]
     if k == 0:  # the zero matrix: nothing for Jacobi to decompose
         return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", tol, 0.0, 0.0, 0)
     rt = x.T @ q  # R' = X' Q
-    sig_all, rot, sweeps = _jacobi_rows(rt.T, tol)  # rot is W
+    q1 = _pivoted_gram_schmidt(rt)
+    r1 = q1.T @ rt  # R' = Q1 R1
+    sig_all, rot, sweeps = _jacobi_rows(r1)  # rot is W
     cutoff = max(tol.relative * n, GRAM_RANK_FLOOR) * sig_all[0]
     r = int(np.sum(sig_all > cutoff))
-    u_r = q @ rot[:, :r]
-    v_r = rt @ rot[:, :r] / sig_all[:r]
+    v_r = q1 @ rot[:, :r]
+    u_r = q @ (r1.T @ rot[:, :r] / sig_all[:r])
     u_r[:, _sign_columns(v_r)] *= -1.0
     sigma = _scaled_back(sig_all[:r], e)
     if np.any(sigma == np.inf):
         raise NonFiniteEntryError("a singular value lies beyond the float range")
-    rejected = float(_scaled_back(sig_all[r], e)) if r < k else 0.0
+    rejected = float(_scaled_back(sig_all[r], e)) if r < len(sig_all) else 0.0
     return SvdResult(
         u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), rejected, sweeps
     )

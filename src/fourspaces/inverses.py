@@ -298,8 +298,9 @@ def pinv_cr(x, tol=DEFAULT_TOL):
 
     Deliberately shares no code with :func:`pinv_svd`; the two routes
     agreeing is a statement about the uniqueness of the pseudo inverse, not
-    about the implementation.  ``x`` is first scaled by the power of two
-    that brings its largest entry into [0.5, 1), so ``C'C`` neither
+    about the implementation.  At full column rank ``R`` is exactly ``I``,
+    so only ``(C'C)^-1 C'`` is formed.  ``x`` is first scaled by the power
+    of two that brings its largest entry into [0.5, 1), so ``C'C`` neither
     overflows nor underflows; since ``pinv(cX) = pinv(X) / c`` the result is
     scaled back by the same power, and past the float range it raises
     ``NonFiniteEntryError``.
@@ -311,5 +312,9 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     if factors.rank == 0:
         return np.zeros((p, n))
     c, rf = factors.c, factors.r_factor
-    g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
+    if factors.rank == p:
+        # the echelon rows are exactly I, so R'(RR')^-1 is I
+        g = invert(c.T @ c, tol) @ c.T
+    else:
+        g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
     return _inverse_scaled_back(g, e, "pseudo inverse")

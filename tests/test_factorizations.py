@@ -122,9 +122,9 @@ def eig_sizes(monkeypatch):
     sizes = []
     original = factorizations._jacobi_rows
 
-    def spy(r, tol):
+    def spy(r):
         sizes.append(r.shape[0])
-        return original(r, tol)
+        return original(r)
 
     monkeypatch.setattr(factorizations, "_jacobi_rows", spy)
     return sizes
@@ -221,14 +221,16 @@ def test_svd_records_the_largest_rejected_value():
 def test_full_rank_graded_pinv_is_accurate_in_few_sweeps(shape, cond):
     # on X'X the sweeps grew with conditioning (10-16), the pinv error reached
     # 2e-5 and from cond 1e4 the label fell to g-inverse; the pivoted QR
-    # grades R R' so that Jacobi converges in a few sweeps to relative accuracy
+    # grades R R' so that Jacobi converges in a few sweeps to relative accuracy,
+    # and the second QR with the scaled stopping rule takes 5-6 where R R'
+    # with a polish sweep took 6-8
     for seed in range(3):
         x = graded(np.random.default_rng(seed), *shape, min(shape), cond)
         res = svd_reduced(x)
         g = res.pinv()
         expected = np.linalg.pinv(x)
         assert res.rank == min(shape)
-        assert res.sweeps <= 8
+        assert res.sweeps <= 6
         assert frobenius_norm(g - expected) <= 1e-10 * frobenius_norm(expected)
         assert classify_inverse(x, g).class_label == "pseudo-inverse"
 

@@ -24,7 +24,9 @@ from fourspaces.inverses import (
     right_inverse_elementary,
     right_inverse_family,
 )
-from support import full_col_rank, full_row_rank, rank_deficient
+from fourspaces.factorizations import cr_decompose
+from fourspaces.matrix import DEFAULT_TOL, _prescaled
+from support import full_col_rank, full_row_rank, graded, rank_deficient
 
 
 def _penrose_oracle(x, g):
@@ -324,6 +326,44 @@ def test_pinv_svd_inside_the_float_range_where_one_over_sigma_is_not():
                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
     g = pinv_svd(np.ldexp(h, -1025))
     assert_allclose(np.ldexp(g, -1023), h.T, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "x, inverts",
+    [
+        (graded(np.random.default_rng(1), 80, 60, 60, 1e3), 1),
+        (graded(np.random.default_rng(2), 30, 30, 30, 1e4), 1),
+        (np.eye(4), 1),
+        (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]), 1),
+        (graded(np.random.default_rng(3), 60, 80, 60, 1e2), 2),
+        (rank_deficient(np.random.default_rng(4), 8, 6, 3), 2),
+        (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 2),
+    ],
+    ids=["tall", "square", "identity", "integer", "wide", "deficient", "integer-wide"],
+)
+def test_pinv_cr_skips_the_identity_at_full_column_rank(monkeypatch, x, inverts):
+    # at full column rank the echelon rows are exactly I, so R'(RR')^-1 is I
+    # and the shortcut is the general formula, bit for bit
+    import fourspaces.inverses as inverses
+
+    calls = []
+    original = inverses.invert
+
+    def spy(a, tol):
+        calls.append(a.shape)
+        return original(a, tol)
+
+    monkeypatch.setattr(inverses, "invert", spy)
+    g = pinv_cr(x)
+    assert len(calls) == inverts
+    xs, e = _prescaled(x)
+    factors = cr_decompose(xs)
+    c, rf = factors.c, factors.r_factor
+    if inverts == 1:
+        assert np.array_equal(rf, np.eye(x.shape[1]))
+    general = rf.T @ original(rf @ rf.T, DEFAULT_TOL) @ original(c.T @ c, DEFAULT_TOL) @ c.T
+    assert np.array_equal(g, np.ldexp(general, -e))
+    assert np.array_equal(np.signbit(g), np.signbit(np.ldexp(general, -e)))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -473,15 +473,34 @@ def test_row_jacobi_edge_orders_and_scales(r):
         assert big_sweeps == sweeps
 
 
+def _reference_row_sweeps(r):
+    """Sweeps of :func:`_row_sweep` until every pair of prescaled rows has
+    ``|r_i . r_j| <= k eps ||r_i|| ||r_j||``, a zero row counting as orthogonal."""
+    r = np.ldexp(r, -np.frexp(np.max(np.abs(r)))[1])
+    k, p = r.shape
+    w = np.hstack((r, np.eye(k)))
+    sweeps = 0
+    while True:
+        g = w[:, :p] @ w[:, :p].T
+        d = np.sqrt(np.diag(g))
+        apart = np.abs(g) > k * np.finfo(float).eps * np.outer(d, d)
+        np.fill_diagonal(apart, False)
+        if not apart.any():
+            return sweeps
+        _row_sweep(w, p)
+        sweeps += 1
+
+
 def test_row_jacobi_takes_the_sweeps_of_the_two_sided_kernel(monkeypatch):
-    # the stopping rule is eig_symmetric's on R R', so on every factor R of
-    # svd_reduced both kernels sweep equally often
+    # on every factor R1 of svd_reduced the kernel sweeps as often as a plain
+    # loop of the scaled rule over _row_sweep, and never more often than
+    # eig_symmetric(R1 R1'), whose rule adds a polish sweep
     factors = []
     original = factorizations._jacobi_rows
 
-    def spy(r, tol):
+    def spy(r):
         factors.append(r.copy())
-        return original(r, tol)
+        return original(r)
 
     monkeypatch.setattr(factorizations, "_jacobi_rows", spy)
     for seed in range(3):
@@ -492,7 +511,66 @@ def test_row_jacobi_takes_the_sweeps_of_the_two_sided_kernel(monkeypatch):
     svd_reduced(kahan(30, 0.3))
     assert len(factors) == 16
     for r in factors:
-        assert _jacobi_rows(r)[2] == eig_symmetric(r @ r.T).sweeps
+        sweeps = _jacobi_rows(r)[2]
+        assert sweeps == _reference_row_sweeps(r)
+        assert sweeps <= eig_symmetric(r @ r.T).sweeps
+
+
+def _zero_rows():
+    r = np.random.default_rng(2).standard_normal((7, 9))
+    r[[1, 4]] = 0.0
+    return r
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        *(graded(np.random.default_rng(0), *shape, 40, cond)
+          for shape in ((50, 40), (40, 50)) for cond in (1e2, 1e4, 1e6, 1e8)),
+        *(rank_deficient(np.random.default_rng(rank), 20, 30, rank) for rank in range(1, 21)),
+        kahan(30, 0.3),
+        _zero_rows(),
+        *(np.ldexp(graded(np.random.default_rng(1), 30, 40, 30, 1e4), k) for k in (600, -600)),
+    ],
+    ids=[
+        *(f"graded-{shape}-{cond:.0e}" for shape in ("tall", "wide") for cond in (1e2, 1e4, 1e6, 1e8)),
+        *(f"rank-{rank}" for rank in range(1, 21)),
+        "kahan", "zero-rows", "2^600", "2^-600",
+    ],
+)
+def test_row_jacobi_leaves_every_row_pair_orthogonal_to_k_eps(monkeypatch, r):
+    # the rule on the rows the kernel returns from, read off the last Gram
+    # matrix it formed: every pair within k eps in cosine, zero rows exempt
+    import fourspaces.spectral as spectral
+
+    grams = []
+    original = spectral._largest_cosine
+
+    def spy(g):
+        grams.append(g.copy())
+        return original(g)
+
+    monkeypatch.setattr(spectral, "_largest_cosine", spy)
+    sigma, _, sweeps = _jacobi_rows(r)
+    assert len(grams) == sweeps + 1
+    g, k = grams[-1], r.shape[0]
+    d = np.sqrt(np.diag(g))
+    for i in range(k):
+        for j in range(i + 1, k):
+            # 50 rows in R^40 cannot all be orthogonal and nonzero: 10 shrink
+            # until their squares underflow, zero rows of R R' and exempt
+            if d[i] and d[j]:
+                assert abs(g[i, j]) <= k * np.finfo(float).eps * d[i] * d[j], (i, j)
+    # sigma is the norms of those rows, scaled back
+    e = int(np.frexp(np.max(np.abs(r)))[1])
+    assert_allclose(np.ldexp(sigma, -e), np.sort(d)[::-1], rtol=1e-14, atol=0)
+
+
+def _largest_row_cosine(r):
+    rows = r / np.sqrt(np.sum(r * r, axis=1))[:, None]
+    cosine = np.abs(rows @ rows.T)
+    np.fill_diagonal(cosine, 0.0)
+    return cosine.max()
 
 
 def test_row_jacobi_sweep_cap_is_enforced(monkeypatch):
@@ -500,8 +578,32 @@ def test_row_jacobi_sweep_cap_is_enforced(monkeypatch):
 
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
     r = np.random.default_rng(0).standard_normal((6, 8))
-    with pytest.raises(ConvergenceError) as info:
-        _jacobi_rows(r)
-    assert info.value.sweeps == 0
-    # the figures are those of R R', at its own scale
-    assert info.value.offdiag_norm == _offdiag_norm(r @ r.T)
+    figures = []
+    for k in (0, 600, -600):
+        with pytest.raises(ConvergenceError, match="largest cosine between rows") as info:
+            _jacobi_rows(np.ldexp(r, k))
+        assert info.value.sweeps == 0
+        figures.append(info.value.offdiag_norm)
+    # the figure the rule tests, the largest |cosine| between two rows, is
+    # dimensionless: the same at every power-of-two scale
+    assert figures[0] == pytest.approx(_largest_row_cosine(r), rel=1e-14)
+    assert figures == [figures[0]] * 3
+
+
+def test_svd_convergence_error_reports_the_same_figure_at_every_scale(monkeypatch):
+    # the figure of R Rt at the prescaled input's scale read 2.201e-01 at
+    # every scale; scaling it back by 2^(2e) would overflow at 2^600
+    import fourspaces.spectral as spectral
+
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    x = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
+    messages, figures = [], []
+    for k in (0, 600, -600):
+        with pytest.raises(ConvergenceError) as info:
+            svd_reduced(np.ldexp(x, k))
+        messages.append(str(info.value))
+        figures.append(info.value.offdiag_norm)
+    assert messages == [messages[0]] * 3
+    assert messages[0].startswith("largest cosine between rows")
+    assert figures == [figures[0]] * 3
+    assert 0.0 < figures[0] < 1.0
