@@ -1,9 +1,10 @@
 """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
-The solver sweeps over off-diagonal entries, rotating each to zero until
-the off-diagonal mass is below tolerance.  The result is the spectral
-factorization s = q diag(values) q' with orthogonal q, eigenvalues sorted
-descending.  A similarity transform p a p^{-1} keeps rank and trace, and
+The solver shifts s to b = s + 2 ||s||_F I, which is positive definite,
+and rotates pairs of rows of b until every pair is orthogonal to rounding
+level; the rotations then diagonalize b^2 and so s.  The result is the
+spectral factorization s = q diag(values) q' with orthogonal q, eigenvalues
+sorted descending.  A similarity transform p a p^{-1} keeps rank and trace, and
 keeps the spectrum when the test can see it.
 """
 

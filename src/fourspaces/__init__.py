@@ -1,7 +1,8 @@
 """Constructive dense linear algebra over the reals.
 
 Everything here is built from two kernels: a tracked Gauss-Jordan reduction
-and a round-robin Jacobi eigensolver for symmetric matrices.  On top of those sit
+and a one-sided round-robin Jacobi sweep, which gives both the symmetric
+eigendecomposition and the singular values.  On top of those sit
 the singular value and CR factorizations, orthonormal bases for the four
 fundamental subspaces, the full hierarchy of one-sided, generalized,
 reflexive generalized and pseudo inverses, and least squares solvers for

@@ -45,6 +45,7 @@ from .inverses import (
 from .matrix import (
     Tolerance,
     _prescaled,
+    _scaled_back,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -379,22 +380,27 @@ def _cmd_solve(x, args, tol):
     }
     residuals = {
         "residual_norm": float(sol.residual_norm),
-        "normal_equation_gap": _normal_equation_gap(x, sol.residual),
+        "normal_equation_gap": _normal_equation_gap(x, y, sol.beta_hat, sol.residual),
     }
     return payload, residuals
 
 
-def _normal_equation_gap(x, r):
-    """``||X'r||_F / (||X||_F ||r||)``, 0.0 when ``r`` or ``X`` is zero.
+def _normal_equation_gap(x, y, beta_hat, r):
+    """``||X'r|| / (||X||_F (||X||_F ||beta_hat|| + ||y||))``, 0.0 when the scale is 0.
 
-    Formed from prescaled copies of ``X`` and ``r``, whose powers of two
-    cancel in the quotient, so it is finite at every scale and unchanged by
-    scaling either by 2^k.
+    The scale is that of the rounding in ``X'(y - X beta_hat)``, so a
+    consistent system, whose ``r`` is rounding noise, reads at rounding
+    level.  Formed from prescaled copies of all four, with their powers of
+    two applied to the norms at the end, so it is finite at every scale and
+    unchanged by scaling ``X`` or ``y`` by 2^k.
     """
-    xs, _ = _prescaled(x)
-    rs, _ = _prescaled(r)
-    scale = frobenius_norm(xs) * frobenius_norm(rs)
-    return frobenius_norm(xs.T @ rs) / scale if scale else 0.0
+    (xs, ex), (ys, ey), (bs, eb), (rs, er) = map(_prescaled, (x, y, beta_hat, r))
+    nx = frobenius_norm(xs)
+    # ||X|| ||beta_hat|| and ||y||, in units of 2**m, the larger nonzero one's power
+    terms = ((nx * frobenius_norm(bs), ex + eb), (frobenius_norm(ys), ey))
+    m = max((e for v, e in terms if v), default=0)
+    scale = nx * sum(np.ldexp(v, e - m) for v, e in terms)
+    return float(_scaled_back(frobenius_norm(xs.T @ rs) / scale, er - m)) if scale else 0.0
 
 
 def _cmd_project(x, args, tol):

@@ -279,12 +279,18 @@ def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
 
 
 def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
-    """Reflexive generalized inverse ``(X'X)^- X'`` from a Gram g-inverse."""
+    """Reflexive generalized inverse ``(X'X)^- X'`` from a Gram g-inverse.
+
+    A Gram matrix past the float range raises ``NonFiniteEntryError``
+    naming it, with no overflow warning ahead of it.
+    """
     x = as_matrix(x)
     p = x.shape[1]
     gram_ginv = _operand(gram_ginv, (p, p), "gram g-inverse")
     tol = _as_tolerance(tol)
-    _require_c1(x.T @ x, gram_ginv, tol, "candidate for the Gram matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x
+    _require_c1(as_matrix(gram, "Gram matrix"), gram_ginv, tol, "candidate for the Gram matrix")
     return gram_ginv @ x.T
 
 

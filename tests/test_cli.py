@@ -448,15 +448,37 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
 def test_normal_equation_gap_is_relative_and_blind_to_powers_of_two(k):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 4))
+    y = rng.standard_normal(6)
+    b = rng.standard_normal(4)
     r = rng.standard_normal(6)
-    gap = cli._normal_equation_gap(x, r)
-    oracle = np.linalg.norm(x.T @ r) / (np.linalg.norm(x) * np.linalg.norm(r))
+    gap = cli._normal_equation_gap(x, y, b, r)
+    nx = np.linalg.norm(x)
+    oracle = np.linalg.norm(x.T @ r) / (nx * (nx * np.linalg.norm(b) + np.linalg.norm(y)))
     assert gap == pytest.approx(oracle, rel=1e-14)
-    assert cli._normal_equation_gap(np.ldexp(x, k), r) == gap
-    assert cli._normal_equation_gap(x, np.ldexp(r, k)) == gap
-    assert cli._normal_equation_gap(np.ldexp(x, k), np.ldexp(r, -k)) == gap
-    assert cli._normal_equation_gap(x, np.zeros(6)) == 0.0
-    assert cli._normal_equation_gap(np.zeros((6, 4)), r) == 0.0
+    # X 2^k takes beta_hat to beta_hat 2^-k; y 2^k takes beta_hat and r to 2^k
+    assert cli._normal_equation_gap(np.ldexp(x, k), y, np.ldexp(b, -k), r) == gap
+    assert cli._normal_equation_gap(x, np.ldexp(y, k), np.ldexp(b, k), np.ldexp(r, k)) == gap
+    assert cli._normal_equation_gap(np.ldexp(x, k), np.ldexp(y, k), b, np.ldexp(r, k)) == gap
+    assert cli._normal_equation_gap(x, y, b, np.zeros(6)) == 0.0
+    assert cli._normal_equation_gap(np.zeros((6, 4)), y, b, r) == 0.0
+    assert cli._normal_equation_gap(x, np.zeros(6), np.zeros(4), r) == 0.0
+
+
+def test_normal_equation_gap_reads_rounding_level_on_a_consistent_system(tmp_path, capsys):
+    # the ratio ||X'r|| / (||X|| ||r||) read 0.60 (svd) and 0.44 (right) here,
+    # r being rounding noise
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 7))
+    y = x @ rng.standard_normal(7)
+    path = write_matrix(tmp_path, "x.csv", x)
+    y_path = write_matrix(tmp_path, "y.csv", y[:, None])
+    for method in ("svd", "right"):
+        code, doc = run_json(capsys, ["solve", "--input", path, "--y", y_path, "--method", method])
+        assert code == 0
+        assert doc["residuals"]["normal_equation_gap"] < 1e-15
+        # a perturbed solution is read as one
+        off = np.array(doc["payload"]["beta_hat"]) + 1e-3 * rng.standard_normal(7)
+        assert cli._normal_equation_gap(x, y, off, y - x @ off) > 1e-5
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])

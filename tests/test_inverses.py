@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -258,6 +260,16 @@ def test_rg_via_gram_hand_fixtures():
 def test_rg_via_gram_rejects_bad_candidate():
     with pytest.raises(NotAGInverseError):
         rg_via_gram([[1.0], [1.0]], [[3.0]])
+
+
+def test_rg_via_gram_past_the_float_range_raises_without_a_warning():
+    # X'X of this X * 1e200 overflows: the product warned "overflow
+    # encountered in matmul" ahead of an error naming no Gram matrix
+    x = np.random.default_rng(3).standard_normal((6, 4)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntryError, match="^Gram matrix contains NaN or infinite"):
+            rg_via_gram(x, np.eye(4))
 
 
 def test_rg_via_gram_random_candidates_are_reflexive():
