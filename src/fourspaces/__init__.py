@@ -1,7 +1,7 @@
 """Constructive dense linear algebra over the reals.
 
 Everything here is built from two kernels: a tracked Gauss-Jordan reduction
-and a one-sided round-robin Jacobi sweep, which gives both the symmetric
+and a one-sided odd-even Jacobi sweep, which gives both the symmetric
 eigendecomposition and the singular values.  On top of those sit
 the singular value and CR factorizations, orthonormal bases for the four
 fundamental subspaces, the full hierarchy of one-sided, generalized,

@@ -211,7 +211,7 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     y = _free_block(y, (p, n - p), "free block")
-    return np.hstack([np.eye(p), y]) @ res.transform
+    return np.hstack([np.eye(p), y]) @ _inverse_scaled_back(res.transform, 0, "left inverse")
 
 
 def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
@@ -223,7 +223,7 @@ def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     y = _free_block(y, (p - n, n), "free block")
-    return res.transform @ np.vstack([np.eye(n), y])
+    return _inverse_scaled_back(res.transform, 0, "right inverse") @ np.vstack([np.eye(n), y])
 
 
 def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
@@ -248,7 +248,7 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     middle[:r, r:] = a
     middle[r:, :r] = b
     middle[r:, r:] = b @ a
-    return col.transform @ middle @ row.transform
+    return col.transform @ middle @ _inverse_scaled_back(row.transform, 0, "reflexive g-inverse")
 
 
 def ginverse_extend(x, g, a, tol=DEFAULT_TOL):

@@ -113,7 +113,8 @@ def _inverse_scaled_back(g, e, what):
     """An inverse ``g`` of a matrix prescaled by ``2**-e``, at the input's scale.
 
     Past the float range it raises :class:`NonFiniteEntryError` naming
-    ``what``, with no overflow warning ahead of it.
+    ``what``, with no overflow warning ahead of it.  With ``e = 0`` it only
+    checks: a transform of :func:`rref_rows` is already at the input's scale.
     """
     g = _scaled_back(g, -e)
     if np.any(np.isinf(g)):
@@ -242,13 +243,19 @@ def rref_rows(a, tol=DEFAULT_TOL):
     elementary one-sided inverses and their families, ``ginv``,
     :func:`rref_cols` and :func:`invert`.  :func:`pivot_rank` and
     ``cr_decompose`` reduce ``A`` alone, which gives the same ``R`` and
-    pivots bit for bit.
+    pivots bit for bit.  The work runs at the scale of :func:`_prescaled`,
+    where an accepted pivot exceeds ``tol.relative / 2``.  ``R`` and the
+    non-pivot rows of ``E`` do not scale with ``A``; the pivot rows of ``E``
+    scale as ``1 / A`` and are scaled back, exactly, or to ``inf`` past the
+    float range, with no warning.
     """
-    a = as_matrix(a)
+    a, e = _prescaled(as_matrix(a))
     n, p = a.shape
     aug = np.hstack([a, np.eye(n)])
     pivots = _eliminate(aug, p, _as_tolerance(tol))
-    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), pivots, len(pivots))
+    r = len(pivots)
+    aug[:r, p:] = _scaled_back(aug[:r, p:], -e)
+    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), pivots, r)
 
 
 def rref_cols(a, tol=DEFAULT_TOL):
@@ -283,6 +290,7 @@ def invert(a, tol=DEFAULT_TOL):
     The row transform that carries ``a`` to the identity *is* the inverse, so
     no separate elimination pass is needed: :func:`rref_rows` reduces
     ``[A | I]`` to ``[I | A^-1]``, and this caller reads the identity block.
+    An inverse past the float range raises :class:`NonFiniteEntryError`.
     """
     a = as_matrix(a)
     n, p = a.shape
@@ -293,4 +301,4 @@ def invert(a, tol=DEFAULT_TOL):
         raise SingularMatrixError(
             f"matrix is singular at the working tolerance (pivot rank {res.pivot_rank} of {n})"
         )
-    return res.transform
+    return _inverse_scaled_back(res.transform, 0, "inverse")

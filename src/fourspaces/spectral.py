@@ -4,13 +4,13 @@ One kernel, :func:`_jacobi_rows`, rotates the rows of a k x p matrix ``R``:
 one array ``[R | I]`` is rotated once per round to ``[Sigma V' | W']``, each
 pair's rotation read off the dot products of its two rows, the entries of
 ``R R'`` a two-sided Jacobi round would read, so ``W' R R' W`` ends diagonal
-with ``R R'`` formed only to test convergence (Hestenes 1958).  Each sweep
-visits the row pairs in the parallel ordering of Brent and Luk (SISC 1985;
-Golub and Van Loan, *Matrix Computations*, section 8.5): k - 1 rounds of
-disjoint pairs, each round applied as a few array operations, its
-rotations taken from one branch-free closed-form tangent.  Sweeps stop on
-one rule: every pair of rows orthogonal to ``k eps`` in cosine, the
-relative criterion of Demmel and Veselic (SIMAX 1992).
+with ``R R'`` formed only to test convergence (Hestenes 1958).  A sweep is
+k rounds of the odd-even ordering (Luk and Park, SISC 1989): each round
+rotates and swaps adjacent row pairs, one contiguous block, in a few array
+operations with angles from one ``atan2``, and every pair meets once per
+sweep.  Sweeps stop on one rule: every pair of rows orthogonal to
+``k eps`` in cosine, the relative criterion of Demmel and Veselic (SIMAX
+1992).
 
 The SVD passes its triangular factor.  :func:`eig_symmetric` passes the
 shifted matrix ``B = A + mu I`` with ``mu = 2 ||A||_F``: ``B`` is positive
@@ -22,7 +22,6 @@ external eigensolver.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,40 +79,18 @@ def _offdiag_norm(a):
     return frobenius_norm(off)
 
 
-@functools.lru_cache(maxsize=None)
-def _rounds(n):
-    """Brent-Luk round-robin schedule of one sweep over n rows.
-
-    Seats are paired as in a round-robin tournament: seat 0 stays put and
-    the others move one place per round, so after n - 1 rounds (n even)
-    every pair has met once.  Odd n adds an empty seat whose partner sits
-    the round out.  Each round is the index array ``i0, j0, i1, j1, ...``
-    of its disjoint pairs, with ``i < j`` in each.
-    """
-    m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        seats = np.concatenate(([0], np.roll(np.arange(1, m), -r)))
-        top, bottom = seats[: m // 2], seats[m // 2 :][::-1]
-        real = (top < n) & (bottom < n)
-        pairs = np.stack([np.minimum(top, bottom)[real], np.maximum(top, bottom)[real]], axis=1)
-        rounds.append(pairs.ravel())
-    return tuple(rounds)
-
-
 def _rotation(app, aqq, apq):
     """Cosines and sines of the Jacobi rotations that annihilate ``apq``, elementwise.
 
-    The tangent is the smaller root of ``t^2 + 2 t h / apq = 1``,
-    ``t = apq / (h + sign(h) hypot(h, apq))`` with ``h = aqq / 2 - app / 2``
-    from halves; nothing overflows for entries below 7e307.  The denominator
-    is 0 only at ``h = apq = 0``, where it is read as 1, so ``t = 0``.
+    The angle is the inner one, ``|theta| <= pi / 4`` with
+    ``tan 2 theta = apq / h`` and ``h = aqq / 2 - app / 2`` from halves:
+    ``theta = sign(h) atan2(apq, |h|) / 2``, so nothing overflows for
+    entries below 7e307 and nothing divides.  At ``h = 0`` the angle is
+    ``pi / 4`` signed as ``apq``, and 0 when ``apq`` is 0 too.
     """
     h = aqq / 2.0 - app / 2.0
-    d = h + np.copysign(np.hypot(h, apq), h)
-    t = apq / (d + (d == 0.0))
-    c = 1.0 / np.hypot(1.0, t)
-    return c, t * c
+    theta = np.arctan2(apq, np.abs(h)) * np.copysign(0.5, h)
+    return np.cos(theta), np.sin(theta)
 
 
 def _sign_columns(q):
@@ -129,30 +106,36 @@ def _sign_columns(q):
     return flip
 
 
-def _row_sweep(w, p):
-    """One round-robin pass over all row pairs of ``w = [R | W']``, in place.
+def _row_sweep(w, p, first):
+    """One odd-even pass over all row pairs of ``w = [R | W']``, in place.
 
-    ``w`` is C-ordered, k x (p + k).  Each round gathers its pairs once and
-    reads ``alpha = r_i . r_i``, ``beta = r_j . r_j`` and ``gamma = r_i . r_j``
-    off the gathered left block, the entries of ``R R'`` that a two-sided
-    round would read, without forming ``R R'``.  The rotations of one round
-    touch disjoint pairs, so they commute and are applied together; rotating
-    the rows takes ``R R'`` to ``G' R R' G``, with ``G`` the rotation that
-    annihilates each ``gamma``.
+    ``w`` is C-ordered, k x (p + k).  Round t pairs rows ``(o, o + 1),
+    (o + 2, o + 3), ...`` with ``o = (first + t) mod 2``, one contiguous
+    block of ``w``, and reads ``alpha = r_i . r_i``, ``beta = r_j . r_j``
+    and ``gamma = r_i . r_j`` off its left block: the entries of ``R R'`` a
+    two-sided round would read, without forming ``R R'``.  A round's pairs
+    are disjoint, so its rotations are applied together; each one also swaps
+    its pair, so the k rounds are odd-even transposition: from either
+    ``first``, every pair of rows is adjacent in exactly one round, and the
+    sweep leaves the rows in reverse order.
     """
-    k = w.shape[0]
-    # g[m] = [[c, -s], [s, c]] for pair m; every round of one order has k // 2 pairs
+    k, n = w.shape
+    # g[m] = [[s, c], [c, -s]] for pair m: the rotation, then the swap
     g = np.empty((k // 2, 2, 2))
-    cs = g.reshape(-1, 4)
-    for ij in _rounds(k):
-        pairs = w.take(ij, axis=0).reshape(len(g), 2, -1)
-        r = pairs[:, :, :p]
-        norms = np.einsum("kij,kij->ki", r, r)
-        c, s = _rotation(norms[:, 0], norms[:, 1], np.einsum("kj,kj->k", r[:, 0], r[:, 1]))
-        cs[:, ::3] = c[:, None]
-        cs[:, 2] = s
-        np.negative(s, out=cs[:, 1])
-        w[ij] = (g @ pairs).reshape(len(ij), -1)
+    rounds = []
+    for o in (0, 1):
+        m = (k - o) // 2
+        rows = w[o : o + 2 * m]
+        r = rows[:, :p]
+        rounds.append((rows.reshape(m, 2, n), r, r[::2], r[1::2], g[:m], g[:m].reshape(m, 4)))
+    for t in range(k):
+        pairs, r, ri, rj, gm, cs = rounds[(first + t) % 2]
+        norms = np.einsum("ij,ij->i", r, r)
+        c, s = _rotation(norms[::2], norms[1::2], np.einsum("ij,ij->i", ri, rj))
+        cs[:, 0] = s
+        cs[:, 1:3] = c[:, None]
+        np.negative(s, out=cs[:, 3])
+        pairs[...] = gm @ pairs
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):
@@ -239,7 +222,10 @@ def _jacobi_rows(r):
 
     One C-ordered array ``[R | I]`` is rotated to ``[Sigma V' | W']``, so
     ``W' R R' W`` is diagonal: the rotations are those of two-sided
-    Jacobi on ``R R'``, read off the rows of ``R`` (Hestenes 1958).  Sweeps
+    Jacobi on ``R R'``, read off the rows of ``R`` (Hestenes 1958).  Each
+    sweep is a :func:`_row_sweep` from the round parity where the last one
+    left off: for odd k a sweep ends on the parity it began with, and
+    beginning the next on it would repeat pairs just made orthogonal.  Sweeps
     stop once every pair of rows has
     ``|r_i . r_j| <= k eps ||r_i|| ||r_j||``, read off ``R R'`` formed once
     per sweep, a zero row counting as orthogonal: the relative criterion of
@@ -276,7 +262,7 @@ def _jacobi_rows(r):
                 sweeps,
                 cosine,
             )
-        _row_sweep(w, p)
+        _row_sweep(w, p, sweeps * k % 2)
         sweeps += 1
         cosine = _largest_cosine(r @ r.T)
     sigma = np.sqrt(np.einsum("ij,ij->i", r, r))

@@ -587,7 +587,9 @@ EQUIVARIANT = (["rank"], ["svd"], ["cr"], ["subspaces"],
                ["project", "--side", "col"], ["project", "--side", "row"])
 ANSWER_OR_TYPED = (["rank"], ["svd"], ["cr"], ["subspaces"], ["project", "--side", "col"],
                    ["project", "--side", "row"], ["pinv"], ["report"],
-                   ["leftinv", "--method", "normal"], ["rightinv", "--method", "normal"])
+                   ["leftinv", "--method", "normal"], ["rightinv", "--method", "normal"],
+                   ["ginv"], ["leftinv", "--method", "elementary"],
+                   ["rightinv", "--method", "elementary"])
 # below 2^-960 a residual of 1e-16 relative is no longer a normal float
 NORMAL_K = range(-960, 1001)
 TYPED_CODES = {getattr(errors, name).code for name in errors.__all__}

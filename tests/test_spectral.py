@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from fourspaces.spectral import (
     _jacobi_rows,
     _offdiag_norm,
     _rotation,
-    _rounds,
     _row_sweep,
     _sign_columns,
     eig_symmetric,
@@ -63,21 +64,20 @@ def _scalar_sweep(a, q):
             q[:, j] = s * qi + c * qj
 
 
-def _reference_sweep(w):
-    """Reference: the two-sided round-robin sweep of ``w = [A | Q']``, with
-    fancy diagonal gathers, ``np.stack`` and a two-index zero pin."""
-    a = w[:, : w.shape[0]]
-
-    def rotate_rows(m, ij, g):
-        m[ij] = (g @ m[ij].reshape(len(g), 2, -1)).reshape(len(ij), -1)
-
-    for ij in _rounds(w.shape[0]):
-        i, j = ij[::2], ij[1::2]
-        c, s = _rotation(a[i, i], a[j, j], a[i, j])
-        g = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
-        rotate_rows(w, ij, g)
-        rotate_rows(a.T, ij, g)
-        a[i, j] = a[j, i] = 0.0
+def _reference_sweep(w, first):
+    """Reference: the two-sided odd-even sweep of ``w = [A | Q']``, one pair at
+    a time: round t rotates and swaps rows and columns i, i + 1 for
+    i = o, o + 2, ..., o = (first + t) mod 2, with a two-index zero pin."""
+    k = w.shape[0]
+    a = w[:, :k]
+    for t in range(k):
+        for i in range((first + t) % 2, k - 1, 2):
+            ij = [i, i + 1]
+            c, s = _rotation(a[i, i], a[i + 1, i + 1], a[i, i + 1])
+            g = np.array([[s, c], [c, -s]])
+            w[ij] = g @ w[ij]
+            a[:, ij] = a[:, ij] @ g
+            a[i, i + 1] = a[i + 1, i] = 0.0
 
 
 def _scalar_eig(s, relative=1e-10):
@@ -178,18 +178,37 @@ def test_eig_reports_sweeps_and_final_offdiag_norm():
     assert 0.0 <= res.offdiag_norm <= 1e-10 * float(np.sqrt(np.sum(s * s)))
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_round_robin_schedule_covers_each_pair_once(n):
-    rounds = _rounds(n)
-    assert len(rounds) == n - 1 + n % 2
-    pairs = []
-    for ij in rounds:
-        i, j = ij[::2], ij[1::2]
-        assert np.all(i < j)
-        # disjoint: no index appears twice in one round
-        assert len(set(ij.tolist())) == len(ij) == 2 * len(i)
-        pairs += list(zip(i.tolist(), j.tolist()))
-    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+@pytest.mark.parametrize("k", range(1, 10))
+def test_round_robin_schedule_covers_each_pair_once(k, monkeypatch):
+    # rows of distinct norms, pairwise orthogonal: every rotation is the
+    # identity, so each pair is only swapped, exactly, and the squared norm
+    # alpha = (label + 1)^2 that _rotation reads names the row it came from
+    import fourspaces.spectral as spectral
+
+    rounds = []
+    original = spectral._rotation
+
+    def spy(app, aqq, apq):
+        rounds.append(list(zip(np.sqrt(app).astype(int) - 1, np.sqrt(aqq).astype(int) - 1)))
+        return original(app, aqq, apq)
+
+    monkeypatch.setattr(spectral, "_rotation", spy)
+    labels = np.arange(k)
+    start = np.hstack((np.diag(labels + 1.0), np.eye(k)))
+    for first in (0, 1):
+        rounds.clear()
+        w = start.copy()
+        _row_sweep(w, k, first)
+        assert len(rounds) == k
+        met = []
+        for pairs in rounds:
+            seen = [label for pair in pairs for label in pair]
+            # disjoint: no row appears twice in one round
+            assert len(set(seen)) == len(seen)
+            met += [tuple(sorted(pair)) for pair in pairs]
+        assert sorted(met) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        # k rounds of odd-even transposition reverse the rows, labels and all
+        assert np.array_equal(w, start[::-1])
 
 
 def test_rotation_matches_scalar_formula_and_stays_quiet():
@@ -208,6 +227,29 @@ def test_rotation_matches_scalar_formula_and_stays_quiet():
         c_k = 1.0 / math.hypot(1.0, t)
         assert_allclose([c[k], s[k]], [c_k, t * c_k], rtol=1e-15, atol=0.0)
     assert np.array_equal(c[40:42], [1.0, 1.0]) and np.array_equal(s[40:42], [0.0, 0.0])
+
+
+def test_rotation_degenerate_cases_leave_the_pair_orthogonal():
+    # alpha = beta with gamma != 0 (|theta| = pi / 4, signed as gamma), gamma = 0
+    # with alpha != beta (the identity), all zero, and exact ties of all three
+    eps = np.finfo(float).eps
+    app = np.array([2.0, 2.0, 3.0, 1.0, 0.0, 5.0, 1e300])
+    aqq = np.array([2.0, 2.0, 1.0, 3.0, 0.0, 5.0, 1e300])
+    apq = np.array([1.5, -0.25, 0.0, 0.0, 0.0, 5.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = _rotation(app, aqq, apq)
+    assert np.all(np.abs(c * c + s * s - 1.0) <= 2 * eps)
+    quarter = [0, 1, 5, 6]
+    assert_allclose(np.arctan2(s[quarter], c[quarter]), np.copysign(np.pi / 4, apq[quarter]),
+                    rtol=2 * eps, atol=0)
+    assert np.array_equal(c[2:5], [1.0] * 3) and np.array_equal(s[2:5], [0.0] * 3)
+    for k in range(len(apq)):
+        # the off-diagonal of the rotated Gram matrix [[app, apq], [apq, aqq]],
+        # in exact arithmetic on the computed c and s
+        c_k, s_k, a, b, g = (Fraction(float(v)) for v in (c[k], s[k], app[k], aqq[k], apq[k]))
+        off = c_k * s_k * (a - b) + (c_k * c_k - s_k * s_k) * g
+        assert abs(off) <= eps * math.hypot(app[k], aqq[k], math.sqrt(2.0) * apq[k]), k
 
 
 def _graded_gram(rng, cond):
@@ -406,13 +448,14 @@ def test_row_sweep_applies_the_rotations_of_the_two_sided_sweep(k):
     # [R R' | I]: the same pairs, the same rotations, one array rotated once
     p = 9
     r = np.random.default_rng(k).standard_normal((k, p))
-    w = np.hstack((r, np.eye(k)))
-    w2 = np.hstack((r @ r.T, np.eye(k)))
-    _row_sweep(w, p)
-    _reference_sweep(w2)
     scale = float(np.sqrt(np.sum((r @ r.T) ** 2)))
-    assert_allclose(w[:, :p] @ w[:, :p].T, w2[:, :k], rtol=0, atol=1e-13 * scale)
-    assert_allclose(w[:, p:], w2[:, k:], rtol=0, atol=1e-13)
+    for first in (0, 1):
+        w = np.hstack((r, np.eye(k)))
+        w2 = np.hstack((r @ r.T, np.eye(k)))
+        _row_sweep(w, p, first)
+        _reference_sweep(w2, first)
+        assert_allclose(w[:, :p] @ w[:, :p].T, w2[:, :k], rtol=0, atol=1e-13 * scale)
+        assert_allclose(w[:, p:], w2[:, k:], rtol=0, atol=1e-13)
 
 
 def _assert_row_svd(r, sigma, w):
@@ -457,7 +500,8 @@ def test_row_jacobi_edge_orders_and_scales(r):
 
 
 def _reference_row_sweeps(r):
-    """Sweeps of :func:`_row_sweep` until every pair of prescaled rows has
+    """Sweeps of :func:`_row_sweep`, each from the round parity where the last
+    left off, until every pair of prescaled rows has
     ``|r_i . r_j| <= k eps ||r_i|| ||r_j||``, a zero row counting as orthogonal."""
     r = np.ldexp(r, -np.frexp(np.max(np.abs(r)))[1])
     k, p = r.shape
@@ -470,7 +514,7 @@ def _reference_row_sweeps(r):
         np.fill_diagonal(apart, False)
         if not apart.any():
             return sweeps
-        _row_sweep(w, p)
+        _row_sweep(w, p, sweeps * k % 2)
         sweeps += 1
 
 
