@@ -16,7 +16,7 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   from ``default_rng(3)``, scaled by 5e307, where its Frobenius norm and
   largest singular value pass the float range, Kahan's 20 x 20 matrix
   at theta = 0.3, where the SVD's two QRs keep 20 and 19 directions for
-  a numerical rank of 11 and the CR route of ``pinv`` fails, and the same
+  a numerical rank of 16 and the CR route of ``pinv`` fails, and the same
   ``default_rng(3)`` matrix scaled by 2^-1040, whose entries are subnormal
   and whose pseudo inverse lies past the float range), each through all 12
   subcommands, every ``--method`` (``family`` with and without ``--y``),

@@ -257,11 +257,7 @@ def _cmd_rank(x, args, tol):
         "dim_null": rep.dim_null,
         "dim_left_null": rep.dim_left_null,
     }
-    # Gauss-Jordan rank is blind to a power-of-two scale, and the prescaled
-    # X'X neither overflows nor underflows
-    xs, _ = _prescaled(x)
-    gram_gap = abs(pivot_rank(xs.T @ xs, tol) - rep.rank)
-    return payload, {"gram_rank_gap": float(gram_gap)}
+    return payload, {"kernel_rank_gap": float(abs(pivot_rank(x, tol) - rep.rank))}
 
 
 def _cmd_svd(x, args, tol):

@@ -45,15 +45,6 @@ __all__ = [
     "cr_decompose",
 ]
 
-# The rank cutoff never goes below this fraction of sigma_max.  It was set for
-# the Gram-matrix route, which could not certify singular values below
-# roughly sqrt(eps) * sigma_max: forming R R' perturbed zero eigenvalues by
-# eps * sigma_max^2, and spurious values on exactly rank-deficient inputs
-# reached 2e-8 of sigma_max.  Jacobi now rotates the rows of R1, the factor
-# of the second QR, and forms R1 R1' only to test the cosine of each pair, so
-# the floor guards the cutoff rule alone; lowering it changes ranks.
-GRAM_RANK_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -161,7 +152,7 @@ def svd_full(x, tol=DEFAULT_TOL):
     The first ``rank`` columns of ``u`` and ``v`` span the column space and
     row space; the remaining columns are completed orthonormal bases of the
     left null space and null space.  A singular value is kept only if it
-    exceeds ``max(tol.relative * max(n, p), 1e-6) * sigma_max``.
+    exceeds ``tol.relative * max(n, p) * sigma_max``.
     """
     res = svd_reduced(x, tol)
     u = _complete_basis(res.u, res.u.shape[0])
@@ -210,8 +201,8 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     row norms, and ``W`` gives ``v = Q1 W`` and ``u = Q R1' W / sigma``.
     ``v`` takes the sign rule of :func:`eig_symmetric` and ``u`` the same
     flips.  ``cutoff`` records the absolute cutoff applied,
-    ``largest_rejected`` the largest computed ``sigma`` it cut, and
-    ``sweeps`` the Jacobi sweeps.
+    ``tol.relative * max(n, p) * sigma_1``, ``largest_rejected`` the largest
+    computed ``sigma`` it cut, and ``sweeps`` the Jacobi sweeps.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -230,7 +221,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     q1 = _pivoted_gram_schmidt(rt)
     r1 = q1.T @ rt  # R' = Q1 R1
     sig_all, rot, sweeps = _jacobi_rows(r1)  # rot is W
-    cutoff = max(tol.relative * n, GRAM_RANK_FLOOR) * sig_all[0]
+    cutoff = tol.relative * n * sig_all[0]
     r = int(np.sum(sig_all > cutoff))
     v_r = q1 @ rot[:, :r]
     u_r = q @ (r1.T @ rot[:, :r] / sig_all[:r])

@@ -20,6 +20,7 @@ from fourspaces import (
     cli,
     errors,
     factorizations,
+    pivot_rank,
     spectral,
 )
 from fourspaces.cli import (
@@ -180,7 +181,7 @@ def test_rank_command_on_rank_one_matrix(tmp_path, capsys):
     assert doc["payload"]["rank"] == 1
     assert doc["payload"]["dim_null"] == 1
     assert doc["payload"]["dim_left_null"] == 1
-    assert doc["residuals"]["gram_rank_gap"] == 0.0
+    assert doc["residuals"]["kernel_rank_gap"] == 0.0
 
 
 def test_rank_command_text_mode(tmp_path, capsys):
@@ -407,8 +408,8 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
 )
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
 def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
-    # C'C in pinv_cr, X'X behind gram_rank_gap and the squared entries in
-    # every Frobenius norm overflowed or underflowed here before prescaling
+    # C'C in pinv_cr and the squared entries in every Frobenius norm
+    # overflowed or underflowed here before prescaling
     x = np.random.default_rng(3).standard_normal((6, 4)) * scale
     x = x.T if wide else x
     path = write_matrix(tmp_path, "x.csv", x)
@@ -416,7 +417,7 @@ def test_commands_are_scale_safe(tmp_path, capsys, wide, scale):
     code, doc = run_json(capsys, ["rank", "--input", path])
     assert code == 0, doc["payload"]
     assert doc["payload"]["rank"] == 4
-    assert doc["residuals"]["gram_rank_gap"] == 0.0
+    assert doc["residuals"]["kernel_rank_gap"] == 0.0
     for argv in (["pinv"], ["report"], ["classify", "--g", g]):
         code, doc = run_json(capsys, [*argv, "--input", path])
         assert code == 0, doc["payload"]
@@ -585,11 +586,19 @@ SCALE_INPUTS = {
 SCALE_DEGREE = {"sigma": 1, "c": 1, "reconstruction": 1}
 EQUIVARIANT = (["rank"], ["svd"], ["cr"], ["subspaces"],
                ["project", "--side", "col"], ["project", "--side", "row"])
+# "{g}", "{y}", "{y_left}" and "{y_right}" name the companion files of
+# _companions
 ANSWER_OR_TYPED = (["rank"], ["svd"], ["cr"], ["subspaces"], ["project", "--side", "col"],
                    ["project", "--side", "row"], ["pinv"], ["report"],
                    ["leftinv", "--method", "normal"], ["rightinv", "--method", "normal"],
                    ["ginv"], ["leftinv", "--method", "elementary"],
-                   ["rightinv", "--method", "elementary"])
+                   ["rightinv", "--method", "elementary"], ["classify", "--g", "{g}"],
+                   *(["solve", "--method", m, "--y", "{y}"]
+                     for m in ("svd", "normal", "unique", "right")),
+                   ["leftinv", "--method", "family"],
+                   ["leftinv", "--method", "family", "--y", "{y_left}"],
+                   ["rightinv", "--method", "family"],
+                   ["rightinv", "--method", "family", "--y", "{y_right}"])
 # below 2^-960 a residual of 1e-16 relative is no longer a normal float
 NORMAL_K = range(-960, 1001)
 TYPED_CODES = {getattr(errors, name).code for name in errors.__all__}
@@ -602,6 +611,21 @@ def _run(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--json"])
     return code, json.loads(out.getvalue())
+
+
+def _companions(tmp, name, x, k):
+    """Side files for ``x * 2^k``: the candidate ``g`` of ``classify``, the
+    pseudo inverse scaled by ``2^-k`` and held inside the float range; a
+    consistent ``y`` for ``solve``; and free blocks for the family methods."""
+    n, p = x.shape
+    rng = np.random.default_rng(5)
+    files = {
+        "g": np.ldexp(pinv_svd(x), -max(k, -1000)),
+        "y": np.ldexp(x @ np.arange(1.0, p + 1), k)[:, None],
+        "y_left": rng.standard_normal((p, max(n - p, 1))),
+        "y_right": rng.standard_normal((max(p - n, 1), n)),
+    }
+    return {key: write_matrix(tmp, f"scale_{name}_{k}_{key}.csv", v) for key, v in files.items()}
 
 
 def _assert_scaled(base, got, k, degree=0):
@@ -631,8 +655,9 @@ def test_scaling_by_a_power_of_two_is_exact_or_fails_typed(tmp_path_factory, nam
     x = SCALE_INPUTS[name]
     base_path = write_matrix(tmp, f"scale_{name}.csv", x)
     path = write_matrix(tmp, f"scale_{name}_k.csv", np.ldexp(x, k))
+    files = _companions(tmp, name, x, k)
     for argv in ANSWER_OR_TYPED:
-        code, doc = _run([*argv, "--input", path])
+        code, doc = _run([a.format(**files) for a in argv] + ["--input", path])
         assert code == 0 or (code == 1 and doc["payload"]["error"] in TYPED_CODES), (argv, doc)
     if k not in NORMAL_K:
         return
@@ -824,6 +849,31 @@ def test_loose_tolerance_flag_reaches_the_library(tmp_path, capsys):
     assert code == 0 and doc["payload"]["rank"] == 2
     code, doc = run_json(capsys, ["rank", "--input", path, "--tol", "0.01"])
     assert code == 0 and doc["payload"]["rank"] == 1
+
+
+def test_tolerance_flag_moves_the_rank_of_a_graded_input(tmp_path, capsys):
+    # a floor of 1e-6 * sigma_1 on the cutoff held the rank at 36 for all
+    # three; NumPy counts sigma above tol * max(n, p) * sigma_1
+    x = graded(np.random.default_rng(7), 80, 60, 60, 1e10)
+    path = write_matrix(tmp_path, "x.csv", x)
+    s = np.linalg.svd(x, compute_uv=False)
+    ranks = []
+    for tol in (1e-12, 1e-10, 1e-8):
+        code, doc = run_json(capsys, ["rank", "--input", path, "--tol", repr(tol)])
+        assert code == 0
+        assert doc["payload"]["rank"] == int(np.sum(s > tol * 80 * s[0]))
+        ranks.append(doc["payload"]["rank"])
+    assert ranks == [60, 48, 36]
+
+
+def test_kernel_rank_gap_shows_where_partial_pivoting_overestimates_rank(tmp_path, capsys):
+    # Gauss-Jordan with partial pivoting accepts 19 pivots on Kahan's matrix,
+    # where the SVD counts 16 singular values above its cutoff
+    x = kahan(20, 0.3)
+    path = write_matrix(tmp_path, "x.csv", x)
+    code, doc = run_json(capsys, ["rank", "--input", path])
+    assert code == 0 and doc["payload"]["rank"] == 16
+    assert doc["residuals"]["kernel_rank_gap"] == abs(pivot_rank(x) - 16) == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,13 @@ def test_rank_sized_route_matches_numpy_at_every_rank(eig_sizes, shape, r):
 
 def test_kahan_qr_stops_at_rounding_and_the_cutoff_cuts(eig_sizes):
     # the pivoted QR keeps every direction above rounding level, 26 of
-    # Kahan's 30 for a numerical rank of 11 at the cutoff; the eigenproblem
+    # Kahan's 30 for a numerical rank of 16 at the cutoff; the eigenproblem
     # is never larger than 30 x 30 and the cutoff alone sets the rank
     x = kahan(30, 0.3)
     res = svd_reduced(x)
     assert len(eig_sizes) == 1 and eig_sizes[0] <= 30
     s = np.linalg.svd(x, compute_uv=False)
-    assert res.rank == int(np.sum(s > max(1e-10 * 30, factorizations.GRAM_RANK_FLOOR) * s[0])) == 11
+    assert res.rank == int(np.sum(s > 1e-10 * 30 * s[0])) == 16
 
 
 def test_pivot_row_in_the_span_of_the_others_is_dropped(eig_sizes):
@@ -191,7 +191,7 @@ def test_svd_records_its_absolute_cutoff_and_sweeps():
     for scale in (1.0, 2.0**-700, 2.0**700):
         sigma_1 = np.linalg.svd(x * scale, compute_uv=False)[0]
         for res in (svd_reduced(x * scale), svd_reduced(x.T * scale), svd_full(x * scale)):
-            assert res.cutoff == pytest.approx(factorizations.GRAM_RANK_FLOOR * sigma_1, rel=1e-13)
+            assert res.cutoff == pytest.approx(1e-10 * 7 * sigma_1, rel=1e-13)
             assert res.sweeps == sweeps
             # full rank: every computed value passed the cutoff
             assert res.largest_rejected == 0.0
@@ -201,15 +201,18 @@ def test_svd_records_its_absolute_cutoff_and_sweeps():
 
 def test_svd_records_the_largest_rejected_value():
     # sigma 3e-7 and 1e-9 lie above the QR's rounding-level stop, so both are
-    # computed; the cutoff 2e-6 rejects them and the larger is recorded
+    # computed; the cutoff 1e-7 * 7 * 2 = 1.4e-6 rejects them and the larger
+    # is recorded
+    tol = Tolerance(1e-7)
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((7, 4)))[0]
     v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     x = u @ np.diag([2.0, 1.0, 3e-7, 1e-9]) @ v.T
-    rejected = svd_reduced(x).largest_rejected
+    rejected = svd_reduced(x, tol).largest_rejected
     assert rejected == pytest.approx(np.linalg.svd(x, compute_uv=False)[2], rel=1e-8)
     for scale in (1.0, 2.0**-700, 2.0**700):
-        for res in (svd_reduced(x * scale), svd_reduced(x.T * scale), svd_full(x * scale)):
+        for res in (svd_reduced(x * scale, tol), svd_reduced(x.T * scale, tol),
+                    svd_full(x * scale, tol)):
             assert res.rank == 2
             assert res.largest_rejected < res.cutoff
             # the prescale is exact, so the recorded value scales exactly
@@ -233,6 +236,34 @@ def test_full_rank_graded_pinv_is_accurate_in_few_sweeps(shape, cond):
         assert res.sweeps <= 6
         assert frobenius_norm(g - expected) <= 1e-10 * frobenius_norm(expected)
         assert classify_inverse(x, g).class_label == "pseudo-inverse"
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e7, 1e8, 1e10, 1e12])
+def test_graded_rank_and_pinv_match_numpy_at_the_cutoff(cond):
+    # a floor of 1e-6 * sigma_1 on the cutoff cut true singular values from
+    # cond 1e7 up, and the pinv at the wrong rank was 100% wrong yet labelled
+    # pseudo-inverse; Jacobi on the QR factor keeps small sigma to relative
+    # accuracy, so tol * max(n, p) * sigma_1 alone sets the rank
+    base = graded(np.random.default_rng(7), 80, 60, 60, cond)
+    for x in (base, base.T):
+        s = np.linalg.svd(x, compute_uv=False)
+        cutoff = 1e-10 * 80 * s[0]
+        # no sigma lies near the cutoff, so NumPy's rounding cannot move the count
+        assert np.min(np.abs(np.log(s / cutoff))) > 0.05
+        rank = int(np.sum(s > cutoff))
+        expected = np.linalg.pinv(x, rcond=cutoff / s[0])
+        for scale in (1.0, 2.0**600, 2.0**-600):
+            res = svd_reduced(x * scale)
+            g = res.pinv()
+            assert res.rank == rank
+            assert res.cutoff == pytest.approx(cutoff * scale, rel=1e-13)
+            assert frobenius_norm(g - expected / scale) <= 1e-8 * frobenius_norm(expected / scale)
+            # the Penrose thresholds grow with max(1, ||X||, ||G||), not with
+            # each residual's own scale, so from cond 1e8 up this correct
+            # pinv is labelled g-inverse (none at 2^600); the label is pinned
+            # only where those thresholds hold, until they scale consistently
+            if cond <= 1e7 and scale == 1.0:
+                assert classify_inverse(x, g).class_label == "pseudo-inverse"
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])

@@ -341,8 +341,8 @@ def test_projectors_of_kahans_matrix_pass_their_own_audit():
         rep = projector_diagnostics(proj)
         assert rep.idempotent and rep.symmetric and rep.spectrum_binary is True
         assert rep.symmetry == 0.0
-        assert rep.rank == 11
-        assert rep.trace == pytest.approx(11.0, abs=1e-9)
+        assert rep.rank == 16
+        assert rep.trace == pytest.approx(16.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
