@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -568,17 +569,73 @@ def _float_row(row, where, sep):
     return text
 
 
+_MATRIX_KEYS = {"rows", "cols", "data"}
+_LISTS = {list}
+# "%.01f" is "%.1f" at the width of "%.12g": the codes differ in "12g"/"01f"
+_F_DIGITS = np.frombuffer(b"01f", np.uint8)
+
+
+def _whole_entries(entries):
+    """Screen a tuple of plain floats once, as an array: a mask of its exact
+    integers, or None if it holds a NaN or infinity, or a literal where
+    ``"%.12g"`` and ``repr`` part ways beyond the ``".0"`` of an integer:
+    |v| >= 1e11, nonzero |v| < 1e-298, or a non-integer that ``"%.12g"``
+    rounds to an integer."""
+    a = np.fromiter(entries, float, len(entries))
+    if not np.isfinite(a).all():
+        return None
+    size, frac = np.abs(a), np.abs(a - np.rint(a))
+    # frac < size * 1e-11 holds for every non-integer that "%.12g" rounds
+    # to an integer, and for a few neighbours, which the walk writes alike
+    rare = (size >= 1e11) | ((0 < size) & (size < 1e-298)) | ((0 < frac) & (frac < size * 1e-11))
+    return None if rare.any() else frac == 0
+
+
+def _json_matrix(data, pad):
+    """The rows of a matrix document as ``_json`` writes them ``pad`` deep,
+    formatted by one ``%`` call, or None when the walk must write them.
+
+    Entries are ``"%.12g"`` literals, except exact integers, which take
+    ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes
+    ragged rows, an entry that is not a plain float, and whatever
+    :func:`_whole_entries` screens out; it names a non-finite entry.
+    """
+    if type(data) is not list or set(map(type, data)) != _LISTS or len(set(map(len, data))) != 1:
+        return None
+    entries = tuple(chain.from_iterable(data))
+    if set(map(type, entries)) != _FLOATS:
+        return None
+    whole = _whole_entries(entries)
+    if whole is None:
+        return None
+    r, c = len(data), len(data[0])
+    inner, cell = pad + "  ", pad + "    "
+    row = f"{inner}[\n{cell}" + f",\n{cell}".join(["%.12g"] * c) + f"\n{inner}]"
+    layout = bytearray("[\n" + ",\n".join([row] * r) + f"\n{pad}]", "ascii")
+    # the "12g" of each entry's code, as an r x c x 3 view of the layout
+    first, step = len(f"[\n{inner}[\n{cell}%."), len(f"%.12g,\n{cell}")
+    codes = np.ndarray((r, c, 3), np.uint8, layout, first, (len(row) + 2, step, 1))
+    codes[whole.reshape(r, c)] = _F_DIGITS
+    template = layout.decode()
+    del codes, layout  # no third copy of the matrix beside the template and output
+    return template % entries
+
+
 def _json(obj, where, pad=""):
     """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
     each float rounded to 12 significant digits.  A NaN or infinity raises,
-    naming its path in the document."""
+    naming its path in the document.  The rows of a matrix document go
+    through :func:`_json_matrix` first, and through the walk if it declines."""
     inner = pad + "  "
     sep = f",\n{inner}"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        matrix = _MATRIX_KEYS <= obj.keys()
         body = sep.join(
-            f"{_json_string(key)}: {_json(val, f'{where}.{key}', inner)}"
+            f"{_json_string(key)}: "
+            + ((matrix and key == "data" and _json_matrix(val, inner))
+               or _json(val, f"{where}.{key}", inner))
             for key, val in obj.items()
         )
         return f"{{\n{inner}{body}\n{pad}}}"
@@ -630,7 +687,7 @@ def _text_row(row, where):
 
 def _render_entry(lines, key, value, indent, where):
     pad = "  " * indent
-    if isinstance(value, dict) and {"rows", "cols", "data"} <= set(value):
+    if isinstance(value, dict) and _MATRIX_KEYS <= value.keys():
         lines.append(f"{pad}{key} ({value['rows']} x {value['cols']}):")
         for i, row in enumerate(value["data"]):
             lines.append("  " * (indent + 1) + _text_row(row, f"{where}.data[{i}]"))
@@ -662,9 +719,14 @@ def _render_text(doc):
 def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
-    One walk of the document checks, rounds and writes each number.  A
-    payload holding NaN or infinity is rejected before anything is written.
-    Returns the rendered text.
+    One walk of the document checks, rounds and writes each number.  In
+    JSON mode the rows of each matrix document are first screened once as
+    a NumPy array and formatted by a single ``%`` call; a matrix that the
+    screen declines (a non-finite entry, or a literal where ``"%.12g"`` and
+    ``repr`` part ways) goes through the walk, which formats each row by
+    one ``%`` call and rewrites the literals that need it.  A payload
+    holding NaN or infinity is rejected before anything is written, with
+    the entry named.  Returns the rendered text.
     """
     doc = report.to_document()
     text = _json(doc, "report") + "\n" if json_mode else _render_text(doc)

@@ -81,9 +81,13 @@ class SvdResult:
         Either form gives the same array; at rank zero it is the zero matrix.
         ``1/sigma`` is taken with ``sigma`` prescaled and the product scaled
         back, so a pseudo inverse past the float range raises
-        ``NonFiniteEntryError`` with no overflow warning ahead of it.
+        ``NonFiniteEntryError`` with no overflow warning ahead of it.  So
+        does an accepted ``sigma`` that scales back to 0.0, which happens at
+        the bottom of the subnormal range.
         """
         r = self.rank
+        if r and self.sigma[-1] == 0.0:
+            raise NonFiniteEntryError("the pseudo inverse lies beyond the float range")
         s, e = _prescaled(self.sigma) if r else (self.sigma, 0)
         return _inverse_scaled_back(self.v[:, :r] / s @ self.u[:, :r].T, e, "pseudo inverse")
 

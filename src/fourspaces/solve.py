@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentSystemError, RankDeficientError, ShapeError
+from .errors import (
+    InconsistentSystemError, NonFiniteEntryError, RankDeficientError, ShapeError,
+)
 from .factorizations import svd_reduced
 from .inverses import left_inverse, right_inverse
 from .matrix import (
@@ -128,13 +130,19 @@ def ls_svd_minnorm(x, y, tol=DEFAULT_TOL):
     The estimate is ``sum_i (u_i^T y / sigma_i) v_i`` over the retained
     singular triplets, i.e. the pseudo-inverse applied to ``y``.  Among
     all minimizers of the residual it is the one of smallest Euclidean
-    norm, and it lies in the row space.
+    norm, and it lies in the row space.  An estimate past the float range
+    raises ``NonFiniteEntryError``, with no warning ahead of it; so does
+    an accepted ``sigma`` that scales back to 0.0 at the bottom of the
+    subnormal range.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     y = as_vector(y, length=x.shape[0], name="y")
     res = svd_reduced(x, tol)
-    beta = res.v @ ((res.u.T @ y) / res.sigma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = res.v @ ((res.u.T @ y) / res.sigma)
+    if not np.isfinite(beta).all():
+        raise NonFiniteEntryError("the estimate lies beyond the float range")
     return _finish(x, y, beta, res.rank, "svd-minnorm")
 
 

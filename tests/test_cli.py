@@ -649,6 +649,10 @@ def _assert_scaled(base, got, k, degree=0):
 @example(name="tall", k=-1040)
 @example(name="wide", k=-1030)
 @example(name="deficient", k=1000)
+# sigma accepted at the prescaled size that scales back to 0.0
+@example(name="deficient", k=-1076)
+@example(name="tall", k=-1074)
+@example(name="wide", k=-1074)
 @settings(max_examples=40, deadline=None)
 def test_scaling_by_a_power_of_two_is_exact_or_fails_typed(tmp_path_factory, name, k):
     tmp = tmp_path_factory.getbasetemp()
@@ -1077,3 +1081,43 @@ def test_emitter_matches_two_pass_oracle_on_any_finite_float(values, scalar):
     for json_mode in (True, False):
         text = emit_report(report, json_mode=json_mode, stream=io.StringIO())
         assert text == two_pass_emit(report, json_mode)
+
+
+# literals the matrix path must screen out or write as "%.1f": non-integers
+# that "%.12g" rounds to an integer, and the edges of the 1e11 bound
+MATRIX_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [100000000000.5, 0.99999999999995, 999999999999.5, -0.0,
+                                   0.0, 1.0, 99999999999.0, 1e11]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, 5).flatmap(
+            lambda p: st.lists(st.lists(MATRIX_FLOATS, min_size=p, max_size=p),
+                               min_size=n, max_size=n)
+        )
+    )
+)
+@example(rows=[[0.99999999999995, 1.0, -0.0], [100000000000.5, 99999999999.0, 2.5]])
+@settings(max_examples=300, deadline=None)
+def test_emitter_matches_two_pass_oracle_on_many_rows(rows):
+    x = np.array(rows)
+    payload = {"m": _matrix_doc(x), "t": _matrix_doc(x.T)}
+    report = Report("prop", x.shape, 1e-10, payload, {})
+    for json_mode in (True, False):
+        text = emit_report(report, json_mode=json_mode, stream=io.StringIO())
+        assert text == two_pass_emit(report, json_mode)
+
+
+def test_emit_report_names_a_nan_in_a_later_row():
+    x = np.arange(12.0).reshape(3, 4)
+    x[2, 1] = np.nan
+    report = Report("pinv", (3, 4), 1e-10, {"pinv": _matrix_doc(x)}, {})
+    for json_mode in (True, False):
+        stream = io.StringIO()
+        where = re.escape("report.payload.pinv.data[2][1]")
+        with pytest.raises(NonFiniteEntryError, match=f"^{where} is not finite$"):
+            emit_report(report, json_mode=json_mode, stream=stream)
+        assert stream.getvalue() == ""

@@ -108,6 +108,16 @@ def test_sigma_past_the_float_range_raises_non_finite_entry(shape):
         svd_reduced(x)
 
 
+def test_pinv_of_a_sigma_that_scales_back_to_zero_raises_non_finite_entry():
+    # at 2^-1076 the second sigma is accepted at the prescaled size and
+    # scales back to 0.0; 1/sigma used to divide by zero with a warning
+    x = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    res = svd_reduced(np.ldexp(x, -1076))
+    assert res.rank == 2 and res.sigma[-1] == 0.0
+    with pytest.raises(NonFiniteEntryError, match="^the pseudo inverse lies beyond"):
+        res.pinv()
+
+
 def test_svd_rank_cutoff_scales_with_tolerance():
     x = np.diag([1.0, 1e-4])
     assert svd_full(x).rank == 2

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fourspaces import (
     InconsistentSystemError,
+    NonFiniteEntryError,
     RankDeficientError,
     ShapeError,
     Tolerance,
@@ -482,3 +483,12 @@ def test_solvers_reduce_x_once(monkeypatch, solver):
     with pytest.raises(RankDeficientError, match="ls_svd_minnorm for the rank-deficient case"):
         solver(rank_deficient(rng, 7, 4, 2), rng.standard_normal(7))
     assert calls == [(7, 4)]
+
+
+@pytest.mark.parametrize("k", [-1060, -1076])
+def test_minnorm_estimate_past_the_float_range_raises_non_finite_entry(k):
+    # at 2^-1060, u'y / sigma overflows; at 2^-1076 an accepted sigma scales
+    # back to 0.0.  Both used to divide with a warning
+    x = np.ldexp(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), k)
+    with pytest.raises(NonFiniteEntryError, match="^the estimate lies beyond the float range$"):
+        ls_svd_minnorm(x, np.ones(4))
