@@ -9,8 +9,9 @@ diagonalise ``R1 R1'``, read off the rows, and give the eigenvectors ``W``
 of ``R1 R1'``, ``v = Q1 W`` and ``u = Q R1' W / sigma``.  A wide input runs
 on its transpose with the two sides swapped, so ``X`` is tall.  Pivoting
 grades the rows of ``R`` and the second QR brings ``R1 R1'`` one step
-nearer to diagonal, so Jacobi needs few sweeps and keeps small singular
-values to relative accuracy (Drmac and Veselic, SIMAX 2008), and each QR
+nearer to diagonal, so Jacobi needs few sweeps and keeps every singular
+value of ``B D``, ``D`` diagonal, to relative accuracy ``O(eps kappa(B))``
+(Drmac and Veselic, SIMAX 2008), and each QR
 stops at rounding level, so a rank-deficient input gives a rank-sized
 problem.  The input is first scaled by the power of two that brings its
 largest entry into [0.5, 1) and ``sigma`` is scaled back; the scaling is
@@ -102,10 +103,10 @@ class CrFactors:
 
 
 def _residuals(q):
-    """Standard basis vectors with the span of ``q`` projected out, twice over."""
+    """Standard basis vectors, one a row, with the span of ``q`` projected out twice."""
     w = np.eye(q.shape[0])
     for _ in range(2):
-        w -= q @ (q.T @ w)
+        w -= (w @ q) @ q.T
     return w
 
 
@@ -122,30 +123,33 @@ def _complete_basis(accepted, dim):
     everything accepted wins, one column at a time; that residual is never
     smaller than 1/sqrt(dim), so normalizing it is safe.  The added columns
     get the sign rule of :func:`eig_symmetric` at the end; a column's sign
-    never enters ``q q' w``, so it does not matter when they get it.
+    never enters ``q q' w``, so it does not matter when they get it.  The
+    basis and the residuals are built transposed, one contiguous row each.
     """
     basis = np.asarray(accepted, dtype=float).reshape(dim, -1)
     r = r0 = basis.shape[1]
-    q = np.empty((dim, dim))
-    q[:, :r] = basis
+    qt = np.empty((dim, dim))
+    qt[:r] = basis.T
     w = _residuals(basis)
     update = np.empty(dim * dim)
     for k in range(dim):
         if r == dim:
             break
-        nrm = float(np.sqrt(w[:, k] @ w[:, k]))
+        nrm = math.sqrt(w[k] @ w[k])
         if nrm > 0.5:
-            q[:, r] = w[:, k] / nrm
-            rest = w[:, k + 1 :]
+            qr = qt[r]
+            np.divide(w[k], nrm, out=qr)
+            rest = w[k + 1 :]
             out = update[: rest.size].reshape(rest.shape)
-            rest -= np.dot(q[:, r, None], (q[:, r] @ rest)[None, :], out=out)
+            rest -= np.dot((rest @ qr)[:, None], qr[None, :], out=out)
             r += 1
     while r < dim:
-        w = _residuals(q[:, :r])
-        norms = np.sqrt(np.sum(w * w, axis=0))
-        k = int(np.argmax(norms))
-        q[:, r] = w[:, k] / norms[k]
+        w = _residuals(qt[:r].T)
+        norms = np.sqrt(np.vecdot(w, w))
+        k = int(norms.argmax())
+        qt[r] = w[k] / norms[k]
         r += 1
+    q = qt.T
     _sign_columns(q[:, r0:])
     return q
 
@@ -171,22 +175,25 @@ def _pivoted_gram_schmidt(x):
     ``Q`` once more ("twice is enough"), normalises it and removes it from
     every residual, whose norms are then recomputed.  It stops once
     ``||X - Q Q' X||_F`` is at most ``eps * n * ||X||_F``, so nothing above
-    rounding is dropped; the zero matrix gives k = 0.
+    rounding is dropped; the zero matrix gives k = 0.  The residuals and
+    ``Q`` are kept transposed, so each is a contiguous row: one ``vecdot``
+    takes the norms, and the rank-1 update goes into a buffer allocated once.
     """
     n, p = x.shape
-    q, w, update = np.empty((n, p)), x.copy(), np.empty((n, p))
-    norms = np.sum(w * w, axis=0)
+    qt, w, update, norms = np.empty((p, n)), x.T.copy(), np.empty((p, n)), np.empty(p)
+    np.vecdot(w, w, out=norms)
     # squared: ||X - Q Q' X||_F <= eps * n * ||X||_F
-    stop = (np.finfo(float).eps * n) ** 2 * np.sum(norms)
+    stop = (np.finfo(float).eps * n) ** 2 * norms.sum()
     k = 0
-    while k < p and np.sum(norms) > stop:
-        c = w[:, np.argmax(norms)]
-        c = c - q[:, :k] @ (q[:, :k].T @ c)
-        q[:, k] = c / math.sqrt(c @ c)
-        w -= np.dot(q[:, k, None], (q[:, k] @ w)[None, :], out=update)
+    while k < p and norms.sum() > stop:
+        c = w[norms.argmax()]
+        c = c - (qt[:k] @ c) @ qt[:k]
+        qk = qt[k]
+        np.divide(c, math.sqrt(c @ c), out=qk)
+        w -= np.dot((w @ qk)[:, None], qk[None, :], out=update)
         k += 1
-        norms = np.sum(w * w, axis=0)
-    return q[:, :k]
+        np.vecdot(w, w, out=norms)
+    return qt[:k].T
 
 
 def svd_reduced(x, tol=DEFAULT_TOL):

@@ -1,0 +1,85 @@
+"""Accuracy contracts of the two Jacobi routes, checked against exact oracles.
+
+mpmath at 40 digits is the oracle here, as NumPy is elsewhere; neither is
+used by the package itself.  The SVD runs one-sided Jacobi on a
+column-pivoted QR factor, which computes every singular value of
+``X = B D`` (``D`` diagonal) to relative error ``O(eps kappa(B))``, however
+graded ``D`` is (Demmel and Veselic, SIMAX 1992; Drmac and Veselic, SIMAX
+2008).  ``eig_symmetric`` runs the same kernel on ``A + 2 ||A||_F I``, so its
+error is absolute: ``eps ||A||`` per eigenvalue.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from fourspaces import eig_symmetric, svd_reduced
+from support import random_orthogonal
+
+EPS = np.finfo(float).eps
+DIGITS = 40
+
+
+def _graded_product(rng, side):
+    """30 x 20 standard normal ``B`` graded by a shuffled geometric ``D`` spanning
+    1e7: on its columns, its rows, or 10^3.5 on each side."""
+    x = rng.standard_normal((30, 20))
+    span = 10.0**-3.5 if side == "both" else 1e-7
+    if side in ("columns", "both"):
+        x = x * rng.permutation(np.geomspace(1.0, span, 20))
+    if side in ("rows", "both"):
+        x = rng.permutation(np.geomspace(1.0, span, 30))[:, None] * x
+    return x
+
+
+def _largest_relative_error(values, oracle):
+    with mpmath.workdps(DIGITS):
+        return max(float(abs(mpmath.mpf(float(v)) - w) / abs(w)) for v, w in zip(values, oracle))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("side", ["columns", "rows", "both"])
+def test_svd_keeps_every_singular_value_of_a_graded_product_to_relative_accuracy(side, seed):
+    # the singular values span about 1e8, so an absolute eps * sigma_1 bound
+    # would leave the smallest with no correct digit
+    x = _graded_product(np.random.default_rng(seed), side)
+    with mpmath.workdps(DIGITS):
+        s = mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False)
+        oracle = sorted((s[i] for i in range(s.rows)), reverse=True)
+    k = len(oracle)
+    for shape, a in (("tall", x), ("wide", x.T)):
+        for e in (0, 600, -600):
+            res = svd_reduced(np.ldexp(a, e))
+            assert res.rank == k, (shape, e)
+            # the power-of-two scaling is exact, and so is undoing it
+            error = _largest_relative_error(np.ldexp(res.sigma, -e), oracle)
+            assert error <= 0.5 * k * EPS, (shape, e, error)
+
+
+def _symmetric(rng, n, spectrum):
+    if spectrum == "gaussian":
+        g = rng.standard_normal((n, n))
+        a = g + g.T
+    else:
+        values = np.geomspace(1.0, 1e-10, n)
+        if spectrum == "indefinite":
+            values[1::2] *= -1.0
+        q = random_orthogonal(rng, n)
+        a = (q * values) @ q.T
+    # exactly symmetric, so the oracle and eig_symmetric see the same matrix
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("spectrum", ["gaussian", "graded", "indefinite"])
+@pytest.mark.parametrize("n", [5, 12, 20])
+def test_eig_symmetric_is_accurate_to_eps_times_the_norm(n, spectrum):
+    # absolute, not relative: the shift by 2 ||A||_F puts every eigenvalue
+    # of the shifted matrix in [||A||_F, 3 ||A||_F], so rounding there costs
+    # eps ||A|| whatever the eigenvalue's own size
+    a = _symmetric(np.random.default_rng([n, 7]), n, spectrum)
+    values = eig_symmetric(a).values
+    with mpmath.workdps(DIGITS):
+        e, _ = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        oracle = sorted((e[i] for i in range(n)), reverse=True)
+        error = max(float(abs(mpmath.mpf(float(v)) - w)) for v, w in zip(values, oracle))
+    assert error <= 2 * n * EPS * float(np.sqrt(np.sum(a * a)))

@@ -194,6 +194,36 @@ def test_residual_above_rounding_keeps_the_qr_going(eig_sizes):
     assert res.cutoff == 0.02
 
 
+@pytest.mark.parametrize(
+    "x, rank",
+    [
+        (np.random.default_rng(0).standard_normal((40, 25)), 25),
+        (graded(np.random.default_rng(1), 80, 60, 60, 1e6), 60),
+        (np.random.default_rng(2).standard_normal((40, 20)) * np.geomspace(1.0, 1e-7, 20), 20),
+        *((rank_deficient(np.random.default_rng(r), n, p, r), r)
+          for n, p, r in ((30, 20, 1), (30, 20, 7), (50, 50, 33), (40, 12, 11), (12, 12, 12))),
+        (np.zeros((6, 4)), 0),
+    ],
+    ids=["gaussian", "graded-1e6", "graded-columns", "planted-1", "planted-7",
+         "planted-33", "planted-11", "planted-12", "zero"],
+)
+def test_pivoted_gram_schmidt_contract(x, rank):
+    # X = Q Q' X to eps * n * ||X||_F with Q orthonormal to k eps; a sum of
+    # r outer products gives k = r and the zero matrix k = 0; the first
+    # column is the normalised column of X of largest norm
+    n = x.shape[0]
+    eps = np.finfo(float).eps
+    q = factorizations._pivoted_gram_schmidt(x)
+    k = q.shape[1]
+    assert q.shape[0] == n and k == rank
+    if k == 0:
+        return
+    assert np.max(np.abs(q.T @ q - np.eye(k))) <= k * eps
+    assert frobenius_norm(x - q @ (q.T @ x)) <= eps * n * frobenius_norm(x)
+    first = x[:, np.argmax(np.sum(x * x, axis=0))]
+    assert_allclose(q[:, 0], first / math.sqrt(first @ first), rtol=0, atol=2 * eps)
+
+
 def test_svd_records_its_absolute_cutoff_and_sweeps():
     x = np.random.default_rng(5).standard_normal((7, 4))
     sweeps = svd_reduced(x).sweeps
