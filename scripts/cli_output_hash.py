@@ -49,7 +49,8 @@ earlier ``--dump``, matched by mode and argv, and counts three kinds:
 identical; float-only, where a JSON-mode record equals its earlier self
 once every float in its document is masked, and a text-mode record has a
 float-only JSON twin and the same exit code; and other, listed by mode and
-argv, one a line.  A record present on one side only counts as other.
+argv, one a line.  A record present on one side only counts as other, and
+any other record makes the script exit 1, where it exits 0 otherwise.
 Last comes the largest float drift: the largest normwise relative change
 ``||new - old||_F / ||old||_F`` of any float list or matrix in the payload
 of a float-only JSON-mode record, with its argv and key.  Flat lists of one
@@ -426,7 +427,9 @@ def main(argv=None):
         if drift:
             change, key, path = drift
             print(f"largest float drift: {change:.3e} in {' '.join(key[1:])} at {path}")
+        return 1 if counts["other"] else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

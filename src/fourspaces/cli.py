@@ -555,20 +555,6 @@ def _text_literal(s):
     return f"{float(s):.12g}" if "e-3" in s else s
 
 
-def _float_row(row, where, sep):
-    """The ``%.12g`` literals of a nonempty list of plain floats joined by
-    ``sep``, formatted by one ``%`` call, or None for any other list.  A NaN
-    or infinity raises, named by its index.  The caller rewrites the items
-    that its literal function would change."""
-    if set(map(type, row)) != _FLOATS:
-        return None
-    text = sep.join(["%.12g"] * len(row)) % tuple(row)
-    if "n" in text:  # "inf" or "nan"; finite literals hold no "n"
-        i = next(i for i, v in enumerate(row) if not math.isfinite(v))
-        raise NonFiniteEntryError(f"{where}[{i}] is not finite")
-    return text
-
-
 _MATRIX_KEYS = {"rows", "cols", "data"}
 _LISTS = {list}
 # "%.01f" is "%.1f" at the width of "%.12g": the codes differ in "12g"/"01f"
@@ -591,64 +577,61 @@ def _whole_entries(entries):
     return None if rare.any() else frac == 0
 
 
-def _json_matrix(data, pad):
-    """The rows of a matrix document as ``_json`` writes them ``pad`` deep,
-    formatted by one ``%`` call, or None when the walk must write them.
+def _json_floats(data, pad):
+    """A list of plain floats, or of equal-length lists of them, as ``_json``
+    writes it ``pad`` deep, formatted by one ``%`` call; None when the walk
+    must write it.
 
     Entries are ``"%.12g"`` literals, except exact integers, which take
-    ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes
-    ragged rows, an entry that is not a plain float, and whatever
+    ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes ragged
+    rows, an entry that is not a plain float, and whatever
     :func:`_whole_entries` screens out; it names a non-finite entry.
     """
-    if type(data) is not list or set(map(type, data)) != _LISTS or len(set(map(len, data))) != 1:
-        return None
-    entries = tuple(chain.from_iterable(data))
+    inner = pad + "  "
+    if set(map(type, data)) == _LISTS and len(set(map(len, data))) == 1:
+        entries, r, cell = tuple(chain.from_iterable(data)), len(data), inner + "  "
+        head, tail = f"{inner}[\n{cell}", f"\n{inner}]"
+    else:
+        entries, r, cell, head, tail = tuple(data), 1, inner, inner, ""
     if set(map(type, entries)) != _FLOATS:
         return None
     whole = _whole_entries(entries)
     if whole is None:
         return None
-    r, c = len(data), len(data[0])
-    inner, cell = pad + "  ", pad + "    "
-    row = f"{inner}[\n{cell}" + f",\n{cell}".join(["%.12g"] * c) + f"\n{inner}]"
+    c = len(entries) // r
+    row = head + f",\n{cell}".join(["%.12g"] * c) + tail
     layout = bytearray("[\n" + ",\n".join([row] * r) + f"\n{pad}]", "ascii")
     # the "12g" of each entry's code, as an r x c x 3 view of the layout
-    first, step = len(f"[\n{inner}[\n{cell}%."), len(f"%.12g,\n{cell}")
+    first, step = len(f"[\n{head}%."), len(f"%.12g,\n{cell}")
     codes = np.ndarray((r, c, 3), np.uint8, layout, first, (len(row) + 2, step, 1))
     codes[whole.reshape(r, c)] = _F_DIGITS
     template = layout.decode()
-    del codes, layout  # no third copy of the matrix beside the template and output
+    del codes, layout  # no third copy of the list beside the template and output
     return template % entries
 
 
 def _json(obj, where, pad=""):
     """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
     each float rounded to 12 significant digits.  A NaN or infinity raises,
-    naming its path in the document.  The rows of a matrix document go
-    through :func:`_json_matrix` first, and through the walk if it declines."""
+    naming its path in the document.  Each list goes through
+    :func:`_json_floats` first, and through the walk if it declines."""
     inner = pad + "  "
     sep = f",\n{inner}"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        matrix = _MATRIX_KEYS <= obj.keys()
         body = sep.join(
-            f"{_json_string(key)}: "
-            + ((matrix and key == "data" and _json_matrix(val, inner))
-               or _json(val, f"{where}.{key}", inner))
+            f"{_json_string(key)}: " + _json(val, f"{where}.{key}", inner)
             for key, val in obj.items()
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        body = _float_row(obj, where, sep)
-        if body is None:
-            body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
-        # _json_literal changes only items that lack a "." or have an
-        # exponent from e+1x or e-3xx
-        elif body.count(".") != len(obj) or "e+1" in body or "e-3" in body:
-            body = sep.join(map(_json_literal, body.split(sep)))
+        floats = _json_floats(obj, pad)
+        if floats:
+            return floats
+        body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return _json_string(obj)
@@ -676,13 +659,14 @@ def _fmt(value, where):
 
 
 def _text_row(row, where):
-    text = _float_row(row, where, " ")
-    if text is None:
-        text = " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
-    # _text_literal changes only items with an exponent from e-3xx
-    elif "e-3" in text:
-        text = " ".join(map(_text_literal, text.split(" ")))
-    return text
+    """A row as text: a list of finite plain floats by one ``%`` call, and
+    any other row item by item, which names a NaN or infinity."""
+    if set(map(type, row)) == _FLOATS:
+        text = " ".join(["%.12g"] * len(row)) % tuple(row)
+        if "n" not in text:  # "inf" or "nan"; finite literals hold no "n"
+            # _text_literal changes only items with an exponent from e-3xx
+            return " ".join(map(_text_literal, text.split(" "))) if "e-3" in text else text
+    return " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
 
 
 def _render_entry(lines, key, value, indent, where):
@@ -719,14 +703,15 @@ def _render_text(doc):
 def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
-    One walk of the document checks, rounds and writes each number.  In
-    JSON mode the rows of each matrix document are first screened once as
-    a NumPy array and formatted by a single ``%`` call; a matrix that the
-    screen declines (a non-finite entry, or a literal where ``"%.12g"`` and
-    ``repr`` part ways) goes through the walk, which formats each row by
-    one ``%`` call and rewrites the literals that need it.  A payload
-    holding NaN or infinity is rejected before anything is written, with
-    the entry named.  Returns the rendered text.
+    One walk of the document checks, rounds and writes each number, and
+    each mode has one bulk path beside it.  In JSON mode every list of
+    plain floats, a vector or the rows of a matrix, is screened once as a
+    NumPy array and written by a single ``%`` call; a list that the screen
+    declines (a non-finite entry, or a literal where ``"%.12g"`` and
+    ``repr`` part ways) goes through the walk.  In text mode each row is
+    written by one ``%`` call.  A payload holding NaN or infinity is
+    rejected before anything is written, with the entry named.  Returns the
+    rendered text.
     """
     doc = report.to_document()
     text = _json(doc, "report") + "\n" if json_mode else _render_text(doc)

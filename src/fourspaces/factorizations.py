@@ -169,7 +169,14 @@ def svd_full(x, tol=DEFAULT_TOL):
 
 
 def _pivoted_gram_schmidt(x):
-    """Orthonormal ``Q`` (n x k) with ``X = Q Q' X`` to rounding, for n x p ``X``, n >= p.
+    """Orthonormal ``Q`` (n x k) with ``X = Q Q' X`` to rounding, for n x p
+    ``X``, n >= p, whose largest entry is of order 1.
+
+    That precondition keeps the squared residual norms from underflowing: on
+    a 60 x 60 graded ``X`` times 2^-600 they underflow to 0 and k comes out 0.
+    The only caller, :func:`svd_reduced`, meets it, as it hands over the
+    prescaled ``X`` (largest entry in [0.5, 1)) and ``R' = X'Q``, whose
+    entries are then of order 1 too.
 
     Each step takes the residual column of largest norm, projects it off
     ``Q`` once more ("twice is enough"), normalises it and removes it from

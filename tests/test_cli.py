@@ -1028,6 +1028,10 @@ def edge_report():
         "flat_matrix": _matrix_doc(np.zeros((0, 3))),
         "vector": _vector_doc(np.array(EDGE_FLOATS[::-1])),
         "mixed": [1, 2.5, -3, 0.0, 10**20, 1e13, True, None],
+        # rows of floats outside a matrix document, and a vector of exact
+        # integers that the one-call path writes as "%.1f"
+        "float_rows": [[1.5, -2.25, 0.1], [2.0, 1e-5, -0.0]],
+        "whole_vector": [3.0, -0.0, 0.0, -12.0, 1e10],
         "empty_list": [],
         "flags": {"c1": True, "c2": False, "none": None},
         "empty_dict": {},

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,31 @@ def test_output_hash_comparison_counts_three_kinds(monkeypatch):
         ("json", "new", *tail): "other",
         ("usage", "help", *tail): "other",
     }
+
+
+def test_output_hash_exits_1_on_a_changed_record(monkeypatch, tmp_path, capsys):
+    hashing = _load_output_hash(monkeypatch)
+
+    def small(rng, tmp):
+        src = hashing._write_csv(tmp / "x.csv", rng.standard_normal((3, 2)))
+        return [["rank", "--input", src], ["svd", "--input", src]]
+
+    # a handful of invocations in place of the full set
+    monkeypatch.setattr(hashing, "corpus_invocations", lambda tmp: [])
+    monkeypatch.setattr(hashing, "small_invocations", small)
+    monkeypatch.setattr(hashing, "malformed_invocations", lambda tmp: [])
+    monkeypatch.setattr(hashing, "usage_invocations", lambda tmp: [["--help"]])
+    dump, tampered = tmp_path / "dump.jsonl", tmp_path / "tampered.jsonl"
+    with warnings.catch_warnings():
+        assert hashing.main(["--dump", str(dump)]) == 0
+        lines = dump.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["stdout"] += " "
+        tampered.write_text("\n".join([json.dumps(record, sort_keys=True), *lines[1:]]) + "\n")
+        assert hashing.main(["--against", str(dump)]) == 0
+        assert "5 identical, 0 float-only, 0 other" in capsys.readouterr().out
+        assert hashing.main(["--against", str(tampered)]) == 1
+        assert "4 identical, 0 float-only, 1 other" in capsys.readouterr().out
 
 
 def test_output_hash_reports_the_largest_float_drift(monkeypatch):
