@@ -261,10 +261,12 @@ def cr_decompose(x, tol=DEFAULT_TOL):
     reproduces ``x`` and both factors have full rank equal to ``rank``.
     A zero matrix yields empty factors whose product is still the right
     shape.  No transform is read, so the reduction runs on a copy of ``x``
-    alone; its echelon form and pivots are those of ``rref_rows``.
+    as it is, not prescaled, with each pivot column pinned to its unit
+    vector: ``1 / pivot`` is never formed, so a subnormal pivot cannot
+    overflow.  Its echelon form and pivots are those of ``rref_rows``.
     """
     x = as_matrix(x)
     reduced = x.copy()
-    pivots = _eliminate(reduced, x.shape[1], _as_tolerance(tol))
+    pivots, _ = _eliminate(reduced, _as_tolerance(tol))
     r = len(pivots)
     return CrFactors(x[:, list(pivots)].copy(), reduced[:r].copy(), r)

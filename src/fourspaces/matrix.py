@@ -4,11 +4,13 @@ Validation, Frobenius norms, and reduced row (and column) echelon
 factorizations that track the elementary transform applied, so every
 downstream construction can reuse the transform instead of refactoring.
 
-One Gauss-Jordan loop, :func:`_eliminate`, does every reduction.  It runs on
-``[A | I]`` only where the transform is read (:func:`rref_rows`,
-:func:`rref_cols`, :func:`invert`); a caller that needs only the echelon form
-or the rank (:func:`pivot_rank`, ``cr_decompose``) reduces a copy of ``A``
-alone and gets the same form and pivots, bit for bit.
+One Gauss-Jordan loop, :func:`_eliminate`, does every reduction, on an n x p
+copy of ``A`` with no identity block.  Where the transform is read
+(:func:`rref_rows`, :func:`rref_cols`, :func:`invert`) each step keeps the
+column ``E`` gains in the pivot column it frees, as the classical in-place
+Gauss-Jordan inversion does; :func:`pivot_rank` and ``cr_decompose`` pin
+each pivot column to its unit vector instead.  Both give the ``R``, pivots
+and ``E`` of ``[A | I] -> [R | E]``, bit for bit.
 """
 
 from __future__ import annotations
@@ -164,49 +166,63 @@ class RrefResult:
     pivot_rank: int
 
 
-def _eliminate(work, p, tol):
-    """Reduce the first ``p`` columns of ``work`` to reduced row echelon form
-    in place, carrying every later column along; return the pivot columns.
+def _eliminate(work, tol, track=False):
+    """Reduce the n x p array ``work`` to reduced row echelon form in place;
+    return the pivot columns and the row order.
 
     This is the one Gauss-Jordan loop of the library, with the pivoting rule
     of :func:`rref_rows` and a threshold of ``tol.relative`` times the
-    largest entry of ``work[:, :p]``.  The columns past ``p`` (an identity
-    block, for a caller that reads the transform) never steer a pivot, so
-    ``work[:, :p]`` and the pivots come out bit for bit the same with or
-    without them.  Each step subtracts one rank-1 product, formed by BLAS
-    into a buffer allocated once per call.
+    largest entry of ``work``.  ``order[i]`` is the input row that ends at
+    row ``i``.  Each step subtracts one rank-1 product, formed by BLAS into
+    a buffer allocated once per call, so ``work`` must be C-contiguous.
+
+    Without ``track`` each pivot column ends as its unit vector.  With it,
+    each step first writes the pivot row's unit vector into the pivot
+    column.  That unit vector is the column ``E`` gains at this step (the
+    one ``[A | I]`` holds at ``order[row]``), and the division and the
+    update that follow leave it there as ``[A | I]`` would, entry for entry.
+    The pivot columns then hold ``E[:, order[:r]]``, and ``E[:, order[s]]``
+    is still the unit vector ``e_s`` for ``s >= r``.  Only a prescaled
+    ``work`` may be tracked: a stored column holds ``1 / pivot``.
     """
     n = work.shape[0]
-    threshold = tol.relative * np.max(np.abs(work[:, :p]))
+    threshold = tol.relative * np.max(np.abs(work))
     update = np.empty_like(work)
+    order = list(range(n))
     pivots = []
     row = 0
-    for col in range(p):
+    for col in range(work.shape[1]):
         if row == n:
             break
         candidates = np.abs(work[row:, col])
-        k = int(np.argmax(candidates))
+        k = int(candidates.argmax())
         if candidates[k] <= threshold:
             work[row:, col] = 0.0
             continue
         piv = row + k
         if piv != row:
             work[row], work[piv] = work[piv], work[row].copy()
+            order[row], order[piv] = order[piv], order[row]
         pivot_row = work[row]
-        pivot_row /= pivot_row[col]
+        pivot = pivot_row[col]
+        factors = work[:, col].copy()
+        factors[row] = 0.0
+        if track:
+            work[:, col] = 0.0
+            work[row, col] = 1.0
+        pivot_row /= pivot
         # a zero divided by a negative pivot is -0.0, and subtracting the
         # +0.0 products BLAS forms for the row's zero factor would keep it;
         # adding +0.0 stores every zero of a pivot row as +0.0
         pivot_row += 0.0
-        factors = work[:, col].copy()
-        factors[row] = 0.0
         work -= np.dot(factors[:, None], pivot_row[None, :], out=update)
-        # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
-        work[:, col] = 0.0
-        work[row, col] = 1.0
+        if not track:
+            # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
+            work[:, col] = 0.0
+            work[row, col] = 1.0
         pivots.append(col)
         row += 1
-    return tuple(pivots)
+    return tuple(pivots), order
 
 
 def rref_rows(a, tol=DEFAULT_TOL):
@@ -239,23 +255,28 @@ def rref_rows(a, tol=DEFAULT_TOL):
     zeros below the current row, so ``pivot_rank`` always equals the number
     of nonzero rows.
 
-    The identity block is carried for the callers that read ``E``: the
+    The identity block is not stored: the pivot columns of the n x p work
+    array keep the columns of ``E`` (see :func:`_eliminate`), and ``E`` is
+    assembled from them and the unit vectors of the rows that never pivot,
+    every entry bit for bit the one ``[A | I]`` gives.  ``E`` serves the
     elementary one-sided inverses and their families, ``ginv``,
-    :func:`rref_cols` and :func:`invert`.  :func:`pivot_rank` and
-    ``cr_decompose`` reduce ``A`` alone, which gives the same ``R`` and
-    pivots bit for bit.  The work runs at the scale of :func:`_prescaled`,
-    where an accepted pivot exceeds ``tol.relative / 2``.  ``R`` and the
-    non-pivot rows of ``E`` do not scale with ``A``; the pivot rows of ``E``
-    scale as ``1 / A`` and are scaled back, exactly, or to ``inf`` past the
-    float range, with no warning.
+    :func:`rref_cols` and :func:`invert`.  The work runs at the scale of
+    :func:`_prescaled`, where an accepted pivot exceeds ``tol.relative / 2``.
+    ``R`` and the non-pivot rows of ``E`` do not scale with ``A``; the pivot
+    rows of ``E`` scale as ``1 / A`` and are scaled back, exactly, or to
+    ``inf`` past the float range, with no warning.
     """
-    a, e = _prescaled(as_matrix(a))
-    n, p = a.shape
-    aug = np.hstack([a, np.eye(n)])
-    pivots = _eliminate(aug, p, _as_tolerance(tol))
+    work, e = _prescaled(np.ascontiguousarray(as_matrix(a)))
+    n = work.shape[0]
+    pivots, order = _eliminate(work, _as_tolerance(tol), track=True)
     r = len(pivots)
-    aug[:r, p:] = _scaled_back(aug[:r, p:], -e)
-    return RrefResult(aug[:, :p].copy(), aug[:, p:].copy(), pivots, r)
+    transform = np.zeros((n, n))
+    transform[:, order[:r]] = work[:, pivots]
+    transform[range(r, n), order[r:]] = 1.0
+    transform[:r] = _scaled_back(transform[:r], -e)
+    work[:, pivots] = 0.0
+    work[range(r), pivots] = 1.0
+    return RrefResult(work, transform, pivots, r)
 
 
 def rref_cols(a, tol=DEFAULT_TOL):
@@ -277,11 +298,12 @@ def rref_cols(a, tol=DEFAULT_TOL):
 def pivot_rank(a, tol=DEFAULT_TOL):
     """Number of accepted pivots in the row echelon form.
 
-    The reduction runs on a copy of ``a`` alone, with no identity block,
-    since no transform is read; the count is that of :func:`rref_rows`.
+    The reduction runs on a copy of ``a`` as it is, not prescaled, since no
+    transform is read: each pivot column is pinned to its unit vector and
+    ``1 / pivot`` is never formed, so a subnormal pivot cannot overflow.
+    The count is that of :func:`rref_rows`.
     """
-    a = as_matrix(a)
-    return len(_eliminate(a.copy(), a.shape[1], _as_tolerance(tol)))
+    return len(_eliminate(as_matrix(a).copy(), _as_tolerance(tol))[0])
 
 
 def invert(a, tol=DEFAULT_TOL):
@@ -289,7 +311,8 @@ def invert(a, tol=DEFAULT_TOL):
 
     The row transform that carries ``a`` to the identity *is* the inverse, so
     no separate elimination pass is needed: :func:`rref_rows` reduces
-    ``[A | I]`` to ``[I | A^-1]``, and this caller reads the identity block.
+    ``[A | I]`` to ``[I | A^-1]``, and this caller reads the transform, whose
+    columns the reduction stored in the pivot columns of ``A``'s copy.
     An inverse past the float range raises :class:`NonFiniteEntryError`.
     """
     a = as_matrix(a)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -335,3 +335,80 @@ def test_elimination_matches_the_reference_loop_bit_for_bit(relative, k):
                        f"(pivot rank {len(want_piv)} of {a.shape[0]})")
             with pytest.raises(SingularMatrixError, match=re.escape(wording) + "$"):
                 invert(a, tol)
+
+
+@given(
+    n=st.integers(1, 12),
+    p=st.integers(1, 12),
+    rank=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    negative_zeros=st.booleans(),
+    k=st.sampled_from([0, 600, -600]),
+    relative=st.sampled_from([1e-10, 1e-2]),
+)
+@example(n=9, p=4, rank=2, seed=0, integer=False, negative_zeros=False, k=0, relative=1e-10)
+@example(n=4, p=9, rank=3, seed=1, integer=True, negative_zeros=True, k=600, relative=1e-10)
+@settings(max_examples=200, deadline=None)
+def test_every_reader_of_the_elimination_matches_the_reference_loop(
+    n, p, rank, seed, integer, negative_zeros, k, relative
+):
+    # the transform kept in the pivot columns is the identity block of
+    # [A | I], signed zeros included, on tall and wide inputs of planted
+    # rank; a tall input has rows that never pivot, whose columns of E are
+    # the unit vectors the reduction never stores
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, p)
+    if integer:
+        x = rng.integers(-2, 3, (n, rank)) @ rng.integers(-2, 3, (rank, p)) + 0.0
+    else:
+        x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+    if negative_zeros:
+        x[(x == 0.0) | (rng.random((n, p)) < 0.2)] = -0.0
+    a = np.ldexp(x, k)
+    tol = Tolerance(relative)
+    want_r, want_e, want_piv = _reference_rref(a, tol)
+    r = len(want_piv)
+    res = rref_rows(a, tol)
+    _assert_same_bits(res.reduced, want_r)
+    _assert_same_bits(res.transform, want_e)
+    assert res.pivot_cols == want_piv and res.pivot_rank == r
+    want_rt, want_et, want_pivt = _reference_rref(a.T, tol)
+    res = rref_cols(a, tol)
+    _assert_same_bits(res.reduced, want_rt.T)
+    _assert_same_bits(res.transform, want_et.T)
+    assert res.pivot_cols == want_pivt and res.pivot_rank == len(want_pivt)
+    assert pivot_rank(a, tol) == r
+    fac = cr_decompose(a, tol)
+    assert fac.rank == r
+    _assert_same_bits(fac.c, a[:, list(want_piv)])
+    _assert_same_bits(fac.r_factor, want_r[:r])
+    if n == p and r == n:
+        _assert_same_bits(invert(a, tol), want_e)
+    elif n == p:
+        with pytest.raises(SingularMatrixError):
+            invert(a, tol)
+
+
+def test_elimination_reduces_a_c_contiguous_copy_of_the_input(monkeypatch):
+    # the transform lives in the pivot columns of an n x p work array, not in
+    # an identity block, and the rank-1 update writes into a C-ordered buffer
+    import fourspaces.matrix as matrix
+
+    seen = []
+    original = matrix._eliminate
+
+    def spy(work, tol, track=False):
+        seen.append((work.shape, work.flags.c_contiguous))
+        return original(work, tol, track)
+
+    monkeypatch.setattr(matrix, "_eliminate", spy)
+    rng = np.random.default_rng(5)
+    x = np.asfortranarray(rng.standard_normal((7, 4)))
+    square = np.asfortranarray(full_col_rank(rng, 5, 5))
+    kept = x.copy()
+    rref_rows(x)
+    rref_cols(x.T)
+    invert(square)
+    assert seen == [((7, 4), True), ((7, 4), True), ((5, 5), True)]
+    _assert_same_bits(x, kept)
