@@ -43,9 +43,8 @@ print("  x @ null =", (x @ bases.null_space).ravel())
 print("\nmapping a row-space basis through x lands in the column space:")
 mapped = column_basis_from_row_basis(x, bases.row_space)
 print(mapped)
-# the images are independent but not orthonormal; orthonormalize to compare spans
-q, _ = np.linalg.qr(mapped)
-print("same span as the column-space basis:", subspaces_equal(q, bases.column_space))
+# the images are independent but not orthonormal; the comparison is by span
+print("same span as the column-space basis:", subspaces_equal(mapped, bases.column_space))
 
 print("\ntwo different bases of the same plane compare equal by projector:")
 a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])

@@ -1,16 +1,18 @@
 """Symmetric eigendecomposition and the SVD's kernel: one-sided Jacobi rotations.
 
 One kernel, :func:`_jacobi_rows`, rotates the rows of a k x p matrix ``R``:
-one array ``[R | I]`` is rotated once per round to ``[Sigma V' | W']``, each
-pair's rotation read off the dot products of its two rows, the entries of
-``R R'`` a two-sided Jacobi round would read, so ``W' R R' W`` ends diagonal
-with ``R R'`` formed only to test convergence (Hestenes 1958).  A sweep is
-k rounds of the odd-even ordering (Luk and Park, SISC 1989): each round
+``[R | I]`` is rotated round by round to ``[Sigma V' | W']``, each pair's
+rotation read off the dot products of its two rows, the entries of ``R R'``
+a two-sided Jacobi round would read, so ``W' R R' W`` ends diagonal with
+``R R'`` formed only to test convergence (Hestenes 1958).  A sweep is k
+rounds of the odd-even ordering (Luk and Park, SISC 1989): each round
 rotates and swaps adjacent row pairs, one contiguous block, in a few array
 operations with angles from one ``atan2``, and every pair meets once per
-sweep.  Sweeps stop on one rule: every pair of rows orthogonal to
-``k eps`` in cosine, the relative criterion of Demmel and Veselic (SIMAX
-1992).
+sweep.  The rounds alternate between ``[R | I]`` and a spare array of its
+shape, each rotating its block out of one into the other, and write only
+into arrays and views built once per kernel call.  Sweeps stop on one
+rule: every pair of rows orthogonal to ``k eps`` in cosine, the relative
+criterion of Demmel and Veselic (SIMAX 1992).
 
 The SVD passes its triangular factor.  :func:`eig_symmetric` passes the
 shifted matrix ``B = A + mu I`` with ``mu = 2 ||A||_F``: ``B`` is positive
@@ -36,6 +38,8 @@ from .matrix import (
 __all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check"]
 
 MAX_SWEEPS = 50
+# 1/2 as a 0-d array: a ufunc converts a Python float on every call
+_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,32 @@ def _offdiag_norm(a):
     return frobenius_norm(off)
 
 
-def _rotation(app, aqq, apq):
+def _rotation(app, aqq, apq, out=None):
     """Cosines and sines of the Jacobi rotations that annihilate ``apq``, elementwise.
 
     The angle is the inner one, ``|theta| <= pi / 4`` with
     ``tan 2 theta = apq / h`` and ``h = aqq / 2 - app / 2`` from halves:
     ``theta = sign(h) atan2(apq, |h|) / 2``, so nothing overflows for
     entries below 7e307 and nothing divides.  At ``h = 0`` the angle is
-    ``pi / 4`` signed as ``apq``, and 0 when ``apq`` is 0 too.
+    ``pi / 4`` signed as ``apq``, and 0 when ``apq`` is 0 too.  ``out`` is
+    four arrays of the shape of ``apq``, ``(h, theta, c, s)``, that take the
+    intermediates and the result, so a round of :func:`_row_sweep`
+    allocates nothing; without it they are allocated.  Returns ``(c, s)``.
     """
-    h = aqq / 2.0 - app / 2.0
-    theta = np.arctan2(apq, np.abs(h)) * np.copysign(0.5, h)
-    return np.cos(theta), np.sin(theta)
+    if out is None:
+        out = [np.empty(np.shape(apq)) for _ in range(4)]
+    h, theta, c, s = out
+    # x * 0.5 is exactly x / 2, subnormal or not
+    np.multiply(aqq, _HALF, out=h)
+    np.multiply(app, _HALF, out=theta)
+    np.subtract(h, theta, out=h)
+    np.abs(h, out=theta)
+    np.arctan2(apq, theta, out=theta)
+    np.copysign(_HALF, h, out=h)
+    np.multiply(theta, h, out=theta)
+    np.cos(theta, out=c)
+    np.sin(theta, out=s)
+    return c, s
 
 
 def _sign_columns(q):
@@ -106,40 +124,68 @@ def _sign_columns(q):
     return flip
 
 
-def _row_sweep(w, p, first):
+def _row_rounds(w, p):
+    """Everything the rounds of :func:`_row_sweep` over ``w`` read and write, built once.
+
+    Round t of a sweep rotates its block of ``w`` or of a spare array of
+    the same shape into the same block of the other, ``w`` first, so no
+    round copies its block back.  The views of both parities over both
+    arrays, the dot products, the angles and the 2 x 2 rotation blocks are
+    made here, once per :func:`_jacobi_rows` call, and every round writes
+    through them.  Returns ``(w, spare, schedule)``, ``schedule[first]``
+    the k rounds of a sweep that begins on parity ``first``.
+    """
+    k, n = w.shape
+    spare = np.empty_like(w)
+    # the first and last rows: a round leaves one or both idle, and carries
+    # both across before its matmul overwrites the one it pairs, if any
+    edges = slice(None, None, max(k - 1, 1))
+    table = ([], [])
+    for o in (0, 1):
+        m = (k - o) // 2
+        norms, gamma = np.empty(2 * m), np.empty(m)
+        # g[m] = [[s, c], [c, -s]] for pair m: the rotation, then the swap
+        g = np.empty((m, 2, 2))
+        c, s = g[:, 0, 1], g[:, 0, 0]
+        rotation = (norms[::2], norms[1::2], gamma, (*np.empty((2, m)), c, s))
+        for d, (src, dst) in enumerate(((w, spare), (spare, w))):
+            r = src[o : o + 2 * m, :p]
+            idle = (src[edges], dst[edges]) if 2 * m < k else None
+            table[d].append((r, r[::2], r[1::2], norms, gamma, rotation, c, g[:, 1, 0], s,
+                             g[:, 1, 1], g, src[o : o + 2 * m].reshape(m, 2, n),
+                             dst[o : o + 2 * m].reshape(m, 2, n), idle))
+    schedule = [[table[t % 2][(first + t) % 2] for t in range(k)] for first in (0, 1)]
+    return w, spare, schedule
+
+
+def _row_sweep(rounds, first):
     """One odd-even pass over all row pairs of ``w = [R | W']``, in place.
 
-    ``w`` is C-ordered, k x (p + k).  Round t pairs rows ``(o, o + 1),
-    (o + 2, o + 3), ...`` with ``o = (first + t) mod 2``, one contiguous
-    block of ``w``, and reads ``alpha = r_i . r_i``, ``beta = r_j . r_j``
-    and ``gamma = r_i . r_j`` off its left block with two ``vecdot`` calls:
-    the entries of ``R R'`` a two-sided round would read, without forming
-    ``R R'``.  A round's pairs are disjoint, so one ``matmul`` applies its
-    rotations, into a buffer allocated once per parity and copied back.
+    ``rounds`` is :func:`_row_rounds` of ``w``, C-ordered, k x (p + k).
+    Round t pairs rows ``(o, o + 1), (o + 2, o + 3), ...`` with
+    ``o = (first + t) mod 2``, one contiguous block, and reads
+    ``alpha = r_i . r_i``, ``beta = r_j . r_j`` and ``gamma = r_i . r_j``
+    off its left block with two ``vecdot`` calls: the entries of ``R R'`` a
+    two-sided round would read, without forming ``R R'``.  A round's pairs
+    are disjoint, so one ``matmul`` rotates them out of ``w`` into the
+    spare array, or back, and one slice copy carries the idle edge rows
+    across; a sweep over odd k ends in the spare and is copied back once.
     Each rotation also swaps its pair, so the k rounds are odd-even
     transposition: from either ``first``, every pair of rows is adjacent in
     exactly one round, and the sweep leaves the rows in reverse order.
     """
-    k, n = w.shape
-    rounds = []
-    for o in (0, 1):
-        m = (k - o) // 2
-        rows = w[o : o + 2 * m]
-        r = rows[:, :p]
-        # g[m] = [[s, c], [c, -s]] for pair m: the rotation, then the swap
-        g = np.empty((m, 2, 2))
-        rounds.append((rows.reshape(m, 2, n), np.empty((m, 2, n)), r, r[::2], r[1::2],
-                       g, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]))
-    for t in range(k):
-        pairs, buf, r, ri, rj, g, g00, g01, g10, g11 = rounds[(first + t) % 2]
-        norms = np.vecdot(r, r)
-        c, s = _rotation(norms[::2], norms[1::2], np.vecdot(ri, rj))
-        g00[...] = s
-        g01[...] = c
-        g10[...] = c
-        np.negative(s, out=g11)
-        np.matmul(g, pairs, out=buf)
-        pairs[...] = buf
+    w, spare, schedule = rounds
+    for r, ri, rj, norms, gamma, rotation, c, c2, s, ns, g, pairs, out, idle in schedule[first]:
+        np.vecdot(r, r, out=norms)
+        np.vecdot(ri, rj, out=gamma)
+        _rotation(*rotation)
+        c2[...] = c
+        np.negative(s, out=ns)
+        if idle:
+            idle[1][...] = idle[0]
+        np.matmul(g, pairs, out=out)
+    if len(w) % 2:
+        w[...] = spare
 
 
 def eig_symmetric(s, tol=DEFAULT_TOL):
@@ -232,9 +278,11 @@ def _jacobi_rows(r):
 
     One C-ordered array ``[R | I]`` is rotated to ``[Sigma V' | W']``, so
     ``W' R R' W`` is diagonal: the rotations are those of two-sided
-    Jacobi on ``R R'``, read off the rows of ``R`` (Hestenes 1958).  Each
-    sweep is a :func:`_row_sweep` from the round parity where the last one
-    left off: for odd k a sweep ends on the parity it began with, and
+    Jacobi on ``R R'``, read off the rows of ``R`` (Hestenes 1958).  The
+    spare array, views and temporaries of every round are built once, by
+    :func:`_row_rounds`, and each sweep is a :func:`_row_sweep` over them,
+    which leaves the rows in ``[R | I]``, from the round parity where the
+    last one left off: for odd k a sweep ends on the parity it began with, and
     beginning the next on it would repeat pairs just made orthogonal.  Sweeps
     stop once every pair of rows has
     ``|r_i . r_j| <= k eps ||r_i|| ||r_j||``, read off ``R R'`` formed once
@@ -263,6 +311,7 @@ def _jacobi_rows(r):
     r = w[:, :p]
     bound = k * np.finfo(float).eps
     sweeps = 0
+    rounds = _row_rounds(w, p)
     cosine = _largest_cosine(r @ r.T)
     while cosine > bound:
         if sweeps == MAX_SWEEPS:
@@ -272,7 +321,7 @@ def _jacobi_rows(r):
                 sweeps,
                 cosine,
             )
-        _row_sweep(w, p, sweeps * k % 2)
+        _row_sweep(rounds, sweeps * k % 2)
         sweeps += 1
         cosine = _largest_cosine(r @ r.T)
     sigma = np.sqrt(np.vecdot(r, r))

@@ -132,9 +132,14 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
 def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
     """Whether two column bases span the same subspace.
 
-    Compares the orthogonal projectors ``a @ a.T`` and ``b @ b.T``, which is
-    basis-independent for orthonormal inputs; the comparison band is
-    ``1e-8 * max(1, k)``, widening only if ``tol`` is coarser than that.
+    Each basis is first orthonormalised as the ``u`` of its
+    :func:`~fourspaces.factorizations.svd_reduced` at ``tol``, so its columns
+    need be neither orthonormal nor independent: a column that ``tol``
+    counts as dependent adds nothing to the span, and a ``(dim, 0)`` basis
+    spans the zero subspace.  The orthogonal projectors ``u_a @ u_a.T`` and
+    ``u_b @ u_b.T`` are then compared, which is basis-independent; the
+    comparison band is ``1e-8 * max(1, k)``, ``k`` the larger of the two
+    ranks, widening only if ``tol`` is coarser than that.
     """
     tol = _as_tolerance(tol)
     a = _as_basis(basis_a, "first basis")
@@ -143,6 +148,7 @@ def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
         raise ShapeError(
             f"bases live in different ambient dimensions: {a.shape[0]} vs {b.shape[0]}"
         )
+    a, b = (svd_reduced(x, tol).u if x.shape[1] else x for x in (a, b))
     k = max(a.shape[1], b.shape[1])
     gap = frobenius_norm(a @ a.T - b @ b.T)
     return bool(gap <= max(1.0, float(k)) * max(100.0 * tol.relative, 1e-8))

@@ -1,9 +1,12 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fourspaces import (
@@ -15,11 +18,12 @@ from fourspaces import (
     Tolerance,
     pivot_rank,
 )
-from fourspaces import factorizations, svd_reduced
+from fourspaces import factorizations, spectral, svd_reduced
 from fourspaces.spectral import (
     _jacobi_rows,
     _offdiag_norm,
     _rotation,
+    _row_rounds,
     _row_sweep,
     _sign_columns,
     eig_symmetric,
@@ -188,9 +192,9 @@ def test_round_robin_schedule_covers_each_pair_once(k, monkeypatch):
     rounds = []
     original = spectral._rotation
 
-    def spy(app, aqq, apq):
+    def spy(app, aqq, apq, out=None):
         rounds.append(list(zip(np.sqrt(app).astype(int) - 1, np.sqrt(aqq).astype(int) - 1)))
-        return original(app, aqq, apq)
+        return original(app, aqq, apq, out)
 
     monkeypatch.setattr(spectral, "_rotation", spy)
     labels = np.arange(k)
@@ -198,7 +202,7 @@ def test_round_robin_schedule_covers_each_pair_once(k, monkeypatch):
     for first in (0, 1):
         rounds.clear()
         w = start.copy()
-        _row_sweep(w, k, first)
+        _row_sweep(_row_rounds(w, k), first)
         assert len(rounds) == k
         met = []
         for pairs in rounds:
@@ -452,7 +456,7 @@ def test_row_sweep_applies_the_rotations_of_the_two_sided_sweep(k):
     for first in (0, 1):
         w = np.hstack((r, np.eye(k)))
         w2 = np.hstack((r @ r.T, np.eye(k)))
-        _row_sweep(w, p, first)
+        _row_sweep(_row_rounds(w, p), first)
         _reference_sweep(w2, first)
         assert_allclose(w[:, :p] @ w[:, :p].T, w2[:, :k], rtol=0, atol=1e-13 * scale)
         assert_allclose(w[:, p:], w2[:, k:], rtol=0, atol=1e-13)
@@ -506,6 +510,7 @@ def _reference_row_sweeps(r):
     r = np.ldexp(r, -np.frexp(np.max(np.abs(r)))[1])
     k, p = r.shape
     w = np.hstack((r, np.eye(k)))
+    rounds = _row_rounds(w, p)
     sweeps = 0
     while True:
         g = w[:, :p] @ w[:, :p].T
@@ -514,7 +519,7 @@ def _reference_row_sweeps(r):
         np.fill_diagonal(apart, False)
         if not apart.any():
             return sweeps
-        _row_sweep(w, p, sweeps * k % 2)
+        _row_sweep(rounds, sweeps * k % 2)
         sweeps += 1
 
 
@@ -539,6 +544,105 @@ def test_row_jacobi_takes_the_sweeps_of_the_reference_rule(monkeypatch):
     for r in factors:
         sweeps = _jacobi_rows(r)[2]
         assert sweeps == _reference_row_sweeps(r)
+
+
+def _reference_row_sweep(w, p, first):
+    """Reference: the round body of :func:`_row_sweep` before its rounds were
+    double-buffered, with the arithmetic of :func:`_rotation` written out.
+    Each round rotates its block of ``w`` into a buffer of its own and copies
+    it back; ``w`` is k x (p + k), as :func:`_row_sweep` takes it."""
+    k, n = w.shape
+    for t in range(k):
+        o = (first + t) % 2
+        m = (k - o) // 2
+        pairs = w[o : o + 2 * m].reshape(m, 2, n)
+        r = w[o : o + 2 * m, :p]
+        norms = np.vecdot(r, r)
+        app, aqq, apq = norms[::2], norms[1::2], np.vecdot(r[::2], r[1::2])
+        h = aqq / 2.0 - app / 2.0
+        theta = np.arctan2(apq, np.abs(h)) * np.copysign(0.5, h)
+        c, s = np.cos(theta), np.sin(theta)
+        g = np.empty((m, 2, 2))
+        g[:, 0, 0] = s
+        g[:, 0, 1] = c
+        g[:, 1, 0] = c
+        np.negative(s, out=g[:, 1, 1])
+        buf = np.empty((m, 2, n))
+        np.matmul(g, pairs, out=buf)
+        pairs[...] = buf
+
+
+def _with_reference_sweeps(f, *args):
+    """``f(*args)`` with every sweep of the kernel run by :func:`_reference_row_sweep`."""
+
+    def sweep(rounds, first):
+        w = rounds[0]
+        _reference_row_sweep(w, w.shape[1] - w.shape[0], first)
+
+    with mock.patch.object(spectral, "_row_sweep", sweep):
+        return f(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 70),
+    extra=st.sampled_from([0, 3]),
+    first=st.integers(0, 1),
+    scale=st.sampled_from([0, 600, -600]),
+    seed=st.integers(0, 2**32 - 1),
+    tiny=st.booleans(),
+)
+def test_double_buffered_rounds_match_the_reference_bit_for_bit(k, extra, first, scale, seed,
+                                                                  tiny):
+    # one sweep on rows as the kernel's prescale leaves them, largest entry of
+    # order 1; with tiny, every other row is scaled by 2^-530, so its squared
+    # norm is subnormal and halving it rounds.  Then the whole kernel on the
+    # Gaussian rows at the drawn scale.
+    p = k + extra
+    r = np.random.default_rng(seed).standard_normal((k, p))
+    w = np.hstack((r, np.eye(k)))
+    if tiny:
+        w[1::2, :p] = np.ldexp(w[1::2, :p], -530)
+    ref = w.copy()
+    _row_sweep(_row_rounds(w, p), first)
+    _reference_row_sweep(ref, p, first)
+    assert np.array_equal(w, ref)
+    r = np.ldexp(r, scale)
+    sigma, rot, sweeps = _jacobi_rows(r)
+    ref_sigma, ref_rot, ref_sweeps = _with_reference_sweeps(_jacobi_rows, r)
+    assert np.array_equal(sigma, ref_sigma)
+    assert np.array_equal(rot, ref_rot)
+    assert sweeps == ref_sweeps
+
+
+def _fixture(kind, seed):
+    """A graded 80 x 60 (cond 1e1 to 1e4), rank-deficient 20 x 30 or Kahan input."""
+    rng = np.random.default_rng(seed)
+    if kind == "graded":
+        return graded(rng, 80, 60, 60, 10.0 ** (1 + seed % 4))
+    if kind == "rank-deficient":
+        return rank_deficient(rng, 20, 30, 1 + seed % 20)
+    return kahan(2 + seed % 29, 0.3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["graded", "rank-deficient", "kahan"]),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([0, 600, -600]),
+)
+def test_double_buffered_rounds_leave_svd_and_eig_bit_for_bit(kind, seed, scale):
+    x = _fixture(kind, seed)
+    s = np.ldexp(x.T @ x, scale)
+    x = np.ldexp(x, scale)
+    res, ref = svd_reduced(x), _with_reference_sweeps(svd_reduced, x)
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert (res.rank, res.sweeps) == (ref.rank, ref.sweeps)
+    res, ref = eig_symmetric(s), _with_reference_sweeps(eig_symmetric, s)
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.q, ref.q)
+    assert (res.sweeps, res.offdiag_norm) == (ref.sweeps, ref.offdiag_norm)
 
 
 def _zero_rows():

@@ -116,6 +116,23 @@ def test_subspaces_equal_fixture_rotated_plane():
     assert subspaces_equal(np.array([0.0, 1.0]), np.array([[0.0], [-1.0]])) is True
 
 
+def test_subspaces_equal_does_not_need_orthonormal_bases():
+    # a scaled column and a sheared pair span what their orthonormal
+    # counterparts span; comparing a a' with b b' directly called both unequal
+    assert subspaces_equal([[2.0], [0.0]], [[1.0], [0.0]]) is True
+    assert subspaces_equal([[1.0, 1.0], [0.0, 1.0]], np.eye(2)) is True
+    assert subspaces_equal([[3.0], [0.0]], [[0.0], [5.0]]) is False
+    # a dependent column adds nothing to the span
+    dependent = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+    assert subspaces_equal(dependent, np.eye(3)[:, :2]) is True
+    assert subspaces_equal(dependent, np.eye(3)) is False
+    # a (dim, 0) basis spans the zero subspace, as does a zero column
+    empty = np.zeros((3, 0))
+    assert subspaces_equal(empty, np.zeros((3, 0))) is True
+    assert subspaces_equal(empty, np.zeros((3, 1))) is True
+    assert subspaces_equal(empty, [[0.0], [2.0], [0.0]]) is False
+
+
 def test_subspaces_equal_rejects_mixed_ambient_dims():
     with pytest.raises(ShapeError):
         subspaces_equal(np.eye(2), np.eye(3))
