@@ -547,10 +547,10 @@ def test_row_jacobi_takes_the_sweeps_of_the_reference_rule(monkeypatch):
 
 
 def _reference_row_sweep(w, p, first):
-    """Reference: the round body of :func:`_row_sweep` before its rounds were
-    double-buffered, with the arithmetic of :func:`_rotation` written out.
-    Each round rotates its block of ``w`` into a buffer of its own and copies
-    it back; ``w`` is k x (p + k), as :func:`_row_sweep` takes it."""
+    """Reference: one sweep of :func:`_row_sweep` on a single array, with the
+    arithmetic of :func:`_rotation` written out.  Each round allocates its
+    temporaries, rotates its block of ``w`` into a buffer of its own and
+    copies it back; ``w`` is k x (p + k), as :func:`_row_rounds` takes it."""
     k, n = w.shape
     for t in range(k):
         o = (first + t) % 2

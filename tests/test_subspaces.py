@@ -118,7 +118,7 @@ def test_subspaces_equal_fixture_rotated_plane():
 
 def test_subspaces_equal_does_not_need_orthonormal_bases():
     # a scaled column and a sheared pair span what their orthonormal
-    # counterparts span; comparing a a' with b b' directly called both unequal
+    # counterparts span, though a a' != b b' for each
     assert subspaces_equal([[2.0], [0.0]], [[1.0], [0.0]]) is True
     assert subspaces_equal([[1.0, 1.0], [0.0, 1.0]], np.eye(2)) is True
     assert subspaces_equal([[3.0], [0.0]], [[0.0], [5.0]]) is False
