@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -70,8 +69,10 @@ __all__ = ["Report", "parse_matrix", "parse_vector", "run_command", "emit_report
 class Report:
     """One command's structured answer.
 
-    ``payload`` is command specific; ``residuals`` is always present, a flat
-    mapping of named nonnegative reals.
+    ``payload`` is command specific, its matrices and vectors float64
+    NumPy arrays as :func:`_matrix_doc` and :func:`_vector_doc` hold them;
+    ``residuals`` is always present, a flat mapping of named nonnegative
+    reals.
     """
 
     command: str
@@ -81,6 +82,8 @@ class Report:
     residuals: dict
 
     def to_document(self):
+        """The report as the document :func:`emit_report` writes, the
+        payload's arrays handed on as they are."""
         return {
             "command": self.command,
             "input_shape": list(self.input_shape) if self.input_shape else None,
@@ -94,25 +97,30 @@ class Report:
 # ingestion
 
 
+def _csv_cell(lineno, colno, cell):
+    """One CSV cell as a float, or a ``ParseError`` naming its line and column."""
+    try:
+        return float(cell.strip())
+    except ValueError:
+        raise ParseError(
+            f"line {lineno}, column {colno}: {cell.strip()!r} is not a number"
+        ) from None
+
+
 def _rows_from_csv(text):
     rows = []
-    width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        vals = []
-        for colno, cell in enumerate(line.split(","), start=1):
-            try:
-                vals.append(float(cell.strip()))
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}, column {colno}: {cell.strip()!r} is not a number"
-                ) from None
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
+        cells = line.split(",")
+        try:
+            vals = list(map(float, cells))
+        except ValueError:
+            # float() strips the padding strip() does, except U+001F
+            vals = [_csv_cell(lineno, j, cell) for j, cell in enumerate(cells, start=1)]
+        if rows and len(vals) != len(rows[0]):
             raise RaggedRowsError(
-                f"line {lineno} has {len(vals)} entries, previous rows have {width}"
+                f"line {lineno} has {len(vals)} entries, previous rows have {len(rows[0])}"
             )
         rows.append(vals)
     if not rows:
@@ -143,7 +151,7 @@ def _rows_from_json(text):
     if type(rows_n) is not int or type(cols_n) is not int:  # bool is an int subclass
         raise ParseError('"rows" and "cols" must be integers')
     if not isinstance(data, list) or len(data) != rows_n:
-        got = len(data) if hasattr(data, "__len__") else "no array"
+        got = len(data) if isinstance(data, list) else "no array"
         raise ParseError(f'"data" must hold {rows_n} rows, got {got}')
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols_n:
@@ -188,16 +196,18 @@ def parse_vector(path, format="csv", length=None):
 
 
 def _matrix_doc(arr):
+    """A matrix payload: its shape, and its entries as a float64 array,
+    which the emitter writes as a list of rows."""
     arr = np.asarray(arr, dtype=float)
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": arr.tolist(),
+        "data": arr,
     }
 
 
 def _vector_doc(arr):
-    return np.asarray(arr, dtype=float).tolist()
+    return np.asarray(arr, dtype=float)
 
 
 def _penrose_residuals(rep):
@@ -556,18 +566,15 @@ def _text_literal(s):
 
 
 _MATRIX_KEYS = {"rows", "cols", "data"}
-_LISTS = {list}
 # "%.01f" is "%.1f" at the width of "%.12g": the codes differ in "12g"/"01f"
 _F_DIGITS = np.frombuffer(b"01f", np.uint8)
 
 
-def _whole_entries(entries):
-    """Screen a tuple of plain floats once, as an array: a mask of its exact
-    integers, or None if it holds a NaN or infinity, or a literal where
-    ``"%.12g"`` and ``repr`` part ways beyond the ``".0"`` of an integer:
-    |v| >= 1e11, nonzero |v| < 1e-298, or a non-integer that ``"%.12g"``
-    rounds to an integer."""
-    a = np.fromiter(entries, float, len(entries))
+def _whole_entries(a):
+    """Screen a float64 array once: a mask of its exact integers, or None if
+    it holds a NaN or infinity, or a literal where ``"%.12g"`` and ``repr``
+    part ways beyond the ``".0"`` of an integer: |v| >= 1e11, nonzero
+    |v| < 1e-298, or a non-integer that ``"%.12g"`` rounds to an integer."""
     if not np.isfinite(a).all():
         return None
     size, frac = np.abs(a), np.abs(a - np.rint(a))
@@ -577,44 +584,46 @@ def _whole_entries(entries):
     return None if rare.any() else frac == 0
 
 
-def _json_floats(data, pad):
-    """A list of plain floats, or of equal-length lists of them, as ``_json``
-    writes it ``pad`` deep, formatted by one ``%`` call; None when the walk
-    must write it.
+def _json_floats(a, pad):
+    """A float64 vector or matrix as ``_json`` writes it ``pad`` deep, a
+    matrix as a list of rows, formatted by one bytes ``%`` call; None when
+    the walk must write it.
 
     Entries are ``"%.12g"`` literals, except exact integers, which take
-    ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes ragged
-    rows, an entry that is not a plain float, and whatever
+    ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes an
+    empty array, one of another dtype or rank, and whatever
     :func:`_whole_entries` screens out; it names a non-finite entry.
     """
-    inner = pad + "  "
-    if set(map(type, data)) == _LISTS and len(set(map(len, data))) == 1:
-        entries, r, cell = tuple(chain.from_iterable(data)), len(data), inner + "  "
-        head, tail = f"{inner}[\n{cell}", f"\n{inner}]"
-    else:
-        entries, r, cell, head, tail = tuple(data), 1, inner, inner, ""
-    if set(map(type, entries)) != _FLOATS:
+    if a.dtype != np.float64 or not a.size or a.ndim not in (1, 2):
         return None
-    whole = _whole_entries(entries)
+    whole = _whole_entries(a)
     if whole is None:
         return None
-    c = len(entries) // r
+    inner = pad + "  "
+    if a.ndim == 2:
+        (r, c), cell = a.shape, inner + "  "
+        head, tail = f"{inner}[\n{cell}", f"\n{inner}]"
+    else:
+        r, c, cell, head, tail = 1, a.size, inner, inner, ""
     row = head + f",\n{cell}".join(["%.12g"] * c) + tail
     layout = bytearray("[\n" + ",\n".join([row] * r) + f"\n{pad}]", "ascii")
     # the "12g" of each entry's code, as an r x c x 3 view of the layout
     first, step = len(f"[\n{head}%."), len(f"%.12g,\n{cell}")
     codes = np.ndarray((r, c, 3), np.uint8, layout, first, (len(row) + 2, step, 1))
     codes[whole.reshape(r, c)] = _F_DIGITS
-    template = layout.decode()
-    del codes, layout  # no third copy of the list beside the template and output
-    return template % entries
+    return (layout % tuple(a.ravel().tolist())).decode()
 
 
 def _json(obj, where, pad=""):
     """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
     each float rounded to 12 significant digits.  A NaN or infinity raises,
-    naming its path in the document.  Each list goes through
-    :func:`_json_floats` first, and through the walk if it declines."""
+    naming its path in the document.  Each array goes through
+    :func:`_json_floats` first; if it declines, the walk takes a matrix row
+    by row and a vector as a list."""
+    if isinstance(obj, np.ndarray):
+        return _json_floats(obj, pad) or _json(
+            list(obj) if obj.ndim > 1 else obj.tolist(), where, pad
+        )
     inner = pad + "  "
     sep = f",\n{inner}"
     if isinstance(obj, dict):
@@ -628,9 +637,6 @@ def _json(obj, where, pad=""):
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        floats = _json_floats(obj, pad)
-        if floats:
-            return floats
         body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
@@ -659,8 +665,10 @@ def _fmt(value, where):
 
 
 def _text_row(row, where):
-    """A row as text: a list of finite plain floats by one ``%`` call, and
-    any other row item by item, which names a NaN or infinity."""
+    """A row as text: a float64 array or a list of finite plain floats by
+    one ``%`` call, and any other row item by item, which names a NaN or
+    infinity."""
+    row = row.tolist() if isinstance(row, np.ndarray) else row
     if set(map(type, row)) == _FLOATS:
         text = " ".join(["%.12g"] * len(row)) % tuple(row)
         if "n" not in text:  # "inf" or "nan"; finite literals hold no "n"
@@ -679,7 +687,7 @@ def _render_entry(lines, key, value, indent, where):
         lines.append(f"{pad}{key}:")
         for sub_key, sub_val in value.items():
             _render_entry(lines, sub_key, sub_val, indent + 1, f"{where}.{sub_key}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, np.ndarray)):
         lines.append(f"{pad}{key}: " + _text_row(value, where))
     else:
         lines.append(f"{pad}{key}: {_fmt(value, where)}")
@@ -704,14 +712,14 @@ def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
     One walk of the document checks, rounds and writes each number, and
-    each mode has one bulk path beside it.  In JSON mode every list of
-    plain floats, a vector or the rows of a matrix, is screened once as a
-    NumPy array and written by a single ``%`` call; a list that the screen
-    declines (a non-finite entry, or a literal where ``"%.12g"`` and
-    ``repr`` part ways) goes through the walk.  In text mode each row is
-    written by one ``%`` call.  A payload holding NaN or infinity is
-    rejected before anything is written, with the entry named.  Returns the
-    rendered text.
+    each mode has one bulk path beside it.  Payload matrices and vectors
+    are float64 arrays.  In JSON mode each is screened once and written by
+    a single bytes ``%`` call; an array that the screen declines (a
+    non-finite entry, or a literal where ``"%.12g"`` and ``repr`` part
+    ways) goes through the walk, a matrix row by row, and a plain list
+    always does.  In text mode each row is written by one ``%`` call.  A
+    payload holding NaN or infinity is rejected before anything is
+    written, with the entry named.  Returns the rendered text.
     """
     doc = report.to_document()
     text = _json(doc, "report") + "\n" if json_mode else _render_text(doc)

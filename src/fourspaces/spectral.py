@@ -300,6 +300,13 @@ def _jacobi_rows(r):
     at most p rows can be orthogonal and nonzero, so the others pass the
     rule only as zero rows: they shrink sweep after sweep until their
     squares underflow, which takes about 25 sweeps for a 50 x 40 ``R``.
+    Rows whose squared norms are subnormal next to the others' are past the
+    rule's reach: their squares and dot products keep too few bits for the
+    angles or the cosine test to reach ``k eps``.  On a 5 x 5 normal draw
+    with two rows scaled by 2^-530 it raises after ``MAX_SWEEPS`` with a
+    cosine of 1.2e-3, where 2^-520 takes 4 sweeps.  No public route passes
+    such rows: :func:`svd_reduced`'s Gram-Schmidt drops them, and
+    :func:`eig_symmetric`'s ``B`` is well scaled.
     :func:`svd_reduced` passes a k1 x k factor with k1 <= k, and
     :func:`eig_symmetric` a square, positive definite ``B``, whose ``W``
     diagonalizes ``B^2`` and so ``B``.

@@ -78,12 +78,55 @@ def test_parse_csv_bad_literal_names_line_and_column(tmp_path):
     path = write(tmp_path, "bad.csv", "1,2\n3,x\n")
     with pytest.raises(ParseError, match="line 2, column 2"):
         parse_matrix(path)
+    # the first bad cell past the first, a blank cell and a trailing comma
+    for text, message in [
+        ("1,2,x,y\n", "line 1, column 3: 'x' is not a number"),
+        ("1,2,3\n1, ,2\n", "line 2, column 2: '' is not a number"),
+        ("\n1,2,\n", "line 2, column 3: '' is not a number"),
+    ]:
+        path = write(tmp_path, "bad.csv", text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_matrix(path)
 
 
 def test_parse_csv_rejects_nan_entries(tmp_path):
     path = write(tmp_path, "bad.csv", "1,nan\n2,3\n")
     with pytest.raises(NonFiniteEntryError):
         parse_matrix(path)
+
+
+# padding float() and strip() both remove; U+001F only strip() does
+CSV_PADDING = st.text(" \t\x1f\xa0\u3000", max_size=2)
+CSV_CELLS = st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-7, 1e300]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from([repr, "{:.12g}".format, "{:.17e}".format, "{:E}".format]),
+    CSV_PADDING,
+    CSV_PADDING,
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda p: st.lists(
+            st.tuples(st.lists(st.sampled_from(["", " ", "\t \x1f"]), max_size=2),
+                      st.lists(CSV_CELLS, min_size=p, max_size=p)),
+            min_size=1, max_size=4,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_csv_reads_each_cell_as_float_of_its_stripped_text(tmp_path_factory, rows):
+    lines = []
+    for blanks, cells in rows:
+        lines += blanks
+        lines.append(",".join(lead + fmt(v) + trail for v, fmt, lead, trail in cells))
+    path = tmp_path_factory.getbasetemp() / "padded.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = np.array([[float(cell.strip()) for cell in line.split(",")]
+                     for line in lines if line.strip()])
+    got = parse_matrix(str(path))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_parse_empty_file(tmp_path):
@@ -770,6 +813,10 @@ LONG_INT = b"1" + b"0" * 5000
     [
         ("scalar.json", b'{"rows":1,"cols":1,"data":5}', "parse-error",
          '"data" must hold 1 rows, got no array'),
+        ("string.json", b'{"rows":3,"cols":1,"data":"abc"}', "parse-error",
+         '"data" must hold 3 rows, got no array'),
+        ("object.json", b'{"rows":1,"cols":1,"data":{"a":[1]}}', "parse-error",
+         '"data" must hold 1 rows, got no array'),
         ("big.json", b'{"rows":1,"cols":1,"data":[[' + BIG_INT + b"]]}", "non-finite-entry",
          "{path} contains NaN or infinite entries"),
         ("long.json", b'{"rows":1,"cols":1,"data":[[-' + LONG_INT + b"]]}", "non-finite-entry",
@@ -782,8 +829,8 @@ LONG_INT = b"1" + b"0" * 5000
         ("deep.json", b"[" * 200_000 + b"]" * 200_000, "parse-error",
          "unreadable json file: maximum recursion depth exceeded"),
     ],
-    ids=["data-not-array", "int-past-float-range", "int-past-4300-digits",
-         "header-past-4300-digits", "not-utf8", "nested-200000-deep"],
+    ids=["data-not-array", "data-string", "data-object", "int-past-float-range",
+         "int-past-4300-digits", "header-past-4300-digits", "not-utf8", "nested-200000-deep"],
 )
 def test_malformed_input_file_ends_as_typed_failure(tmp_path, capsys, name, content, error, message):
     path = tmp_path / name
@@ -956,6 +1003,8 @@ def test_text_mode_renders_matrices_with_shape_header(capsys):
 
 
 def _round_floats(obj, where="report"):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _round_floats(val, f"{where}.{key}") for key, val in obj.items()}
     if isinstance(obj, list):
@@ -1072,6 +1121,7 @@ def test_text_rows_match_the_per_item_rewrite():
     for row in rows:
         per_item = " ".join(cli._fmt(v, "row") for v in row)
         assert cli._text_row(row, "row") == per_item
+        assert cli._text_row(np.array(row), "row") == per_item
 
 
 @given(
@@ -1080,7 +1130,13 @@ def test_text_rows_match_the_per_item_rewrite():
 )
 @settings(max_examples=300, deadline=None)
 def test_emitter_matches_two_pass_oracle_on_any_finite_float(values, scalar):
-    payload = {"v": values, "m": _matrix_doc(np.array([values])), "s": scalar, "mixed": [1, scalar]}
+    payload = {
+        "v": values,
+        "a": _vector_doc(np.array(values)),
+        "m": _matrix_doc(np.array([values])),
+        "s": scalar,
+        "mixed": [1, scalar],
+    }
     report = Report("prop", (1, len(values)), 1e-10, payload, {"r": scalar})
     for json_mode in (True, False):
         text = emit_report(report, json_mode=json_mode, stream=io.StringIO())
@@ -1108,7 +1164,8 @@ MATRIX_FLOATS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_emitter_matches_two_pass_oracle_on_many_rows(rows):
     x = np.array(rows)
-    payload = {"m": _matrix_doc(x), "t": _matrix_doc(x.T)}
+    # a transpose and a strided view: the bulk path reads any layout
+    payload = {"m": _matrix_doc(x), "t": _matrix_doc(x.T), "s": _matrix_doc(x[:, ::2])}
     report = Report("prop", x.shape, 1e-10, payload, {})
     for json_mode in (True, False):
         text = emit_report(report, json_mode=json_mode, stream=io.StringIO())

@@ -503,6 +503,24 @@ def test_row_jacobi_edge_orders_and_scales(r):
         assert big_sweeps == sweeps
 
 
+def test_row_jacobi_stops_typed_on_rows_with_subnormal_squares():
+    # rows scaled by 2^-530 have squared norms and dot products that keep
+    # about 14 bits, so the cosine test cannot reach k eps; at 2^-520 it does
+    def scaled(k):
+        r = np.random.default_rng(0).standard_normal((5, 5))
+        r[[1, 3]] = np.ldexp(r[[1, 3]], k)
+        return r
+
+    assert _jacobi_rows(scaled(-520))[2] == 4
+    r = scaled(-530)
+    with pytest.raises(ConvergenceError, match="largest cosine between rows") as info:
+        _jacobi_rows(r)
+    assert info.value.sweeps == spectral.MAX_SWEEPS == 50
+    assert f"{info.value.offdiag_norm:.3e}" == "1.203e-03"
+    # no public route reaches the limit: the SVD's Gram-Schmidt drops those rows
+    assert svd_reduced(r).rank == 3
+
+
 def _reference_row_sweeps(r):
     """Sweeps of :func:`_row_sweep`, each from the round parity where the last
     left off, until every pair of prescaled rows has
