@@ -18,9 +18,14 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   at theta = 0.3, where the SVD's two QRs keep 20 and 19 directions for
   a numerical rank of 16 and the CR route of ``pinv`` fails, and the same
   ``default_rng(3)`` matrix scaled by 2^-1040, whose entries are subnormal
-  and whose pseudo inverse lies past the float range), each through all 12
-  subcommands, every ``--method`` (``family`` with and without ``--y``),
-  both ``--side`` values, and ``ginv`` with and without free blocks;
+  and whose pseudo inverse lies past the float range, and three sign
+  matrices scaled by 2^1023, whose eliminations and ``C R`` would overflow
+  at the input's scale: the rank-2 3 x 3
+  ``[[-1, -1, -1], [-1, -1, -1], [-1, 0, 1]]``, the nonsingular 2 x 2
+  ``[[1, 1], [-1, 1]]`` and the rank-2 2 x 3 ``[[-1, -1, -1], [0, -1, 1]]``),
+  each through all 12 subcommands, every ``--method`` (``family`` with and
+  without ``--y``), both ``--side`` values, and ``ginv`` with and without
+  free blocks;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -132,6 +137,11 @@ def small_inputs(rng):
         # subnormal entries: projectors answer, a pseudo inverse past the
         # float range fails typed
         "scaled_2^-1040": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), -1040),
+        # sign matrices at the top of the float range: every elimination and
+        # C R must run prescaled
+        "sign_3x3_2^1023": np.ldexp(np.array([[-1.0, -1, -1], [-1, -1, -1], [-1, 0, 1]]), 1023),
+        "sign_2x2_2^1023": np.ldexp(np.array([[1.0, 1], [-1, 1]]), 1023),
+        "sign_2x3_2^1023": np.ldexp(np.array([[-1.0, -1, -1], [0, -1, 1]]), 1023),
     }
 
 
@@ -194,8 +204,13 @@ def small_invocations(rng, tmp):
             for method in ("normal", "elementary", "family"):
                 invocations.append([cmd, *common, "--method", method])
             invocations.append([cmd, *common, "--method", "family", "--y", y_block])
-        # a consistent right-hand side, so "unique" gets past its check
-        y = _write_csv(tmp / f"{name}_y.csv", (x @ rng.standard_normal(p))[:, None])
+        # a consistent right-hand side, so "unique" gets past its check;
+        # beta is halved, exactly, until X beta lies within the float range
+        beta = rng.standard_normal(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not np.all(np.isfinite(x @ beta)):
+                beta /= 2
+        y = _write_csv(tmp / f"{name}_y.csv", (x @ beta)[:, None])
         for method in ("normal", "svd", "unique", "right"):
             invocations.append(["solve", *common, "--method", method, "--y", y])
     return invocations

@@ -298,7 +298,10 @@ def _cmd_cr(x, args, tol):
         "r_factor": _matrix_doc(fac.r_factor),
         "rank": fac.rank,
     }
-    return payload, {"reconstruction": frobenius_norm(fac.c @ fac.r_factor - x)}
+    # C R - X formed at the scale of _prescaled, where C R cannot overflow
+    xs, e = _prescaled(x)
+    residual = frobenius_norm(np.ldexp(fac.c, -e) @ fac.r_factor - xs)
+    return payload, {"reconstruction": float(_scaled_back(residual, e))}
 
 
 def _cmd_subspaces(x, args, tol):

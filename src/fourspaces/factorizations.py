@@ -260,13 +260,12 @@ def cr_decompose(x, tol=DEFAULT_TOL):
     ``r_factor`` the nonzero rows of the echelon form, so ``c @ r_factor``
     reproduces ``x`` and both factors have full rank equal to ``rank``.
     A zero matrix yields empty factors whose product is still the right
-    shape.  No transform is read, so the reduction runs on a copy of ``x``
-    as it is, not prescaled, with each pivot column pinned to its unit
-    vector: ``1 / pivot`` is never formed, so a subnormal pivot cannot
-    overflow.  Its echelon form and pivots are those of ``rref_rows``.
+    shape.  The reduction is that of ``rref_rows``, on the same prescaled
+    copy, so the echelon form and pivots are its own; the transform is
+    never assembled.
     """
     x = as_matrix(x)
-    reduced = x.copy()
-    pivots, _ = _eliminate(reduced, _as_tolerance(tol))
+    reduced, _ = _prescaled(np.ascontiguousarray(x))
+    pivots = _eliminate(reduced, _as_tolerance(tol))[0]
     r = len(pivots)
     return CrFactors(x[:, list(pivots)].copy(), reduced[:r].copy(), r)

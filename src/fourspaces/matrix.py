@@ -4,13 +4,14 @@ Validation, Frobenius norms, and reduced row (and column) echelon
 factorizations that track the elementary transform applied, so every
 downstream construction can reuse the transform instead of refactoring.
 
-One Gauss-Jordan loop, :func:`_eliminate`, does every reduction, on an n x p
-copy of ``A`` with no identity block.  Where the transform is read
-(:func:`rref_rows`, :func:`rref_cols`, :func:`invert`) each step keeps the
+One Gauss-Jordan loop, :func:`_eliminate`, does every reduction, on the
+prescaled n x p copy of ``A`` with no identity block.  Each step keeps the
 column ``E`` gains in the pivot column it frees, as the classical in-place
-Gauss-Jordan inversion does; :func:`pivot_rank` and ``cr_decompose`` pin
-each pivot column to its unit vector instead.  Both give the ``R``, pivots
-and ``E`` of ``[A | I] -> [R | E]``, bit for bit.
+Gauss-Jordan inversion does, and the loop returns those columns before it
+pins the pivot columns to their unit vectors.  :func:`rref_rows`,
+:func:`rref_cols` and :func:`invert` assemble ``E`` from them;
+:func:`pivot_rank` and ``cr_decompose`` read only ``R`` and the pivots.
+All give the ``R``, pivots and ``E`` of ``[A | I] -> [R | E]``, bit for bit.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ class RrefResult:
     pivot_rank: int
 
 
-def _eliminate(work, tol, track=False):
+def _eliminate(work, tol):
     """Reduce the n x p array ``work`` to reduced row echelon form in place;
-    return the pivot columns and the row order.
+    return the pivot columns, the row order and the stored columns of ``E``.
 
     This is the one Gauss-Jordan loop of the library, with the pivoting rule
     of :func:`rref_rows` and a threshold of ``tol.relative`` times the
@@ -176,14 +177,15 @@ def _eliminate(work, tol, track=False):
     row ``i``.  Each step subtracts one rank-1 product, formed by BLAS into
     a buffer allocated once per call, so ``work`` must be C-contiguous.
 
-    Without ``track`` each pivot column ends as its unit vector.  With it,
-    each step first writes the pivot row's unit vector into the pivot
+    Each step first writes the pivot row's unit vector into the pivot
     column.  That unit vector is the column ``E`` gains at this step (the
     one ``[A | I]`` holds at ``order[row]``), and the division and the
     update that follow leave it there as ``[A | I]`` would, entry for entry.
     The pivot columns then hold ``E[:, order[:r]]``, and ``E[:, order[s]]``
-    is still the unit vector ``e_s`` for ``s >= r``.  Only a prescaled
-    ``work`` may be tracked: a stored column holds ``1 / pivot``.
+    is still the unit vector ``e_s`` for ``s >= r``.  Those columns are
+    returned, and the pivot columns of ``work`` are then pinned to their
+    unit vectors, leaving ``R``.  A stored column holds ``1 / pivot``, so
+    every caller hands over the :func:`_prescaled` copy of its input.
     """
     n = work.shape[0]
     threshold = tol.relative * np.max(np.abs(work))
@@ -207,22 +209,20 @@ def _eliminate(work, tol, track=False):
         pivot = pivot_row[col]
         factors = work[:, col].copy()
         factors[row] = 0.0
-        if track:
-            work[:, col] = 0.0
-            work[row, col] = 1.0
+        work[:, col] = 0.0
+        work[row, col] = 1.0
         pivot_row /= pivot
         # a zero divided by a negative pivot is -0.0, and subtracting the
         # +0.0 products BLAS forms for the row's zero factor would keep it;
         # adding +0.0 stores every zero of a pivot row as +0.0
         pivot_row += 0.0
         work -= np.dot(factors[:, None], pivot_row[None, :], out=update)
-        if not track:
-            # f - f*1 is exact in IEEE arithmetic, but pin the pivot column anyway
-            work[:, col] = 0.0
-            work[row, col] = 1.0
         pivots.append(col)
         row += 1
-    return tuple(pivots), order
+    stored = work[:, pivots]
+    work[:, pivots] = 0.0
+    work[range(row), pivots] = 1.0
+    return tuple(pivots), order, stored
 
 
 def rref_rows(a, tol=DEFAULT_TOL):
@@ -268,14 +268,12 @@ def rref_rows(a, tol=DEFAULT_TOL):
     """
     work, e = _prescaled(np.ascontiguousarray(as_matrix(a)))
     n = work.shape[0]
-    pivots, order = _eliminate(work, _as_tolerance(tol), track=True)
+    pivots, order, stored = _eliminate(work, _as_tolerance(tol))
     r = len(pivots)
     transform = np.zeros((n, n))
-    transform[:, order[:r]] = work[:, pivots]
+    transform[:, order[:r]] = stored
     transform[range(r, n), order[r:]] = 1.0
     transform[:r] = _scaled_back(transform[:r], -e)
-    work[:, pivots] = 0.0
-    work[range(r), pivots] = 1.0
     return RrefResult(work, transform, pivots, r)
 
 
@@ -298,12 +296,11 @@ def rref_cols(a, tol=DEFAULT_TOL):
 def pivot_rank(a, tol=DEFAULT_TOL):
     """Number of accepted pivots in the row echelon form.
 
-    The reduction runs on a copy of ``a`` as it is, not prescaled, since no
-    transform is read: each pivot column is pinned to its unit vector and
-    ``1 / pivot`` is never formed, so a subnormal pivot cannot overflow.
-    The count is that of :func:`rref_rows`.
+    The reduction is that of :func:`rref_rows`, on the same prescaled copy,
+    so the count is its count; the transform is never assembled.
     """
-    return len(_eliminate(as_matrix(a).copy(), _as_tolerance(tol))[0])
+    work, _ = _prescaled(np.ascontiguousarray(as_matrix(a)))
+    return len(_eliminate(work, _as_tolerance(tol))[0])
 
 
 def invert(a, tol=DEFAULT_TOL):

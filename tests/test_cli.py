@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +558,42 @@ def test_commands_past_the_top_of_the_float_range_fail_typed(tmp_path, capsys, w
     for method, applies in (("normal", not wide), ("unique", not wide), ("right", wide)):
         expected = (0, None) if applies else (1, "rank-deficient")
         assert outcome("solve", "--y", y, "--method", method) == expected
+
+
+def test_sign_matrices_at_the_top_of_the_float_range_end_without_warning(tmp_path, capsys):
+    # entries of +-2^1023: the rank checks reduced the raw input, overflowed
+    # with a warning and read the rank-2 3 x 3 matrix as rank 3, so the
+    # normal-equation routes went on to fail singular; cr's C R - X
+    # overflowed to a non-finite-entry failure
+    y = str(tmp_path / "y.csv")
+
+    def outcome(x, *argv):
+        path = write_matrix(tmp_path, "x.csv", x)
+        write_matrix(tmp_path, "y.csv", x[:, :1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--input", path, "--json"])
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [] and err == "", argv
+        payload = json.loads(out)["payload"]
+        return code, payload.get("error"), payload.get("rank")
+
+    deficient = np.ldexp(np.array([[-1.0, -1, -1], [-1, -1, -1], [-1, 0, 1]]), 1023)
+    assert outcome(deficient, "cr") == (0, None, 2)
+    for argv in (["leftinv", "--method", "normal"], ["rightinv", "--method", "normal"],
+                 ["solve", "--y", y, "--method", "normal"],
+                 ["solve", "--y", y, "--method", "unique"]):
+        assert outcome(deficient, *argv) == (1, "rank-deficient", None), argv
+    nonsingular = np.ldexp(np.array([[1.0, 1], [-1, 1]]), 1023)
+    assert outcome(nonsingular, "rank") == (0, None, 2)
+    assert outcome(nonsingular, "cr") == (0, None, 2)
+    for cmd in ("leftinv", "rightinv"):
+        for method in ("normal", "elementary", "family"):
+            assert outcome(nonsingular, cmd, "--method", method) == (0, None, None)
+    wide = np.ldexp(np.array([[-1.0, -1, -1], [0, -1, 1]]), 1023)
+    assert outcome(wide, "cr") == (0, None, 2)
+    _, doc = run_json(capsys, ["cr", "--input", write_matrix(tmp_path, "x.csv", wide)])
+    assert doc["residuals"]["reconstruction"] == 0.0
 
 
 def test_right_solve_past_the_top_of_the_float_range_ends_without_warning(tmp_path, capsys):

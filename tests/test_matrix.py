@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,38 @@ def test_every_reader_of_the_elimination_matches_the_reference_loop(
             invert(a, tol)
 
 
+@st.composite
+def _scaled_inputs(draw):
+    """Planted-rank inputs at 2^k, k in {0, +-600, -1040}, or sign matrices
+    (entries in {-1, 0, 1}) at 2^1023."""
+    n, p = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return np.ldexp(rng.integers(-1, 2, (n, p)) + 0.0, 1023)
+    rank = draw(st.integers(0, min(n, p)))
+    x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+    return np.ldexp(x, draw(st.sampled_from([0, 600, -600, -1040])))
+
+
+@given(a=_scaled_inputs())
+@example(a=np.ldexp(np.array([[-1.0, -1, -1], [-1, -1, -1], [-1, 0, 1]]), 1023))
+@example(a=np.ldexp(np.array([[1.0, 1], [-1, 1]]), 1023))
+@settings(max_examples=200, deadline=None)
+def test_readers_of_the_elimination_agree_at_either_end_of_the_float_range(a):
+    # pivot_rank and cr_decompose reduce the prescaled copy rref_rows reduces:
+    # on the raw input a 2^1023 product overflowed, and a subnormal one lost
+    # bits, so rank, pivots and R came apart from rref_rows'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rref_rows(a)
+        rank = pivot_rank(a)
+        fac = cr_decompose(a)
+    r = res.pivot_rank
+    assert rank == r and fac.rank == r
+    _assert_same_bits(fac.c, a[:, list(res.pivot_cols)])
+    _assert_same_bits(fac.r_factor, res.reduced[:r])
+
+
 def test_elimination_reduces_a_c_contiguous_copy_of_the_input(monkeypatch):
     # the transform lives in the pivot columns of an n x p work array, not in
     # an identity block, and the rank-1 update writes into a C-ordered buffer
@@ -398,9 +431,9 @@ def test_elimination_reduces_a_c_contiguous_copy_of_the_input(monkeypatch):
     seen = []
     original = matrix._eliminate
 
-    def spy(work, tol, track=False):
+    def spy(work, tol):
         seen.append((work.shape, work.flags.c_contiguous))
-        return original(work, tol, track)
+        return original(work, tol)
 
     monkeypatch.setattr(matrix, "_eliminate", spy)
     rng = np.random.default_rng(5)

@@ -469,9 +469,9 @@ def test_solvers_reduce_x_once(monkeypatch, solver):
     calls = []
     original = matrix._eliminate
 
-    def counted(work, tol, track=False):
+    def counted(work, tol):
         calls.append(work.shape)
-        return original(work, tol, track)
+        return original(work, tol)
 
     monkeypatch.setattr(matrix, "_eliminate", counted)
     rng = np.random.default_rng(8)
