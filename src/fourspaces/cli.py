@@ -339,20 +339,26 @@ def _one_sided_inverse(x, args, tol, normal, family):
     return family(x, y, tol)
 
 
+def _identity_defect(a, b):
+    """``||a b - I||_F``, formed from prescaled copies of ``a`` and ``b`` and
+    ``I`` scaled by ``2**-(ea + eb)``, so ``a b`` cannot overflow; scaled back."""
+    (a, ea), (b, eb) = _prescaled(a), _prescaled(b)
+    defect = frobenius_norm(a @ b - np.ldexp(np.eye(a.shape[0]), -(ea + eb)))
+    return float(_scaled_back(defect, ea + eb))
+
+
 def _cmd_leftinv(x, args, tol):
     """left inverse"""
     g = _one_sided_inverse(x, args, tol, left_inverse, left_inverse_family)
     payload = {"left_inverse": _matrix_doc(g), "method": args.method}
-    defect = frobenius_norm(g @ x - np.eye(x.shape[1]))
-    return payload, {"left_identity": defect}
+    return payload, {"left_identity": _identity_defect(g, x)}
 
 
 def _cmd_rightinv(x, args, tol):
     """right inverse"""
     g = _one_sided_inverse(x, args, tol, right_inverse, right_inverse_family)
     payload = {"right_inverse": _matrix_doc(g), "method": args.method}
-    defect = frobenius_norm(x @ g - np.eye(x.shape[0]))
-    return payload, {"right_identity": defect}
+    return payload, {"right_identity": _identity_defect(x, g)}
 
 
 def _cmd_classify(x, args, tol):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _inverse_scaled_back, _prescaled,
-    _scaled_back, as_matrix,
+    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _in_range, _prescaled, _scaled_back,
+    as_matrix,
 )
 from .spectral import _jacobi_rows, _sign_columns
 
@@ -90,7 +90,7 @@ class SvdResult:
         if r and self.sigma[-1] == 0.0:
             raise NonFiniteEntryError("the pseudo inverse lies beyond the float range")
         s, e = _prescaled(self.sigma) if r else (self.sigma, 0)
-        return _inverse_scaled_back(self.v[:, :r] / s @ self.u[:, :r].T, e, "pseudo inverse")
+        return _in_range(self.v[:, :r] / s @ self.u[:, :r].T, -e, "the pseudo inverse")
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     v_r = q1 @ rot[:, :r]
     u_r = q @ (r1.T @ rot[:, :r] / sig_all[:r])
     u_r[:, _sign_columns(v_r)] *= -1.0
-    sigma = _scaled_back(sig_all[:r], e)
-    if np.any(sigma == np.inf):
-        raise NonFiniteEntryError("a singular value lies beyond the float range")
+    sigma = _in_range(sig_all[:r], e, "a singular value")
     rejected = float(_scaled_back(sig_all[r], e)) if r < len(sig_all) else 0.0
     return SvdResult(
         u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), rejected, sweeps

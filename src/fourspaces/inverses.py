@@ -19,7 +19,7 @@ from .factorizations import cr_decompose, svd_reduced
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
-    _inverse_scaled_back,
+    _in_range,
     _prescaled,
     as_matrix,
     frobenius_norm,
@@ -167,7 +167,7 @@ def left_inverse(x, tol=DEFAULT_TOL):
     if pivot_rank(x, tol) < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     xs, e = _prescaled(x)
-    return _inverse_scaled_back(invert(xs.T @ xs, tol) @ xs.T, e, "left inverse")
+    return _in_range(invert(xs.T @ xs, tol) @ xs.T, -e, "the left inverse")
 
 
 def right_inverse(x, tol=DEFAULT_TOL):
@@ -179,7 +179,7 @@ def right_inverse(x, tol=DEFAULT_TOL):
     if pivot_rank(x, tol) < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     xs, e = _prescaled(x)
-    return _inverse_scaled_back(xs.T @ invert(xs @ xs.T, tol), e, "right inverse")
+    return _in_range(xs.T @ invert(xs @ xs.T, tol), -e, "the right inverse")
 
 
 def left_inverse_elementary(x, tol=DEFAULT_TOL):
@@ -211,7 +211,7 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     y = _free_block(y, (p, n - p), "free block")
-    return np.hstack([np.eye(p), y]) @ _inverse_scaled_back(res.transform, 0, "left inverse")
+    return np.hstack([np.eye(p), y]) @ _in_range(res.transform, 0, "the left inverse")
 
 
 def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
@@ -223,7 +223,7 @@ def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     y = _free_block(y, (p - n, n), "free block")
-    return _inverse_scaled_back(res.transform, 0, "right inverse") @ np.vstack([np.eye(n), y])
+    return _in_range(res.transform, 0, "the right inverse") @ np.vstack([np.eye(n), y])
 
 
 def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
@@ -248,7 +248,7 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     middle[:r, r:] = a
     middle[r:, :r] = b
     middle[r:, r:] = b @ a
-    return col.transform @ middle @ _inverse_scaled_back(row.transform, 0, "reflexive g-inverse")
+    return col.transform @ middle @ _in_range(row.transform, 0, "the reflexive g-inverse")
 
 
 def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
@@ -323,4 +323,4 @@ def pinv_cr(x, tol=DEFAULT_TOL):
         g = invert(c.T @ c, tol) @ c.T
     else:
         g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
-    return _inverse_scaled_back(g, e, "pseudo inverse")
+    return _in_range(g, -e, "the pseudo inverse")

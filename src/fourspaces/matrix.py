@@ -112,17 +112,19 @@ def _scaled_back(value, e):
         return np.ldexp(value, e)
 
 
-def _inverse_scaled_back(g, e, what):
-    """An inverse ``g`` of a matrix prescaled by ``2**-e``, at the input's scale.
+def _in_range(value, e, what):
+    """``value * 2**e``, scaled back only when ``e`` is nonzero, for a checked result.
 
-    Past the float range it raises :class:`NonFiniteEntryError` naming
-    ``what``, with no overflow warning ahead of it.  With ``e = 0`` it only
-    checks: a transform of :func:`rref_rows` is already at the input's scale.
+    An entry past the float range (``inf``, or ``nan`` from one) raises
+    :class:`NonFiniteEntryError` naming ``what``, with no warning ahead of it.
+    With ``e = 0`` nothing is copied: a transform of :func:`rref_rows` is
+    already at the input's scale.
     """
-    g = _scaled_back(g, -e)
-    if np.any(np.isinf(g)):
-        raise NonFiniteEntryError(f"the {what} lies beyond the float range")
-    return g
+    if e:
+        value = _scaled_back(value, e)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteEntryError(f"{what} lies beyond the float range")
+    return value
 
 
 def frobenius_norm(a):
@@ -134,10 +136,7 @@ def frobenius_norm(a):
     """
     arr = np.asarray(a, dtype=float)
     arr, e = _prescaled(as_matrix(arr[None] if arr.ndim == 1 else arr))
-    norm = float(_scaled_back(np.sqrt(np.sum(arr * arr)), e))
-    if norm == np.inf:
-        raise NonFiniteEntryError("the Frobenius norm lies beyond the float range")
-    return norm
+    return float(_in_range(np.sqrt(np.sum(arr * arr)), e, "the Frobenius norm"))
 
 
 def matmul(a, b):
@@ -321,4 +320,4 @@ def invert(a, tol=DEFAULT_TOL):
         raise SingularMatrixError(
             f"matrix is singular at the working tolerance (pivot rank {res.pivot_rank} of {n})"
         )
-    return _inverse_scaled_back(res.transform, 0, "inverse")
+    return _in_range(res.transform, 0, "the inverse")

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentSystemError, NonFiniteEntryError, RankDeficientError, ShapeError,
-)
+from .errors import InconsistentSystemError, RankDeficientError, ShapeError
 from .factorizations import svd_reduced
 from .inverses import left_inverse, right_inverse
 from .matrix import (
     DEFAULT_TOL,
     _as_tolerance,
+    _in_range,
     _prescaled,
     _scaled_back,
     as_matrix,
@@ -141,9 +140,7 @@ def ls_svd_minnorm(x, y, tol=DEFAULT_TOL):
     res = svd_reduced(x, tol)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         beta = res.v @ ((res.u.T @ y) / res.sigma)
-    if not np.isfinite(beta).all():
-        raise NonFiniteEntryError("the estimate lies beyond the float range")
-    return _finish(x, y, beta, res.rank, "svd-minnorm")
+    return _finish(x, y, _in_range(beta, 0, "the estimate"), res.rank, "svd-minnorm")
 
 
 def observation_split(x, y, tol=DEFAULT_TOL):

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteEntryError, NotSymmetricError, ShapeError
+from .errors import ConvergenceError, NotSymmetricError, ShapeError
 from .matrix import (
-    DEFAULT_TOL, _as_tolerance, _prescaled, _scaled_back, as_matrix, frobenius_norm, invert,
-    pivot_rank,
+    DEFAULT_TOL, _as_tolerance, _in_range, _prescaled, _scaled_back, as_matrix, frobenius_norm,
+    invert, pivot_rank,
 )
 
 __all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check"]
@@ -252,9 +252,7 @@ def eig_symmetric(s, tol=DEFAULT_TOL):
     _, q, sweeps = _jacobi_rows(a + 2.0 * frobenius_norm(a) * np.eye(n))
     d = q.T @ a @ q
     order = np.argsort(-np.diag(d), kind="stable")
-    values = _scaled_back(np.diag(d)[order], e)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteEntryError("an eigenvalue lies beyond the float range")
+    values = _in_range(np.diag(d)[order], e, "an eigenvalue")
     q = q[:, order]
     _sign_columns(q)
     return EigResult(values, q, sweeps, float(_scaled_back(_offdiag_norm(d), e)))
@@ -363,7 +361,7 @@ def similarity_check(a, p, tol=DEFAULT_TOL):
     if orthogonal:
         ea = eig_symmetric(a, tol)
         eb = eig_symmetric(b, tol)
-        spread = max(1.0, float(np.max(np.abs(ea.values))) if n else 1.0)
+        spread = max(1.0, float(np.max(np.abs(ea.values))))
         eigs_match = bool(np.max(np.abs(ea.values - eb.values)) <= 100 * tol.relative * spread)
     else:
         eigs_match = None

@@ -594,6 +594,12 @@ def test_sign_matrices_at_the_top_of_the_float_range_end_without_warning(tmp_pat
     assert outcome(wide, "cr") == (0, None, 2)
     _, doc = run_json(capsys, ["cr", "--input", write_matrix(tmp_path, "x.csv", wide)])
     assert doc["residuals"]["reconstruction"] == 0.0
+    # the identity defects x g and g x were formed at the input's scale,
+    # where they overflowed with a warning into a non-finite-entry failure
+    block = str(tmp_path / "block.csv")
+    for x, cmd, shape in ((wide, "rightinv", (1, 2)), (wide.T, "leftinv", (2, 1))):
+        write_matrix(tmp_path, "block.csv", np.ones(shape))
+        assert outcome(x, cmd, "--method", "family", "--y", block) == (0, None, None), cmd
 
 
 def test_right_solve_past_the_top_of_the_float_range_ends_without_warning(tmp_path, capsys):

@@ -9,6 +9,7 @@ from fourspaces import (
     NotAGInverseError,
     RankDeficientError,
     ShapeError,
+    invert,
     pivot_rank,
 )
 from fourspaces.inverses import (
@@ -323,9 +324,15 @@ def test_pinv_svd_past_the_float_range_raises_without_a_warning(scale):
 def test_prescaled_inverses_past_the_float_range_raise_typed(scale):
     # each scaled its answer back with a bare np.ldexp, which warned
     # "overflow encountered in ldexp" and returned inf entries
+    # the check-only readers of the tracked transform, already at the
+    # input's scale, name their own results
     x = np.random.default_rng(3).standard_normal((6, 4)) * scale
     cases = ((left_inverse, x, "left inverse"), (right_inverse, x.T, "right inverse"),
-             (pinv_cr, x, "pseudo inverse"), (pinv_cr, x.T, "pseudo inverse"))
+             (pinv_cr, x, "pseudo inverse"), (pinv_cr, x.T, "pseudo inverse"),
+             (invert, x[:4], "inverse"), (left_inverse_family, x, "left inverse"),
+             (left_inverse_elementary, x, "left inverse"),
+             (right_inverse_family, x.T, "right inverse"),
+             (rg_canonical, x, "reflexive g-inverse"))
     for route, arg, what in cases:
         with pytest.raises(NonFiniteEntryError, match=f"the {what} lies beyond the float range"):
             route(arg)

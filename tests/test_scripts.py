@@ -94,6 +94,25 @@ def test_output_hash_exits_1_on_a_changed_record(monkeypatch, tmp_path, capsys):
         assert "4 identical, 0 float-only, 1 other" in capsys.readouterr().out
 
 
+def test_small_and_malformed_runs_neither_raise_nor_write_to_standard_error(monkeypatch, capsys):
+    # every subcommand on the edge inputs ends in a report or a typed error,
+    # with no warning ahead of it
+    hashing = _load_output_hash(monkeypatch)
+    monkeypatch.setattr(hashing, "corpus_invocations", lambda tmp: [])
+    monkeypatch.setattr(hashing, "usage_invocations", lambda tmp: [])
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        # pytest records warnings; print them as Python does, where the
+        # script counts them against the run behind them
+        warnings.showwarning = to_stderr
+        assert hashing.main([]) == 0
+    out = capsys.readouterr().out
+    assert "0 json and text runs raising, 0 json and text runs writing to standard error" in out, out
+
+
 def test_output_hash_reports_the_largest_float_drift(monkeypatch):
     hashing = _load_output_hash(monkeypatch)
 
