@@ -25,7 +25,11 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   ``[[1, 1], [-1, 1]]`` and the rank-2 2 x 3 ``[[-1, -1, -1], [0, -1, 1]]``),
   each through all 12 subcommands, every ``--method`` (``family`` with and
   without ``--y``), both ``--side`` values, and ``ginv`` with and without
-  free blocks;
+  free blocks, and then, on the same files, ``leftinv`` and ``rightinv
+  --method normal`` and ``solve --method normal``, ``unique`` and ``right``
+  again at ``--tol 1e-2`` and ``--tol 1e-6``, so the labels of the
+  normal-equation inverses are seen where a looser cutoff refuses the Gram
+  matrix of a full-rank ``X`` (the 3 x 2 integer matrix at ``1e-2``);
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -101,6 +105,7 @@ from fourspaces import cli  # noqa: E402
 
 CORPUS_SEED = 1
 SMALL_SEED = 11
+LOOSE_TOLS = ("1e-2", "1e-6")
 SUBCOMMANDS = tuple(cli._HANDLERS)
 
 
@@ -213,6 +218,13 @@ def small_invocations(rng, tmp):
         y = _write_csv(tmp / f"{name}_y.csv", (x @ beta)[:, None])
         for method in ("normal", "svd", "unique", "right"):
             invocations.append(["solve", *common, "--method", method, "--y", y])
+        # the normal-equation commands again, on the files above, at two
+        # looser tolerances, where their rank decisions can fall the other way
+        for tol in LOOSE_TOLS:
+            for cmd in ("leftinv", "rightinv"):
+                invocations.append([cmd, *common, "--method", "normal", "--tol", tol])
+            for method in ("normal", "unique", "right"):
+                invocations.append(["solve", *common, "--method", method, "--y", y, "--tol", tol])
     return invocations
 
 

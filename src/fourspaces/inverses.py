@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAGInverseError, RankDeficientError, ShapeError
+from .errors import MatrixError, NotAGInverseError, RankDeficientError, ShapeError
 from .factorizations import cr_decompose, svd_reduced
 from .matrix import (
     DEFAULT_TOL,
@@ -155,31 +155,51 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
     return InverseReport(g.copy(), flags, label, residuals, is_left, is_right)
 
 
+def _gram_inverse(x, gram, tol, full, message):
+    """``invert(gram)``, where ``gram`` is ``x``'s prescaled Gram matrix.
+
+    ``N(X'X) = N(X)``, so the Gram matrix is invertible exactly where ``x``
+    has rank ``full``, and it is reduced first.  Only a failed inversion
+    reduces ``x`` itself: a rank short of ``full`` raises
+    ``RankDeficientError`` with ``message``, and any other failure is the
+    inversion's own, as when ``x``'s rank is checked first.
+    """
+    try:
+        return invert(gram, tol)
+    except MatrixError:
+        if pivot_rank(x, tol) < full:
+            raise RankDeficientError(message) from None
+        raise
+
+
 def left_inverse(x, tol=DEFAULT_TOL):
     """Normal-equation left inverse ``(X'X)^-1 X'`` of a full-column-rank matrix.
 
     ``X'X`` is formed at the scale of :func:`_prescaled`, and ``(cX)_L = X_L / c``;
-    a left inverse past the float range raises ``NonFiniteEntryError``.
+    a left inverse past the float range raises ``NonFiniteEntryError``.  The
+    Gram matrix is inverted first, and ``X`` is row reduced only when that
+    fails, so a full-column-rank call runs one elimination.  The error is
+    then the one ``X``'s own reduction names: ``RankDeficientError`` below
+    full column rank, else the inversion's.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
-    if pivot_rank(x, tol) < p:
-        raise RankDeficientError(f"left inverse needs full column rank {p}")
     xs, e = _prescaled(x)
-    return _in_range(invert(xs.T @ xs, tol) @ xs.T, -e, "the left inverse")
+    inverse = _gram_inverse(x, xs.T @ xs, tol, p, f"left inverse needs full column rank {p}")
+    return _in_range(inverse @ xs.T, -e, "the left inverse")
 
 
 def right_inverse(x, tol=DEFAULT_TOL):
     """Normal-equation right inverse ``X'(XX')^-1`` of a full-row-rank matrix,
-    prescaled like :func:`left_inverse`."""
+    prescaled and ordered like :func:`left_inverse`: ``XX'`` is inverted
+    first, and ``X`` is reduced only to name a failure."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
-    if pivot_rank(x, tol) < n:
-        raise RankDeficientError(f"right inverse needs full row rank {n}")
     xs, e = _prescaled(x)
-    return _in_range(xs.T @ invert(xs @ xs.T, tol), -e, "the right inverse")
+    inverse = _gram_inverse(x, xs @ xs.T, tol, n, f"right inverse needs full row rank {n}")
+    return _in_range(xs.T @ inverse, -e, "the right inverse")
 
 
 def left_inverse_elementary(x, tol=DEFAULT_TOL):
@@ -240,7 +260,9 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     n, p = x.shape
     row = rref_rows(x, tol)
     r = row.pivot_rank
-    col = rref_cols(row.reduced, tol)
+    # rows past the rank are zero and move no pivot: the column reduction
+    # of the nonzero rows gives the same transform, one row kept at rank 0
+    col = rref_cols(row.reduced[: max(r, 1)], tol)
     a = _free_block(a, (r, n - r), "block a")
     b = _free_block(b, (p - r, r), "block b")
     middle = np.zeros((p, n))

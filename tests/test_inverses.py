@@ -5,12 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fourspaces import (
+    MatrixError,
     NonFiniteEntryError,
     NotAGInverseError,
     RankDeficientError,
     ShapeError,
     invert,
     pivot_rank,
+    rref_cols,
+    rref_rows,
 )
 from fourspaces.inverses import (
     classify_inverse,
@@ -28,8 +31,8 @@ from fourspaces.inverses import (
     right_inverse_family,
 )
 from fourspaces.factorizations import cr_decompose
-from fourspaces.matrix import DEFAULT_TOL, _prescaled
-from support import full_col_rank, full_row_rank, graded, rank_deficient
+from fourspaces.matrix import DEFAULT_TOL, _as_tolerance, _in_range, _prescaled, as_matrix
+from support import full_col_rank, full_row_rank, graded, kahan, rank_deficient
 
 
 def _penrose_oracle(x, g):
@@ -492,3 +495,93 @@ def test_rg_via_gram_applies_the_penrose_threshold_to_the_gram_matrix():
     with pytest.raises(NotAGInverseError, match="candidate for the Gram matrix fails"):
         rg_via_gram(x, [[0.5 + 1e-10]])
     rg_via_gram(x, [[0.5 + 2e-11]])
+
+
+def _rank_first(x, tol, side):
+    """The normal-equation inverse with ``X``'s rank checked before the Gram
+    matrix is inverted: the reference order for :func:`left_inverse` and
+    :func:`right_inverse`."""
+    x = as_matrix(x)
+    tol = _as_tolerance(tol)
+    xs, e = _prescaled(x)
+    if side == "left":
+        p = x.shape[1]
+        if pivot_rank(x, tol) < p:
+            raise RankDeficientError(f"left inverse needs full column rank {p}")
+        return _in_range(invert(xs.T @ xs, tol) @ xs.T, -e, "the left inverse")
+    n = x.shape[0]
+    if pivot_rank(x, tol) < n:
+        raise RankDeficientError(f"right inverse needs full row rank {n}")
+    return _in_range(xs.T @ invert(xs @ xs.T, tol), -e, "the right inverse")
+
+
+def _outcome(call):
+    """The array a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except MatrixError as exc:
+        return type(exc), str(exc)
+
+
+def _gram_first_inputs():
+    """Graded, column-graded, noisy low-rank and Kahan inputs, by name."""
+    rng = np.random.default_rng(30)
+    inputs = {}
+    for k in range(2, 13, 2):
+        inputs[f"graded_1e{k}"] = graded(rng, 80, 60, 60, 10.0**k)
+    for k in range(2, 11, 2):
+        inputs[f"columns_1e{k}"] = rng.standard_normal((30, 20)) * np.geomspace(1.0, 10.0**-k, 20)
+    for noise in (0.0, 1e-12, 1e-8, 1e-4, 1e-2):
+        x = rank_deficient(rng, 30, 20, 10)
+        inputs[f"rank10_noise_{noise:g}"] = x + noise * rng.standard_normal(x.shape)
+    for theta in (0.3, 1.2):
+        inputs[f"kahan_{theta}"] = kahan(20, theta)
+    return inputs
+
+
+GRAM_FIRST_INPUTS = _gram_first_inputs()
+
+
+@pytest.mark.parametrize("name", GRAM_FIRST_INPUTS)
+def test_gram_first_normal_inverses_match_the_rank_first_order(name):
+    # left_inverse and right_inverse invert the Gram matrix before X is
+    # reduced, and reduce X only to name a failure.  That is the rank-first
+    # answer, or its error, whenever an invertible Gram matrix comes with a
+    # full-rank X, which N(X'X) = N(X) gives at exact arithmetic and which
+    # is asserted here at every tolerance and scale
+    for tol in (1e-2, 1e-6, 1e-10):
+        for k in (0, 600, -600):
+            x = np.ldexp(GRAM_FIRST_INPUTS[name], k)
+            p = x.shape[1]
+            for route, arg, side in ((left_inverse, x, "left"), (right_inverse, x.T, "right")):
+                got = _outcome(lambda: route(arg, tol))
+                want = _outcome(lambda: _rank_first(arg, tol, side))
+                if isinstance(want, tuple):
+                    assert got == want, (tol, k, side)
+                else:
+                    assert isinstance(got, np.ndarray), (tol, k, side, got)
+                    assert np.array_equal(got, want), (tol, k, side)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (tol, k, side)
+                xs = _prescaled(arg)[0]
+                gram = xs.T @ xs if side == "left" else xs @ xs.T
+                if isinstance(_outcome(lambda: invert(gram, tol)), np.ndarray):
+                    assert pivot_rank(arg, tol) == p, (tol, k, side)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (5, 9)])
+def test_rg_canonical_column_reduces_only_the_nonzero_rows(shape):
+    # the rows of R past its rank are zero: they move no pivot and no
+    # threshold, so the column reduction of the first max(r, 1) rows gives
+    # the transform of the whole of R, bit for bit
+    n, p = shape
+    rng = np.random.default_rng(31)
+    for rank in range(min(n, p) + 1):
+        x = rank_deficient(rng, n, p, rank)
+        for k in (0, 600, -600):
+            reduced = rref_rows(np.ldexp(x, k)).reduced
+            r = pivot_rank(np.ldexp(x, k))
+            assert r == rank
+            narrow = rref_cols(reduced[: max(r, 1)]).transform
+            whole = rref_cols(reduced).transform
+            assert np.array_equal(narrow, whole), (rank, k)
+            assert np.array_equal(np.signbit(narrow), np.signbit(whole)), (rank, k)

@@ -460,10 +460,11 @@ def test_loose_tolerance_reaches_the_rank_decision():
 
 @pytest.mark.parametrize("solver", [ls_normal, consistent_unique_solve])
 def test_solvers_reduce_x_once(monkeypatch, solver):
-    # left_inverse's rank check is the solver's own: one reduction of x and
-    # one of the Gram matrix inside invert.  Every reduction runs the one
-    # elimination loop; a call is recorded by the shape of the n x p array
-    # it reduces
+    # left_inverse inverts the Gram matrix first, so a full-rank call runs
+    # one reduction, of the Gram matrix inside invert; only a failed
+    # inversion reduces x, to name the rank deficiency.  Every reduction
+    # runs the one elimination loop; a call is recorded by the shape of the
+    # n x p array it reduces
     import fourspaces.matrix as matrix
 
     calls = []
@@ -477,12 +478,12 @@ def test_solvers_reduce_x_once(monkeypatch, solver):
     rng = np.random.default_rng(8)
     x = full_col_rank(rng, 7, 4)
     sol = solver(x, x @ rng.standard_normal(4))
-    assert calls == [(7, 4), (4, 4)]
+    assert calls == [(4, 4)]
     assert sol.rank_used == 4
     calls.clear()
     with pytest.raises(RankDeficientError, match="ls_svd_minnorm for the rank-deficient case"):
         solver(rank_deficient(rng, 7, 4, 2), rng.standard_normal(7))
-    assert calls == [(7, 4)]
+    assert calls == [(4, 4), (7, 4)]
 
 
 @pytest.mark.parametrize("k", [-1060, -1076])
