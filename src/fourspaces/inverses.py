@@ -1,11 +1,13 @@
 """The inverse hierarchy: one-sided, generalized, reflexive, and pseudo.
 
 Constructions come in families on purpose.  One-sided inverses have a
-normal-equation route, an elementary route that reads the inverse straight
-off the tracked row reduction, and a parametrized family sweeping every
-member.  Reflexive generalized inverses have three independent
-constructions, and the pseudo inverse two; keeping the routes separate is
-what lets the classifier act as a cross-check instead of a tautology.
+normal-equation route, an elementary route that reads the inverse off the
+tracked transform ``E``, and a parametrized family sweeping every member,
+read off slices of ``E``.  Reflexive generalized inverses have three
+independent constructions, and the pseudo inverse two: the SVD's, and
+``R+ C+`` from the one-sided inverses of the CR factors.  Keeping the routes
+separate lets the classifier act as a cross-check instead of a tautology;
+:func:`_gram_inverse` is the one place a Gram matrix is inverted.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixError, NotAGInverseError, RankDeficientError, ShapeError
+from .errors import (MatrixError, NotAGInverseError, RankDeficientError, ShapeError,
+                     SingularMatrixError)
 from .factorizations import cr_decompose, svd_reduced
 from .matrix import (
     DEFAULT_TOL,
@@ -155,21 +158,28 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
     return InverseReport(g.copy(), flags, label, residuals, is_left, is_right)
 
 
-def _gram_inverse(x, gram, tol, full, message):
-    """``invert(gram)``, where ``gram`` is ``x``'s prescaled Gram matrix.
-
-    ``N(X'X) = N(X)``, so the Gram matrix is invertible exactly where ``x``
-    has rank ``full``, and it is reduced first.  Only a failed inversion
-    reduces ``x`` itself: a rank short of ``full`` raises
-    ``RankDeficientError`` with ``message``, and any other failure is the
-    inversion's own, as when ``x``'s rank is checked first.
-    """
+def _gram_inverse(x, tol, side):
+    """The ``side`` (``"left"`` or ``"right"``) normal-equation inverse of ``x``:
+    the one place a Gram matrix is inverted."""
+    x = as_matrix(x)
+    tol = _as_tolerance(tol)
+    xs, e = _prescaled(x)
+    left = side == "left"
+    full, dim = (x.shape[1], "column") if left else (x.shape[0], "row")
+    gram = xs.T @ xs if left else xs @ xs.T
     try:
-        return invert(gram, tol)
-    except MatrixError:
+        inverse = invert(gram, tol)
+    except MatrixError as exc:
         if pivot_rank(x, tol) < full:
-            raise RankDeficientError(message) from None
-        raise
+            raise RankDeficientError(f"{side} inverse needs full {dim} rank {full}") from None
+        if not isinstance(exc, SingularMatrixError):
+            raise
+        raise SingularMatrixError(
+            f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
+            f"tolerance (pivot rank {pivot_rank(gram, tol)} of {full}): the normal equations "
+            "square its condition number"
+        ) from None
+    return _in_range(inverse @ xs.T if left else xs.T @ inverse, -e, f"the {side} inverse")
 
 
 def left_inverse(x, tol=DEFAULT_TOL):
@@ -177,29 +187,20 @@ def left_inverse(x, tol=DEFAULT_TOL):
 
     ``X'X`` is formed at the scale of :func:`_prescaled`, and ``(cX)_L = X_L / c``;
     a left inverse past the float range raises ``NonFiniteEntryError``.  The
-    Gram matrix is inverted first, and ``X`` is row reduced only when that
-    fails, so a full-column-rank call runs one elimination.  The error is
-    then the one ``X``'s own reduction names: ``RankDeficientError`` below
-    full column rank, else the inversion's.
+    Gram matrix is inverted first; since ``N(X'X) = N(X)``, ``X`` is row
+    reduced only when that fails, to name the error: ``RankDeficientError``
+    below full column rank, and at full rank a ``SingularMatrixError`` that
+    says the normal equations square the conditioning.  Any other failure
+    is the inversion's own.
     """
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    xs, e = _prescaled(x)
-    inverse = _gram_inverse(x, xs.T @ xs, tol, p, f"left inverse needs full column rank {p}")
-    return _in_range(inverse @ xs.T, -e, "the left inverse")
+    return _gram_inverse(x, tol, "left")
 
 
 def right_inverse(x, tol=DEFAULT_TOL):
     """Normal-equation right inverse ``X'(XX')^-1`` of a full-row-rank matrix,
     prescaled and ordered like :func:`left_inverse`: ``XX'`` is inverted
     first, and ``X`` is reduced only to name a failure."""
-    x = as_matrix(x)
-    tol = _as_tolerance(tol)
-    n, p = x.shape
-    xs, e = _prescaled(x)
-    inverse = _gram_inverse(x, xs @ xs.T, tol, n, f"right inverse needs full row rank {n}")
-    return _in_range(xs.T @ inverse, -e, "the right inverse")
+    return _gram_inverse(x, tol, "right")
 
 
 def left_inverse_elementary(x, tol=DEFAULT_TOL):
@@ -221,8 +222,9 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     """The left inverse parametrized by a free ``p x (n - p)`` block ``y``.
 
     With ``E X`` reduced all the way to ``[I; 0]`` the general family
-    ``[X1^-1 - Y X2 X1^-1 | Y] E`` collapses to ``[I | Y] E``; sweeping ``y``
-    sweeps every left inverse, and ``y = 0`` recovers the elementary one.
+    ``[X1^-1 - Y X2 X1^-1 | Y] E`` collapses to ``[I | Y] E = E[:p] + Y E[p:]``;
+    sweeping ``y`` sweeps every left inverse, and ``y = 0`` recovers the
+    elementary one.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -231,11 +233,13 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < p:
         raise RankDeficientError(f"left inverse needs full column rank {p}")
     y = _free_block(y, (p, n - p), "free block")
-    return np.hstack([np.eye(p), y]) @ _in_range(res.transform, 0, "the left inverse")
+    e = _in_range(res.transform, 0, "the left inverse")
+    return e[:p] + y @ e[p:]
 
 
 def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
-    """The right inverse parametrized by a free ``(p - n) x n`` block ``y``."""
+    """The right inverse parametrized by a free ``(p - n) x n`` block ``y``:
+    ``E [I; Y] = E[:, :n] + E[:, n:] Y``, mirroring the left case."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     n, p = x.shape
@@ -243,7 +247,8 @@ def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
     if res.pivot_rank < n:
         raise RankDeficientError(f"right inverse needs full row rank {n}")
     y = _free_block(y, (p - n, n), "free block")
-    return _in_range(res.transform, 0, "the right inverse") @ np.vstack([np.eye(n), y])
+    e = _in_range(res.transform, 0, "the right inverse")
+    return e[:, :n] + e[:, n:] @ y
 
 
 def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
@@ -251,7 +256,8 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
 
     Row then column reduction writes ``X = E1 [I_r 0; 0 0] E2``; every choice
     of free blocks ``a (r x (n-r))`` and ``b ((p-r) x r)`` then gives the
-    reflexive generalized inverse ``E2^-1 [I_r a; b b a] E1^-1``.  The
+    reflexive generalized inverse ``E2^-1 [I_r a; b b a] E1^-1``, formed as
+    ``E2^-1 [I; b] [I a] E1^-1`` with no ``p x n`` middle block.  The
     inverses of the factors are exactly the tracked transforms, so nothing
     is ever explicitly inverted.  Omitted blocks default to zero.
     """
@@ -262,15 +268,11 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     r = row.pivot_rank
     # rows past the rank are zero and move no pivot: the column reduction
     # of the nonzero rows gives the same transform, one row kept at rank 0
-    col = rref_cols(row.reduced[: max(r, 1)], tol)
+    cols = rref_cols(row.reduced[: max(r, 1)], tol).transform
     a = _free_block(a, (r, n - r), "block a")
     b = _free_block(b, (p - r, r), "block b")
-    middle = np.zeros((p, n))
-    middle[:r, :r] = np.eye(r)
-    middle[:r, r:] = a
-    middle[r:, :r] = b
-    middle[r:, r:] = b @ a
-    return col.transform @ middle @ _in_range(row.transform, 0, "the reflexive g-inverse")
+    rows = _in_range(row.transform, 0, "the reflexive g-inverse")
+    return (cols[:, :r] + cols[:, r:] @ b) @ (rows[:r] + a @ rows[r:])
 
 
 def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
@@ -322,16 +324,15 @@ def pinv_svd(x, tol=DEFAULT_TOL):
 
 
 def pinv_cr(x, tol=DEFAULT_TOL):
-    """Pseudo inverse assembled from the CR factors: ``R'(RR')^-1 (C'C)^-1 C'``.
+    """Pseudo inverse from the CR factors: ``X+ = R+ C+ = right_inverse(R) left_inverse(C)``.
 
     Deliberately shares no code with :func:`pinv_svd`; the two routes
     agreeing is a statement about the uniqueness of the pseudo inverse, not
-    about the implementation.  At full column rank ``R`` is exactly ``I``,
-    so only ``(C'C)^-1 C'`` is formed.  ``x`` is first scaled by the power
-    of two that brings its largest entry into [0.5, 1), so ``C'C`` neither
-    overflows nor underflows; since ``pinv(cX) = pinv(X) / c`` the result is
-    scaled back by the same power, and past the float range it raises
-    ``NonFiniteEntryError``.
+    about the implementation.  ``R+`` is formed first; at full column rank
+    ``R`` is exactly ``I``, so only ``C+`` is.  ``x`` is first scaled by the
+    power of two that brings its largest entry into [0.5, 1); since
+    ``pinv(cX) = pinv(X) / c`` the result is scaled back by the same power,
+    and past the float range it raises ``NonFiniteEntryError``.
     """
     x, e = _prescaled(as_matrix(x))
     tol = _as_tolerance(tol)
@@ -339,10 +340,8 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     factors = cr_decompose(x, tol)
     if factors.rank == 0:
         return np.zeros((p, n))
-    c, rf = factors.c, factors.r_factor
     if factors.rank == p:
-        # the echelon rows are exactly I, so R'(RR')^-1 is I
-        g = invert(c.T @ c, tol) @ c.T
+        g = left_inverse(factors.c, tol)
     else:
-        g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
+        g = right_inverse(factors.r_factor, tol) @ left_inverse(factors.c, tol)
     return _in_range(g, -e, "the pseudo inverse")

@@ -10,6 +10,7 @@ from fourspaces import (
     NotAGInverseError,
     RankDeficientError,
     ShapeError,
+    SingularMatrixError,
     invert,
     pivot_rank,
     rref_cols,
@@ -383,7 +384,8 @@ def test_pinv_cr_skips_the_identity_at_full_column_rank(monkeypatch, x, inverts)
     c, rf = factors.c, factors.r_factor
     if inverts == 1:
         assert np.array_equal(rf, np.eye(x.shape[1]))
-    general = rf.T @ original(rf @ rf.T, DEFAULT_TOL) @ original(c.T @ c, DEFAULT_TOL) @ c.T
+    # X+ = R+ C+, each factor's pseudo inverse formed on its own
+    general = (rf.T @ original(rf @ rf.T, DEFAULT_TOL)) @ (original(c.T @ c, DEFAULT_TOL) @ c.T)
     assert np.array_equal(g, np.ldexp(general, -e))
     assert np.array_equal(np.signbit(g), np.signbit(np.ldexp(general, -e)))
 
@@ -500,19 +502,26 @@ def test_rg_via_gram_applies_the_penrose_threshold_to_the_gram_matrix():
 def _rank_first(x, tol, side):
     """The normal-equation inverse with ``X``'s rank checked before the Gram
     matrix is inverted: the reference order for :func:`left_inverse` and
-    :func:`right_inverse`."""
+    :func:`right_inverse`.  A singular Gram matrix of a full-rank ``X`` is
+    named as squared conditioning."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     xs, e = _prescaled(x)
+    full, dim = (x.shape[1], "column") if side == "left" else (x.shape[0], "row")
+    if pivot_rank(x, tol) < full:
+        raise RankDeficientError(f"{side} inverse needs full {dim} rank {full}")
+    gram = xs.T @ xs if side == "left" else xs @ xs.T
+    try:
+        inverse = invert(gram, tol)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
+            f"tolerance (pivot rank {pivot_rank(gram, tol)} of {full}): the normal equations "
+            "square its condition number"
+        ) from None
     if side == "left":
-        p = x.shape[1]
-        if pivot_rank(x, tol) < p:
-            raise RankDeficientError(f"left inverse needs full column rank {p}")
-        return _in_range(invert(xs.T @ xs, tol) @ xs.T, -e, "the left inverse")
-    n = x.shape[0]
-    if pivot_rank(x, tol) < n:
-        raise RankDeficientError(f"right inverse needs full row rank {n}")
-    return _in_range(xs.T @ invert(xs @ xs.T, tol), -e, "the right inverse")
+        return _in_range(inverse @ xs.T, -e, "the left inverse")
+    return _in_range(xs.T @ inverse, -e, "the right inverse")
 
 
 def _outcome(call):
@@ -585,3 +594,156 @@ def test_rg_canonical_column_reduces_only_the_nonzero_rows(shape):
             whole = rref_cols(reduced).transform
             assert np.array_equal(narrow, whole), (rank, k)
             assert np.array_equal(np.signbit(narrow), np.signbit(whole)), (rank, k)
+
+
+def test_a_singular_gram_of_a_full_rank_matrix_names_squared_conditioning():
+    # sigma2 / sigma1 = 0.036, so both kernels keep rank 2 at tol 1e-2, but
+    # the Gram's second pivot is 4.1e-3 of its largest entry, in sigma^2 units
+    from fourspaces.solve import ls_normal
+
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    assert pivot_rank(x, 1e-2) == 2
+    calls = ((lambda: left_inverse(x, 1e-2), "column"),
+             (lambda: ls_normal(x, [1.0, 2.0, 3.0], 1e-2), "column"),
+             (lambda: right_inverse(x.T, 1e-2), "row"))
+    for call, dim in calls:
+        with pytest.raises(SingularMatrixError) as info:
+            call()
+        assert info.value.code == "singular-matrix"
+        assert str(info.value) == (
+            f"X has full {dim} rank 2, but its Gram matrix is singular at the working "
+            "tolerance (pivot rank 1 of 2): the normal equations square its condition number"
+        )
+
+
+def test_a_failed_gram_inversion_keeps_its_precedence(monkeypatch):
+    # a short rank is named first, and a failure other than a singular Gram
+    # matrix passes as the inversion raised it
+    import fourspaces.inverses as inverses
+
+    def past_the_range(a, tol):
+        raise NonFiniteEntryError("the inverse lies beyond the float range")
+
+    monkeypatch.setattr(inverses, "invert", past_the_range)
+    with pytest.raises(NonFiniteEntryError, match="^the inverse lies beyond the float range$"):
+        left_inverse(np.eye(3)[:, :2])
+    with pytest.raises(RankDeficientError, match="^left inverse needs full column rank 2$"):
+        left_inverse([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    with pytest.raises(RankDeficientError, match="^right inverse needs full row rank 2$"):
+        right_inverse([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+
+
+def _padded_pinv_cr(x, tol):
+    """``R'(RR')^-1 (C'C)^-1 C'`` on the prescaled input, ``(C'C)^-1 C'`` at
+    full column rank: the CR route with its Gram matrices inverted by hand."""
+    xs, e = _prescaled(as_matrix(x))
+    n, p = xs.shape
+    factors = cr_decompose(xs, tol)
+    if factors.rank == 0:
+        return np.zeros((p, n))
+    c, rf = factors.c, factors.r_factor
+    if factors.rank == p:
+        g = invert(c.T @ c, tol) @ c.T
+    else:
+        g = rf.T @ invert(rf @ rf.T, tol) @ invert(c.T @ c, tol) @ c.T
+    return _in_range(g, -e, "the pseudo inverse")
+
+
+def _padded_left_family(x, y, tol):
+    """``[I | Y] E`` with the identity block stored."""
+    n, p = x.shape
+    y = np.zeros((p, n - p)) if y is None else y
+    return np.hstack([np.eye(p), y]) @ rref_rows(x, tol).transform
+
+
+def _padded_right_family(x, y, tol):
+    """``E [I; Y]`` with the identity block stored."""
+    n, p = x.shape
+    y = np.zeros((p - n, n)) if y is None else y
+    return rref_cols(x, tol).transform @ np.vstack([np.eye(n), y])
+
+
+def _padded_rg_canonical(x, a, b, tol):
+    """``E2^-1 [I a; b ba] E1^-1`` with the p x n middle block stored."""
+    n, p = x.shape
+    row = rref_rows(x, tol)
+    r = row.pivot_rank
+    col = rref_cols(row.reduced[: max(r, 1)], tol)
+    middle = np.zeros((p, n))
+    middle[:r, :r] = np.eye(r)
+    middle[:r, r:] = a
+    middle[r:, :r] = b
+    middle[r:, r:] = b @ a
+    return col.transform @ middle @ row.transform
+
+
+def _relative_gap(got, want):
+    """``||got - want||_F / ||want||_F``, both divided by ``max|want|`` first,
+    so nothing overflows or underflows at 2^+-600; ``max|got|`` where
+    ``want`` is zero."""
+    s = np.abs(want).max()
+    if not s:
+        return np.abs(got).max()
+    return np.linalg.norm((got - want) / s) / np.linalg.norm(want / s)
+
+
+def _parity_inputs():
+    """Full column rank, full row rank, rank-deficient, graded and Kahan inputs."""
+    rng = np.random.default_rng(31)
+    inputs = {
+        "tall": full_col_rank(rng, 12, 7),
+        "square": full_col_rank(rng, 6, 6),
+        "wide": full_row_rank(rng, 5, 9),
+        "deficient": rank_deficient(rng, 8, 6, 3),
+        "deficient_wide": rank_deficient(rng, 6, 9, 2),
+        "integer": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+        "signed_zeros": np.array([[0.0, -1.0], [-2.0, 0.0], [0.0, 0.0]]),
+        "kahan": kahan(20, 0.3),
+    }
+    for k in (2, 4, 6, 8):
+        inputs[f"graded_1e{k}"] = graded(rng, 30, 20, 20, 10.0**k)
+        inputs[f"graded_rank12_1e{k}"] = graded(rng, 30, 20, 12, 10.0**k)
+    return inputs
+
+
+PARITY_INPUTS = _parity_inputs()
+
+
+@pytest.mark.parametrize("name", PARITY_INPUTS)
+def test_inverses_read_off_their_reductions_match_the_padded_formulas(name):
+    # pinv_cr is R+ C+ through the one Gram inversion, and the families and
+    # rg_canonical slice E in place of padding it with identity and zero
+    # blocks: bit for bit where only C+ or a slice of E is formed, at
+    # rounding level where products reassociate, same error otherwise
+    rng = np.random.default_rng(7)
+    for tol in (1e-10, 1e-6, 1e-2):
+        for k in (0, 600, -600):
+            x = np.ldexp(PARITY_INPUTS[name], k)
+            n, p = x.shape
+            got = _outcome(lambda: pinv_cr(x, tol))
+            want = _outcome(lambda: _padded_pinv_cr(x, _as_tolerance(tol)))
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and got[0] is want[0], (tol, k, got, want)
+            elif cr_decompose(x, tol).rank == p:
+                assert np.array_equal(got, want), (tol, k)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (tol, k)
+            else:
+                assert _relative_gap(got, want) <= 1e-9, (tol, k)
+            for family, padded, arg in ((left_inverse_family, _padded_left_family, x),
+                                        (right_inverse_family, _padded_right_family, x.T)):
+                got = _outcome(lambda: family(arg, None, tol))
+                if not isinstance(got, np.ndarray):
+                    continue
+                want = padded(arg, None, tol)
+                assert np.array_equal(got, want), (family.__name__, tol, k)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (family.__name__, tol, k)
+                y = rng.standard_normal((min(arg.shape), max(arg.shape) - min(arg.shape)))
+                y = y if family is left_inverse_family else y.T
+                got, want = family(arg, y, tol), padded(arg, y, tol)
+                assert _relative_gap(got, want) <= 1e-9, (family.__name__, tol, k)
+            r = pivot_rank(x, tol)
+            blocks = ((np.zeros((r, n - r)), np.zeros((p - r, r))),
+                      (rng.standard_normal((r, n - r)), rng.standard_normal((p - r, r))))
+            for a, b in blocks:
+                got, want = rg_canonical(x, a, b, tol), _padded_rg_canonical(x, a, b, tol)
+                assert _relative_gap(got, want) <= 1e-9, (tol, k)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fourspaces import NonFiniteEntryError, ShapeError
+from fourspaces import NonFiniteEntryError, ShapeError, rref_rows
 from fourspaces.errors import DependentBasisError, NotInRowSpaceError
 from fourspaces.subspaces import (
     column_basis_from_row_basis,
@@ -153,3 +153,37 @@ def test_row_space_check_is_scale_safe(scale):
         column_basis_from_row_basis(x, np.array([[1.0], [1.0], [-1.0]]) * scale)
     inside = np.array([[1.0], [2.0], [3.0]])
     assert_allclose(column_basis_from_row_basis(x, inside), x @ inside)
+
+
+def _elimination_bases(x):
+    """The four subspaces read off ``EA = R`` (Strang 1993): the first r rows
+    of R, the special solutions of the free columns, the pivot columns of
+    X and the last n - r rows of E, with the rank r."""
+    res = rref_rows(x)
+    r, pivots = res.pivot_rank, list(res.pivot_cols)
+    free = [j for j in range(x.shape[1]) if j not in pivots]
+    special = np.zeros((x.shape[1], len(free)))
+    for k, j in enumerate(free):
+        special[j, k] = 1.0
+        special[pivots, k] = -res.reduced[:r, j]
+    return res.reduced[:r].T, special, x[:, pivots], res.transform[r:].T, r
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_elimination_and_svd_agree_on_the_four_subspaces(seed):
+    # the paper's elimination view and the library's SVD view of the four
+    # fundamental subspaces span the same spaces at the same rank, on exact
+    # low-rank inputs, plain and column-graded to 1e3, at 2^0 and 2^+-600
+    rng = np.random.default_rng(seed)
+    n, p = [(8, 6), (6, 9), (10, 10), (12, 7), (5, 11)][seed % 5]
+    base = rank_deficient(rng, n, p, int(rng.integers(0, min(n, p) + 1)))
+    for x0 in (base, base * np.geomspace(1.0, 1e3, p)):
+        for k in (0, 600, -600):
+            x = np.ldexp(x0, k)
+            bases = fundamental_bases(x)
+            row, null, column, left_null, r = _elimination_bases(x)
+            assert r == bases.rank, k
+            assert subspaces_equal(row, bases.row_space), k
+            assert subspaces_equal(null, bases.null_space), k
+            assert subspaces_equal(column, bases.column_space), k
+            assert subspaces_equal(left_null, bases.left_null_space), k
