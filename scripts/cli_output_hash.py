@@ -29,7 +29,11 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   --method normal`` and ``solve --method normal``, ``unique`` and ``right``
   again at ``--tol 1e-2`` and ``--tol 1e-6``, so the labels of the
   normal-equation inverses are seen where a looser cutoff refuses the Gram
-  matrix of a full-rank ``X`` (the 3 x 2 integer matrix at ``1e-2``);
+  matrix of a full-rank ``X`` (the 3 x 2 integer matrix at ``1e-2``), and
+  last the 3 x 2 ``[[1, 0], [0, 2^-520], [0, 0]]`` at ``--tol 1e-320``,
+  whose Gram matrix keeps the subnormal pivot 2^-1040, through ``leftinv``
+  and ``rightinv --method normal``, ``solve --method normal``, ``unique``
+  and ``right``, ``pinv`` and ``report``;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -225,6 +229,17 @@ def small_invocations(rng, tmp):
                 invocations.append([cmd, *common, "--method", "normal", "--tol", tol])
             for method in ("normal", "unique", "right"):
                 invocations.append(["solve", *common, "--method", method, "--y", y, "--tol", tol])
+    # at --tol 1e-320 the Gram matrix of this 3 x 2 keeps its subnormal
+    # pivot 2^-1040, whose row the elimination divides past the float range
+    x = np.array([[1.0, 0.0], [0.0, 2.0**-520], [0.0, 0.0]])
+    common = ["--input", _write_csv(tmp / "subnormal_pivot.csv", x)]
+    y = _write_csv(tmp / "subnormal_pivot_y.csv", x @ np.ones((2, 1)))
+    tiny = ["--tol", "1e-320"]
+    for cmd in ("leftinv", "rightinv"):
+        invocations.append([cmd, *common, "--method", "normal", *tiny])
+    for method in ("normal", "unique", "right"):
+        invocations.append(["solve", *common, "--method", method, "--y", y, *tiny])
+    invocations += [["pinv", *common, *tiny], ["report", *common, *tiny]]
     return invocations
 
 

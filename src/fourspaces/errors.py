@@ -64,9 +64,17 @@ class ConvergenceError(MatrixError):
 
 
 class SingularMatrixError(MatrixError):
-    """A nonsingular matrix was required."""
+    """A nonsingular matrix was required.
+
+    ``pivot_rank`` records how many pivots the elimination accepted, or None
+    where no elimination counted them.
+    """
 
     code = "singular-matrix"
+
+    def __init__(self, message, pivot_rank=None):
+        super().__init__(message)
+        self.pivot_rank = pivot_rank
 
 
 class RankDeficientError(MatrixError):

@@ -7,7 +7,9 @@ read off slices of ``E``.  Reflexive generalized inverses have three
 independent constructions, and the pseudo inverse two: the SVD's, and
 ``R+ C+`` from the one-sided inverses of the CR factors.  Keeping the routes
 separate lets the classifier act as a cross-check instead of a tautology;
-:func:`_gram_inverse` is the one place a Gram matrix is inverted.
+:func:`_normal_inverse` is the one place a Gram matrix is inverted.  Since
+``N(X'X) = N(X)``, the normal-equation inverses, and ``R+ C+`` of a tall
+``X``, invert the Gram matrix first and reduce ``X`` only when that fails.
 """
 
 from __future__ import annotations
@@ -158,28 +160,46 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
     return InverseReport(g.copy(), flags, label, residuals, is_left, is_right)
 
 
+def _normal_inverse(xs, tol, left):
+    """``(X'X)^-1 X'`` (``left``) or ``X'(XX')^-1`` of the prescaled ``xs``,
+    range unchecked: the one place a Gram matrix is inverted.  A failed
+    inversion raises as :func:`invert` does."""
+    if left:
+        return invert(xs.T @ xs, tol) @ xs.T
+    return xs.T @ invert(xs @ xs.T, tol)
+
+
+def _gram_failure(exc, side, full, rank):
+    """The error that names a failed Gram inversion ``exc`` of an ``X`` of
+    rank ``rank``: ``RankDeficientError`` below ``full``; at full rank a
+    singular Gram matrix is named as squared conditioning, and any other
+    failure is ``exc`` itself."""
+    dim = "column" if side == "left" else "row"
+    if rank < full:
+        return RankDeficientError(f"{side} inverse needs full {dim} rank {full}")
+    if not isinstance(exc, SingularMatrixError):
+        return exc
+    return SingularMatrixError(
+        f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
+        f"tolerance (pivot rank {exc.pivot_rank} of {full}): the normal equations "
+        "square its condition number",
+        exc.pivot_rank,
+    )
+
+
 def _gram_inverse(x, tol, side):
-    """The ``side`` (``"left"`` or ``"right"``) normal-equation inverse of ``x``:
-    the one place a Gram matrix is inverted."""
+    """The ``side`` (``"left"`` or ``"right"``) normal-equation inverse of ``x``,
+    with ``x`` row reduced only to name a failed Gram inversion."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     xs, e = _prescaled(x)
     left = side == "left"
-    full, dim = (x.shape[1], "column") if left else (x.shape[0], "row")
-    gram = xs.T @ xs if left else xs @ xs.T
     try:
-        inverse = invert(gram, tol)
+        g = _normal_inverse(xs, tol, left)
     except MatrixError as exc:
-        if pivot_rank(x, tol) < full:
-            raise RankDeficientError(f"{side} inverse needs full {dim} rank {full}") from None
-        if not isinstance(exc, SingularMatrixError):
-            raise
-        raise SingularMatrixError(
-            f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
-            f"tolerance (pivot rank {pivot_rank(gram, tol)} of {full}): the normal equations "
-            "square its condition number"
-        ) from None
-    return _in_range(inverse @ xs.T if left else xs.T @ inverse, -e, f"the {side} inverse")
+        full = x.shape[1] if left else x.shape[0]
+        raise _gram_failure(exc, side, full, pivot_rank(x, tol)) from None
+    return _in_range(g, -e, f"the {side} inverse")
 
 
 def left_inverse(x, tol=DEFAULT_TOL):
@@ -328,20 +348,34 @@ def pinv_cr(x, tol=DEFAULT_TOL):
 
     Deliberately shares no code with :func:`pinv_svd`; the two routes
     agreeing is a statement about the uniqueness of the pseudo inverse, not
-    about the implementation.  ``R+`` is formed first; at full column rank
-    ``R`` is exactly ``I``, so only ``C+`` is.  ``x`` is first scaled by the
-    power of two that brings its largest entry into [0.5, 1); since
+    about the implementation.  ``x`` is first scaled by the power of two
+    that brings its largest entry into [0.5, 1); since
     ``pinv(cX) = pinv(X) / c`` the result is scaled back by the same power,
     and past the float range it raises ``NonFiniteEntryError``.
+
+    At full column rank ``R`` is exactly ``I`` and ``C`` is ``X``, so ``X+``
+    is ``left_inverse(X)``.  Since ``N(X'X) = N(X)``, a tall ``X`` whose Gram
+    matrix inverts has that rank: the Gram matrix is inverted first, and
+    ``X`` is factored only when that fails.  Then rank zero gives zeros,
+    a lower rank gives ``R+ C+`` with ``R+`` formed first, and at full rank
+    the failure is named as :func:`left_inverse` names it.
     """
-    x, e = _prescaled(as_matrix(x))
+    # C-ordered like the C of cr_decompose, so the products round as on C
+    x, e = _prescaled(np.ascontiguousarray(as_matrix(x)))
     tol = _as_tolerance(tol)
     n, p = x.shape
+    if n >= p:
+        try:
+            g = _normal_inverse(x, tol, True)
+        except MatrixError as exc:
+            failure = exc
+        else:
+            # left_inverse(C) checks g, at C's scale, as "the left inverse"
+            return _in_range(_in_range(g, 0, "the left inverse"), -e, "the pseudo inverse")
     factors = cr_decompose(x, tol)
     if factors.rank == 0:
         return np.zeros((p, n))
-    if factors.rank == p:
-        g = left_inverse(factors.c, tol)
-    else:
-        g = right_inverse(factors.r_factor, tol) @ left_inverse(factors.c, tol)
+    if factors.rank == p:  # so n >= p, and the Gram inversion failed
+        raise _gram_failure(failure, "left", p, p) from None
+    g = right_inverse(factors.r_factor, tol) @ left_inverse(factors.c, tol)
     return _in_range(g, -e, "the pseudo inverse")

@@ -184,7 +184,11 @@ def _eliminate(work, tol):
     is still the unit vector ``e_s`` for ``s >= r``.  Those columns are
     returned, and the pivot columns of ``work`` are then pinned to their
     unit vectors, leaving ``R``.  A stored column holds ``1 / pivot``, so
-    every caller hands over the :func:`_prescaled` copy of its input.
+    every caller hands over the :func:`_prescaled` copy of its input.  At a
+    tolerance small enough to accept a subnormal pivot, the division can
+    carry a row past the float range.  The loop lets that overflow, and the
+    ``nan`` it spreads, pass without a warning; the non-finite result then
+    fails a range check of the caller with ``NonFiniteEntryError``.
     """
     n = work.shape[0]
     threshold = tol.relative * np.max(np.abs(work))
@@ -192,32 +196,34 @@ def _eliminate(work, tol):
     order = list(range(n))
     pivots = []
     row = 0
-    for col in range(work.shape[1]):
-        if row == n:
-            break
-        candidates = np.abs(work[row:, col])
-        k = int(candidates.argmax())
-        if candidates[k] <= threshold:
-            work[row:, col] = 0.0
-            continue
-        piv = row + k
-        if piv != row:
-            work[row], work[piv] = work[piv], work[row].copy()
-            order[row], order[piv] = order[piv], order[row]
-        pivot_row = work[row]
-        pivot = pivot_row[col]
-        factors = work[:, col].copy()
-        factors[row] = 0.0
-        work[:, col] = 0.0
-        work[row, col] = 1.0
-        pivot_row /= pivot
-        # a zero divided by a negative pivot is -0.0, and subtracting the
-        # +0.0 products BLAS forms for the row's zero factor would keep it;
-        # adding +0.0 stores every zero of a pivot row as +0.0
-        pivot_row += 0.0
-        work -= np.dot(factors[:, None], pivot_row[None, :], out=update)
-        pivots.append(col)
-        row += 1
+    # a subnormal pivot may divide its row past the float range: see above
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in range(work.shape[1]):
+            if row == n:
+                break
+            candidates = np.abs(work[row:, col])
+            k = int(candidates.argmax())
+            if candidates[k] <= threshold:
+                work[row:, col] = 0.0
+                continue
+            piv = row + k
+            if piv != row:
+                work[row], work[piv] = work[piv], work[row].copy()
+                order[row], order[piv] = order[piv], order[row]
+            pivot_row = work[row]
+            pivot = pivot_row[col]
+            factors = work[:, col].copy()
+            factors[row] = 0.0
+            work[:, col] = 0.0
+            work[row, col] = 1.0
+            pivot_row /= pivot
+            # a zero divided by a negative pivot is -0.0, and subtracting the
+            # +0.0 products BLAS forms for the row's zero factor would keep it;
+            # adding +0.0 stores every zero of a pivot row as +0.0
+            pivot_row += 0.0
+            work -= np.dot(factors[:, None], pivot_row[None, :], out=update)
+            pivots.append(col)
+            row += 1
     stored = work[:, pivots]
     work[:, pivots] = 0.0
     work[range(row), pivots] = 1.0
@@ -309,7 +315,9 @@ def invert(a, tol=DEFAULT_TOL):
     no separate elimination pass is needed: :func:`rref_rows` reduces
     ``[A | I]`` to ``[I | A^-1]``, and this caller reads the transform, whose
     columns the reduction stored in the pivot columns of ``A``'s copy.
-    An inverse past the float range raises :class:`NonFiniteEntryError`.
+    A singular ``a`` raises :class:`SingularMatrixError` with the reduction's
+    ``pivot_rank``; an inverse past the float range raises
+    :class:`NonFiniteEntryError`.
     """
     a = as_matrix(a)
     n, p = a.shape
@@ -318,6 +326,7 @@ def invert(a, tol=DEFAULT_TOL):
     res = rref_rows(a, tol)
     if res.pivot_rank < n:
         raise SingularMatrixError(
-            f"matrix is singular at the working tolerance (pivot rank {res.pivot_rank} of {n})"
+            f"matrix is singular at the working tolerance (pivot rank {res.pivot_rank} of {n})",
+            res.pivot_rank,
         )
     return _in_range(res.transform, 0, "the inverse")

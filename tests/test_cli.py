@@ -660,6 +660,29 @@ def test_subnormal_input_projects_and_its_pinv_fails_typed(tmp_path, capsys, sca
         assert (code, doc["payload"]["error"]) == (1, "non-finite-entry")
 
 
+def test_a_subnormal_pivot_at_a_tiny_tolerance_ends_without_warning(tmp_path, capsys):
+    # at --tol 1e-320 the Gram matrix of [[1, 0], [0, 2^-520], [0, 0]] keeps
+    # its subnormal pivot 2^-1040, and the elimination warned "overflow
+    # encountered in divide" before each command ended.  RuntimeWarning is an
+    # error under pytest
+    path = write_matrix(tmp_path, "x.csv", np.array([[1.0, 0.0], [0.0, 2.0**-520], [0.0, 0.0]]))
+    y = write_matrix(tmp_path, "y.csv", np.array([[1.0], [2.0**-520], [0.0]]))
+    expected = {
+        ("leftinv", "--method", "normal"): (1, "non-finite-entry"),
+        ("rightinv", "--method", "normal"): (1, "rank-deficient"),
+        ("solve", "--y", y, "--method", "normal"): (1, "non-finite-entry"),
+        ("solve", "--y", y, "--method", "unique"): (1, "non-finite-entry"),
+        ("solve", "--y", y, "--method", "right"): (1, "rank-deficient"),
+        ("pinv",): (0, None),
+        ("report",): (0, None),
+    }
+    for argv, outcome in expected.items():
+        code, doc = run_json(capsys, [*argv, "--input", path, "--tol", "1e-320"])
+        assert (code, doc["payload"].get("error")) == outcome, argv
+        if code == 0:
+            assert doc["payload"]["route_check"] == "non-finite-entry", argv
+
+
 # Scaling X by 2^k is exact, so every answer scales by 2^(d k), d the degree
 # of its field: 1 for sigma, the columns C of CR and a reconstruction
 # residual, 0 for bases, projectors and every other field here

@@ -359,14 +359,16 @@ def test_pinv_svd_inside_the_float_range_where_one_over_sigma_is_not():
         (np.eye(4), 1),
         (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]), 1),
         (graded(np.random.default_rng(3), 60, 80, 60, 1e2), 2),
-        (rank_deficient(np.random.default_rng(4), 8, 6, 3), 2),
+        (rank_deficient(np.random.default_rng(4), 8, 6, 3), 3),
         (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 2),
     ],
     ids=["tall", "square", "identity", "integer", "wide", "deficient", "integer-wide"],
 )
 def test_pinv_cr_skips_the_identity_at_full_column_rank(monkeypatch, x, inverts):
     # at full column rank the echelon rows are exactly I, so R'(RR')^-1 is I
-    # and the shortcut is the general formula, bit for bit
+    # and the shortcut is the general formula, bit for bit.  A tall input
+    # tries its Gram matrix before it is factored, so the rank-deficient
+    # tall one pays a third, failed, inversion ahead of R+ and C+
     import fourspaces.inverses as inverses
 
     calls = []
@@ -575,6 +577,75 @@ def test_gram_first_normal_inverses_match_the_rank_first_order(name):
                 gram = xs.T @ xs if side == "left" else xs @ xs.T
                 if isinstance(_outcome(lambda: invert(gram, tol)), np.ndarray):
                     assert pivot_rank(arg, tol) == p, (tol, k, side)
+
+
+def _cr_first_pinv(x, tol):
+    """``R+ C+`` with ``X`` factored before any Gram matrix is inverted, and
+    ``left_inverse(C)`` at full column rank: the reference order for
+    :func:`pinv_cr`."""
+    x, e = _prescaled(as_matrix(x))
+    tol = _as_tolerance(tol)
+    n, p = x.shape
+    factors = cr_decompose(x, tol)
+    if factors.rank == 0:
+        return np.zeros((p, n))
+    if factors.rank == p:
+        g = left_inverse(factors.c, tol)
+    else:
+        g = right_inverse(factors.r_factor, tol) @ left_inverse(factors.c, tol)
+    return _in_range(g, -e, "the pseudo inverse")
+
+
+@pytest.mark.parametrize("name", GRAM_FIRST_INPUTS)
+def test_gram_first_pinv_cr_matches_the_cr_first_order(name):
+    # a tall X is factored only when its Gram matrix fails to invert; the
+    # answer, or the type and message of the error, is the CR-first one
+    for tol in (1e-2, 1e-6, 1e-10):
+        for k in (0, 600, -600):
+            x = np.ldexp(GRAM_FIRST_INPUTS[name], k)
+            for arg in (x, x.T):
+                got = _outcome(lambda: pinv_cr(arg, tol))
+                want = _outcome(lambda: _cr_first_pinv(arg, tol))
+                if isinstance(want, tuple):
+                    assert got == want, (tol, k, arg.shape)
+                else:
+                    assert isinstance(got, np.ndarray), (tol, k, arg.shape, got)
+                    assert np.array_equal(got, want), (tol, k, arg.shape)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (tol, k, arg.shape)
+
+
+def test_gram_first_routes_reduce_no_matrix_twice(monkeypatch):
+    # pinv_cr of a tall full-rank X reduces only its Gram matrix, where the
+    # CR-first order reduced X too.  A failed Gram inversion carries the
+    # Gram matrix's pivot rank, so left_inverse then reduces X alone, and
+    # pinv_cr factors X and no longer inverts the Gram matrix of C = X a
+    # second time: 2 reductions each, where naming the failure took 3 and 4.
+    # cr_decompose calls the elimination loop through its own module
+    import fourspaces.factorizations as factorizations
+    import fourspaces.matrix as matrix
+
+    calls = []
+    original = matrix._eliminate
+
+    def counted(work, tol):
+        calls.append(work.shape)
+        return original(work, tol)
+
+    for module in (matrix, factorizations):
+        monkeypatch.setattr(module, "_eliminate", counted)
+    pinv_cr(graded(np.random.default_rng(1), 80, 60, 60, 1e3))
+    assert calls == [(60, 60)]
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    for route in (left_inverse, pinv_cr):
+        calls.clear()
+        with pytest.raises(SingularMatrixError) as info:
+            route(x, 1e-2)
+        assert calls == [(2, 2), (3, 2)], route.__name__
+        assert info.value.pivot_rank == 1
+        assert str(info.value) == (
+            "X has full column rank 2, but its Gram matrix is singular at the working "
+            "tolerance (pivot rank 1 of 2): the normal equations square its condition number"
+        )
 
 
 @pytest.mark.parametrize("shape", [(8, 6), (5, 9)])

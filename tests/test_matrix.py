@@ -445,3 +445,22 @@ def test_elimination_reduces_a_c_contiguous_copy_of_the_input(monkeypatch):
     invert(square)
     assert seen == [((7, 4), True), ((7, 4), True), ((5, 5), True)]
     _assert_same_bits(x, kept)
+
+
+def test_a_subnormal_pivot_overflows_quietly_into_a_typed_error():
+    # at tol 1e-320 the prescaled copy's pivot 2^-1041 is accepted, and
+    # dividing its row by it warned "overflow encountered in divide" ahead
+    # of the typed error; RuntimeWarning is an error under pytest
+    a = np.diag([1.0, 2.0**-1040])
+    with pytest.raises(NonFiniteEntryError, match="^the inverse lies beyond the float range$"):
+        invert(a, 1e-320)
+    # the update then meets inf with a zero factor: nan, as quietly
+    res = rref_rows(a, 1e-320)
+    assert res.pivot_rank == 2 and np.isnan(res.transform[:, 1]).all()
+
+
+def test_a_singular_matrix_error_carries_the_pivot_rank():
+    with pytest.raises(SingularMatrixError) as info:
+        invert([[1.0, 2.0], [2.0, 4.0]])
+    assert info.value.pivot_rank == 1
+    assert str(info.value) == "matrix is singular at the working tolerance (pivot rank 1 of 2)"
