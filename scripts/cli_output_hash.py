@@ -33,7 +33,10 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   last the 3 x 2 ``[[1, 0], [0, 2^-520], [0, 0]]`` at ``--tol 1e-320``,
   whose Gram matrix keeps the subnormal pivot 2^-1040, through ``leftinv``
   and ``rightinv --method normal``, ``solve --method normal``, ``unique``
-  and ``right``, ``pinv`` and ``report``;
+  and ``right``, ``pinv`` and ``report``, and the 2 x 3
+  ``[[1, 0, 0], [0, 2^-1040, 1]]`` at ``--tol 1e-320``, whose subnormal
+  pivot puts its echelon form past the float range, through ``cr``,
+  ``ginv``, ``rank``, ``subspaces`` and ``pinv``;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -46,8 +49,10 @@ is recorded too, as ``raised``: its type and message.
 
 A third set, in ``usage`` mode, records what the argument parser itself
 prints: ``--help`` of the root parser and of each subcommand, and the
-usage errors of an unknown subcommand and of an unknown ``--method`` for
-``solve`` and for ``leftinv``.  These records also hold standard error.
+usage errors of an unknown subcommand, of an unknown ``--method`` for
+``solve`` and for ``leftinv``, and of a ``--y`` outside ``--method family``
+for ``leftinv --method normal`` and ``rightinv --method elementary``.  These
+records also hold standard error.
 Help is wrapped at a fixed width of 80 columns.
 
 The script prints the number of outputs, how many JSON- and text-mode runs
@@ -240,6 +245,12 @@ def small_invocations(rng, tmp):
     for method in ("normal", "unique", "right"):
         invocations.append(["solve", *common, "--method", method, "--y", y, *tiny])
     invocations += [["pinv", *common, *tiny], ["report", *common, *tiny]]
+    # at --tol 1e-320 the subnormal pivot of this 2 x 3 divides its row's
+    # last entry past the float range, so its echelon form R holds inf
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0**-1040, 1.0]])
+    common = ["--input", _write_csv(tmp / "subnormal_echelon.csv", x)]
+    for cmd in ("cr", "ginv", "rank", "subspaces", "pinv"):
+        invocations.append([cmd, *common, *tiny])
     return invocations
 
 
@@ -249,7 +260,7 @@ def corpus_invocations(tmp):
 
 
 def usage_invocations(tmp):
-    """Argument vectors of every help page and of three usage errors."""
+    """Argument vectors of every help page and of five usage errors."""
     src = _write_csv(tmp / "usage.csv", np.eye(2))
     return [
         ["--help"],
@@ -257,6 +268,8 @@ def usage_invocations(tmp):
         ["frobnicate", "--input", src],
         ["solve", "--input", src, "--y", src, "--method", "bogus"],
         ["leftinv", "--input", src, "--method", "bogus"],
+        ["leftinv", "--input", src, "--method", "normal", "--y", src],
+        ["rightinv", "--input", src, "--method", "elementary", "--y", src],
     ]
 
 

@@ -335,7 +335,7 @@ def _one_sided_inverse(x, args, tol, normal, family):
     block (``elementary``, as the ``*_elementary`` aliases do) or with ``--y``."""
     if args.method == "normal":
         return normal(x, tol)
-    y = parse_matrix(args.y, args.format) if args.method == "family" and args.y else None
+    y = parse_matrix(args.y, args.format) if args.y else None
     return family(x, y, tol)
 
 
@@ -511,7 +511,7 @@ def _build_parser():
         cmd[name].add_argument(
             "--method", choices=("normal", "elementary", "family"), default="normal"
         )
-        cmd[name].add_argument("--y", metavar="FILE", help="free block for --method family")
+        cmd[name].add_argument("--y", metavar="FILE", help="free block; only with --method family")
     cmd["classify"].add_argument("--g", required=True, metavar="FILE", help="candidate inverse")
     cmd["solve"].add_argument("--method", choices=tuple(_SOLVERS), default="svd")
     cmd["solve"].add_argument("--y", required=True, metavar="FILE", help="observation vector")
@@ -536,9 +536,18 @@ def _dispatch(args):
     )
 
 
+def _parse(argv):
+    """``argv`` parsed; ``leftinv``/``rightinv --y`` needs ``--method family``."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("leftinv", "rightinv") and args.y is not None and args.method != "family":
+        parser.error(f"{args.command}: argument --y: only --method family takes a free block")
+    return args
+
+
 def run_command(argv):
     """Parse an argument vector and produce the corresponding report."""
-    return _dispatch(_build_parser().parse_args(argv))
+    return _dispatch(_parse(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +770,8 @@ def _failure_report(args, report, exc):
 
 def main(argv=None):
     """Entry point; returns the exit code instead of raising SystemExit."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     report = None

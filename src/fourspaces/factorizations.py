@@ -266,4 +266,5 @@ def cr_decompose(x, tol=DEFAULT_TOL):
     reduced, _ = _prescaled(np.ascontiguousarray(x))
     pivots = _eliminate(reduced, _as_tolerance(tol))[0]
     r = len(pivots)
-    return CrFactors(x[:, list(pivots)].copy(), reduced[:r].copy(), r)
+    r_factor = _in_range(reduced[:r].copy(), 0, "the echelon form")
+    return CrFactors(x[:, list(pivots)].copy(), r_factor, r)

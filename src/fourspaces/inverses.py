@@ -6,10 +6,10 @@ tracked transform ``E``, and a parametrized family sweeping every member,
 read off slices of ``E``.  Reflexive generalized inverses have three
 independent constructions, and the pseudo inverse two: the SVD's, and
 ``R+ C+`` from the one-sided inverses of the CR factors.  Keeping the routes
-separate lets the classifier act as a cross-check instead of a tautology;
-:func:`_normal_inverse` is the one place a Gram matrix is inverted.  Since
-``N(X'X) = N(X)``, the normal-equation inverses, and ``R+ C+`` of a tall
-``X``, invert the Gram matrix first and reduce ``X`` only when that fails.
+separate lets the classifier act as a cross-check instead of a tautology.
+Since ``N(X'X) = N(X)``, a Gram matrix is inverted first (only in
+:func:`_normal_inverse`), and ``X`` is reduced only to name a failure (only
+in :func:`_gram_inverse`) or, for ``R+ C+``, to fall back to the factors.
 """
 
 from __future__ import annotations
@@ -169,27 +169,10 @@ def _normal_inverse(xs, tol, left):
     return xs.T @ invert(xs @ xs.T, tol)
 
 
-def _gram_failure(exc, side, full, rank):
-    """The error that names a failed Gram inversion ``exc`` of an ``X`` of
-    rank ``rank``: ``RankDeficientError`` below ``full``; at full rank a
-    singular Gram matrix is named as squared conditioning, and any other
-    failure is ``exc`` itself."""
-    dim = "column" if side == "left" else "row"
-    if rank < full:
-        return RankDeficientError(f"{side} inverse needs full {dim} rank {full}")
-    if not isinstance(exc, SingularMatrixError):
-        return exc
-    return SingularMatrixError(
-        f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
-        f"tolerance (pivot rank {exc.pivot_rank} of {full}): the normal equations "
-        "square its condition number",
-        exc.pivot_rank,
-    )
-
-
 def _gram_inverse(x, tol, side):
     """The ``side`` (``"left"`` or ``"right"``) normal-equation inverse of ``x``,
-    with ``x`` row reduced only to name a failed Gram inversion."""
+    with ``x`` row reduced only to name a failed Gram inversion: the one place
+    such a failure is named, as :func:`left_inverse` says."""
     x = as_matrix(x)
     tol = _as_tolerance(tol)
     xs, e = _prescaled(x)
@@ -197,8 +180,17 @@ def _gram_inverse(x, tol, side):
     try:
         g = _normal_inverse(xs, tol, left)
     except MatrixError as exc:
-        full = x.shape[1] if left else x.shape[0]
-        raise _gram_failure(exc, side, full, pivot_rank(x, tol)) from None
+        full, dim = (x.shape[1], "column") if left else (x.shape[0], "row")
+        if pivot_rank(x, tol) < full:
+            raise RankDeficientError(f"{side} inverse needs full {dim} rank {full}") from None
+        if not isinstance(exc, SingularMatrixError):
+            raise
+        raise SingularMatrixError(
+            f"X has full {dim} rank {full}, but its Gram matrix is singular at the working "
+            f"tolerance (pivot rank {exc.pivot_rank} of {full}): the normal equations "
+            "square its condition number",
+            exc.pivot_rank,
+        ) from None
     return _in_range(g, -e, f"the {side} inverse")
 
 
@@ -288,7 +280,7 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     r = row.pivot_rank
     # rows past the rank are zero and move no pivot: the column reduction
     # of the nonzero rows gives the same transform, one row kept at rank 0
-    cols = rref_cols(row.reduced[: max(r, 1)], tol).transform
+    cols = rref_cols(_in_range(row.reduced[: max(r, 1)], 0, "the echelon form"), tol).transform
     a = _free_block(a, (r, n - r), "block a")
     b = _free_block(b, (p - r, r), "block b")
     rows = _in_range(row.transform, 0, "the reflexive g-inverse")
@@ -353,12 +345,10 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     ``pinv(cX) = pinv(X) / c`` the result is scaled back by the same power,
     and past the float range it raises ``NonFiniteEntryError``.
 
-    At full column rank ``R`` is exactly ``I`` and ``C`` is ``X``, so ``X+``
-    is ``left_inverse(X)``.  Since ``N(X'X) = N(X)``, a tall ``X`` whose Gram
-    matrix inverts has that rank: the Gram matrix is inverted first, and
-    ``X`` is factored only when that fails.  Then rank zero gives zeros,
-    a lower rank gives ``R+ C+`` with ``R+`` formed first, and at full rank
-    the failure is named as :func:`left_inverse` names it.
+    A tall ``X`` inverts its Gram matrix first: ``N(X'X) = N(X)`` makes that
+    full column rank, where ``R = I`` and ``X+ = (X'X)^-1 X'``.  Any failure
+    falls back to ``R+ C+``, ``R+`` formed first: zeros at rank zero, and
+    otherwise the one-sided inverses of the factors name every error.
     """
     # C-ordered like the C of cr_decompose, so the products round as on C
     x, e = _prescaled(np.ascontiguousarray(as_matrix(x)))
@@ -366,16 +356,11 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     n, p = x.shape
     if n >= p:
         try:
-            g = _normal_inverse(x, tol, True)
-        except MatrixError as exc:
-            failure = exc
-        else:
-            # left_inverse(C) checks g, at C's scale, as "the left inverse"
-            return _in_range(_in_range(g, 0, "the left inverse"), -e, "the pseudo inverse")
+            return _in_range(_normal_inverse(x, tol, True), -e, "the pseudo inverse")
+        except MatrixError:
+            pass  # R+ C+ below names it, a past-range answer too
     factors = cr_decompose(x, tol)
     if factors.rank == 0:
         return np.zeros((p, n))
-    if factors.rank == p:  # so n >= p, and the Gram inversion failed
-        raise _gram_failure(failure, "left", p, p) from None
     g = right_inverse(factors.r_factor, tol) @ left_inverse(factors.c, tol)
     return _in_range(g, -e, "the pseudo inverse")

@@ -34,7 +34,7 @@ from fourspaces.cli import (
     parse_vector,
     run_command,
 )
-from fourspaces.inverses import pinv_svd
+from fourspaces.inverses import pinv_svd, rg_canonical
 from fourspaces.subspaces import fundamental_bases
 
 from support import graded, kahan
@@ -681,6 +681,51 @@ def test_a_subnormal_pivot_at_a_tiny_tolerance_ends_without_warning(tmp_path, ca
         assert (code, doc["payload"].get("error")) == outcome, argv
         if code == 0:
             assert doc["payload"]["route_check"] == "non-finite-entry", argv
+
+
+def test_an_echelon_form_past_the_float_range_is_named_not_blamed_on_the_input(
+        tmp_path, capsys):
+    # at tol 1e-320 the prescaled pivot 2^-1041 of [[1, 0, 0], [0, 2^-1040, 1]]
+    # is accepted and divides its row's 0.5 to 2^1040, past the float range:
+    # cr and ginv said "matrix contains NaN or infinite entries" of a finite
+    # input.  The SVD commands still answer
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0**-1040, 1.0]])
+    path = write_matrix(tmp_path, "x.csv", x)
+    message = "the echelon form lies beyond the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (factorizations.cr_decompose, rg_canonical):
+            with pytest.raises(NonFiniteEntryError) as info:
+                route(x, tol=1e-320)
+            assert str(info.value) == message, route.__name__
+        for cmd in ("cr", "ginv", "rank", "subspaces"):
+            code, doc = run_json(capsys, [cmd, "--input", path, "--tol", "1e-320"])
+            if cmd in ("cr", "ginv"):
+                assert code == 1, cmd
+                assert doc["payload"] == {"error": "non-finite-entry", "message": message}, cmd
+            else:
+                assert (code, doc["payload"]["rank"]) == (0, 2), cmd
+            assert capsys.readouterr().err == "", cmd
+
+
+def test_y_outside_method_family_is_a_usage_error(tmp_path, capsys):
+    # leftinv and rightinv read --y only as the free block of --method family;
+    # elsewhere it was ignored and the inverse printed with exit code 0
+    x = write(tmp_path, "x.csv", "1,2\n3,4\n5,7\n")
+    y = write(tmp_path, "y.csv", "1\n2\n")
+    for cmd in ("leftinv", "rightinv"):
+        for method in ("normal", "elementary"):
+            assert main([cmd, "--input", x, "--method", method, "--y", y]) == 2, (cmd, method)
+            err = capsys.readouterr().err
+            assert f"{cmd}: argument --y: only --method family takes a free block" in err
+        with pytest.raises(SystemExit):
+            run_command([cmd, "--input", x, "--method", "normal", "--y", y])
+        capsys.readouterr()
+    # --method family and solve still read it
+    code, doc = run_json(capsys, ["leftinv", "--input", x, "--method", "family", "--y", y])
+    assert (code, doc["payload"]["method"]) == (0, "family")
+    b = write(tmp_path, "b.csv", "1\n3\n5\n")
+    assert run_json(capsys, ["solve", "--input", x, "--y", b])[0] == 0
 
 
 # Scaling X by 2^k is exact, so every answer scales by 2^(d k), d the degree
