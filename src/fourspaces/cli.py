@@ -554,9 +554,6 @@ def run_command(argv):
 # emission
 
 
-_FLOATS = {float}
-
-
 def _finite(value, where):
     if not math.isfinite(value):
         raise NonFiniteEntryError(f"{where} is not finite")
@@ -574,13 +571,6 @@ def _json_literal(s):
     if "." in s or "e" in s:
         return s
     return s + ".0"
-
-
-def _text_literal(s):
-    # s is "%.12g" of a finite float, which is also "%.12g" of the rounded
-    # value except in the subnormal range, where doubles are sparser than
-    # 12-digit decimals
-    return f"{float(s):.12g}" if "e-3" in s else s
 
 
 _MATRIX_KEYS = {"rows", "cols", "data"}
@@ -636,12 +626,10 @@ def _json(obj, where, pad=""):
     """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
     each float rounded to 12 significant digits.  A NaN or infinity raises,
     naming its path in the document.  Each array goes through
-    :func:`_json_floats` first; if it declines, the walk takes a matrix row
-    by row and a vector as a list."""
+    :func:`_json_floats` first; if it declines, the walk takes it whole, as
+    nested lists."""
     if isinstance(obj, np.ndarray):
-        return _json_floats(obj, pad) or _json(
-            list(obj) if obj.ndim > 1 else obj.tolist(), where, pad
-        )
+        return _json_floats(obj, pad) or _json(obj.tolist(), where, pad)
     inner = pad + "  "
     sep = f",\n{inner}"
     if isinstance(obj, dict):
@@ -678,20 +666,18 @@ def _fmt(value, where):
         return "n/a"
     if isinstance(value, float):
         _finite(value, where)
-        return _text_literal(f"{value:.12g}")
+        # "%.12g" of a finite float is also "%.12g" of the rounded value
+        # except in the subnormal range, where doubles are sparser than
+        # 12-digit decimals
+        s = f"{value:.12g}"
+        return f"{float(s):.12g}" if "e-3" in s else s
     return str(value)
 
 
 def _text_row(row, where):
-    """A row as text: a float64 array or a list of finite plain floats by
-    one ``%`` call, and any other row item by item, which names a NaN or
-    infinity."""
+    """A row as text, an array or a list, each item through :func:`_fmt`,
+    which names a NaN or infinity."""
     row = row.tolist() if isinstance(row, np.ndarray) else row
-    if set(map(type, row)) == _FLOATS:
-        text = " ".join(["%.12g"] * len(row)) % tuple(row)
-        if "n" not in text:  # "inf" or "nan"; finite literals hold no "n"
-            # _text_literal changes only items with an exponent from e-3xx
-            return " ".join(map(_text_literal, text.split(" "))) if "e-3" in text else text
     return " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
 
 
@@ -729,13 +715,13 @@ def _render_text(doc):
 def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
-    One walk of the document checks, rounds and writes each number, and
-    each mode has one bulk path beside it.  Payload matrices and vectors
-    are float64 arrays.  In JSON mode each is screened once and written by
+    One walk of the document checks, rounds and writes each number.
+    Payload matrices and vectors are float64 arrays.  Text mode writes
+    every float through one formatter, :func:`_fmt`.  JSON mode has one
+    bulk path beside the walk: each array is screened once and written by
     a single bytes ``%`` call; an array that the screen declines (a
     non-finite entry, or a literal where ``"%.12g"`` and ``repr`` part
-    ways) goes through the walk, a matrix row by row, and a plain list
-    always does.  In text mode each row is written by one ``%`` call.  A
+    ways) goes through the walk whole, and a plain list always does.  A
     payload holding NaN or infinity is rejected before anything is
     written, with the entry named.  Returns the rendered text.
     """

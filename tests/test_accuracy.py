@@ -13,9 +13,12 @@ the oracle's values (Demmel and Veselic's bound, with ``c = 0.5``; worst
 measured 0.18 k eps / relgap_i for ``u`` and 0.11 for ``v``, the same at
 2^0 and 2^+-600).  The pseudo inverse ``pinv_svd`` that users read off
 them, ``G = V S^-1 U'``, is checked row by row, each row within ``4 k eps``
-relative of the oracle's (worst measured 2.93 k eps).  ``eig_symmetric``
-runs the same kernel on ``A + 2 ||A||_F I``, so its error is absolute:
-``eps ||A||`` per eigenvalue.
+relative of the oracle's (worst measured 2.93 k eps), and the least-squares
+estimate ``ls_svd_minnorm`` component by component, ``|b_i - b_i*| <= 4 k
+eps (|G*| |y|)_i`` with ``b* = G* y`` (worst measured 1.68 k eps; against
+``|b_i*|`` alone it reaches 109 k eps, the cancellation in ``G* y``, not an
+error of the route).  ``eig_symmetric`` runs the same kernel on
+``A + 2 ||A||_F I``, so its error is absolute: ``eps ||A||`` per eigenvalue.
 """
 
 import functools
@@ -24,7 +27,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fourspaces import eig_symmetric, pinv_svd, svd_reduced
+from fourspaces import eig_symmetric, ls_svd_minnorm, pinv_svd, svd_reduced
 from support import random_orthogonal
 
 EPS = np.finfo(float).eps
@@ -102,6 +105,15 @@ def test_svd_keeps_every_singular_value_of_a_graded_product_to_relative_accuracy
                 assert error <= 0.5 * k * EPS, (shape, e, name, error / (k * EPS))
 
 
+@functools.cache
+def _pinv_oracle(side, seed):
+    """The oracle's pseudo inverse ``G* = V S^-1 U'`` of the graded product
+    of ``side`` and ``seed``, as an mpmath matrix."""
+    _, oracle, u_exact, v_exact, _ = _oracle(side, seed)
+    with mpmath.workdps(DIGITS):
+        return v_exact * mpmath.diag([1 / s for s in oracle]) * u_exact.T
+
+
 def _largest_row_error(g, oracle):
     """The largest ``||g_i - g_i*||_2 / ||g_i*||_2`` over the rows of ``g`` and
     of the mpmath matrix ``oracle``."""
@@ -121,16 +133,42 @@ def test_pinv_svd_keeps_every_row_of_a_graded_product_to_relative_accuracy(side,
     # bound would leave the smallest with no correct digit; each row is held
     # to its own norm.  Worst measured 2.93 k eps (rows, seed 0, wide), the
     # same at 2^0 and 2^+-600
-    x, oracle, u_exact, v_exact, _ = _oracle(side, seed)
+    x, oracle, _, _, _ = _oracle(side, seed)
     k = len(oracle)
-    with mpmath.workdps(DIGITS):
-        exact = v_exact * mpmath.diag([1 / s for s in oracle]) * u_exact.T
+    exact = _pinv_oracle(side, seed)
     # the wide X' has the transposed pseudo inverse
     for shape, a, g_exact in (("tall", x, exact), ("wide", x.T, exact.T)):
         for e in (0, 600, -600):
             # pinv(2^e X) = 2^-e pinv(X), and undoing the scale is exact
             g = np.ldexp(pinv_svd(np.ldexp(a, e)), e)
             error = _largest_row_error(g, g_exact)
+            assert error <= 4 * k * EPS, (shape, e, error / (k * EPS))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("side", ["columns", "rows", "both"])
+def test_ls_svd_minnorm_keeps_every_component_of_beta_within_its_conditioning(side, seed):
+    # beta_i = sum_j G_ij y_j can cancel, so |beta_i - beta_i*| / |beta_i*|
+    # reaches 109 k eps on these inputs; each component is held to the sum of
+    # the sizes of its terms, (|G*| |y|)_i, which an error of 4 k eps in each
+    # row of G allows.  Worst measured 1.68 k eps (columns, seed 1, wide), the
+    # same at 2^0 and 2^+-600
+    x, oracle, _, _, _ = _oracle(side, seed)
+    k = len(oracle)
+    exact = _pinv_oracle(side, seed)
+    for shape, a, g_exact in (("tall", x, exact), ("wide", x.T, exact.T)):
+        y = np.random.default_rng([seed, 5]).standard_normal(a.shape[0])
+        with mpmath.workdps(DIGITS):
+            terms = [[g_exact[i, j] * float(y[j]) for j in range(len(y))]
+                     for i in range(g_exact.rows)]
+            beta_exact = [mpmath.fsum(row) for row in terms]
+            size = [mpmath.fsum(abs(t) for t in row) for row in terms]
+        for e in (0, 600, -600):
+            # beta(2^e X) = 2^-e beta(X), and undoing the scale is exact
+            beta = np.ldexp(ls_svd_minnorm(np.ldexp(a, e), y).beta_hat, e)
+            with mpmath.workdps(DIGITS):
+                error = max(float(abs(mpmath.mpf(float(b)) - w) / m)
+                            for b, w, m in zip(beta, beta_exact, size))
             assert error <= 4 * k * EPS, (shape, e, error / (k * EPS))
 
 

@@ -1221,18 +1221,37 @@ def test_emitter_matches_two_pass_oracle_on_edge_literals():
 
 def test_text_rows_match_the_per_item_rewrite():
     # only a literal with an exponent from e-3xx can need rewriting in text
-    # mode; integer-valued and e+1x literals are kept as "%.12g" writes them
+    # mode (a subnormal, written as the value "%.12g" rounds it to);
+    # integer-valued and e+1x literals are kept as "%.12g" writes them.  Each
+    # row, as a list and as an array, against its text written out in full
     rows = [
-        [1.0, -2.0, 0.0, 100.0],
-        [1e12, 1e15, 123456789012345.0, 2.5],
-        [5e-324, 1.000000000003e-312, 2.2250738585072014e-308, 1e-30],
-        [3.0, 1e13, 5e-324, 0.25, -0.0],
-        EDGE_FLOATS,
+        ([1.0, -2.0, 0.0, 100.0], "1 -2 0 100"),
+        ([1e12, 1e15, 123456789012345.0, 2.5], "1e+12 1e+15 1.23456789012e+14 2.5"),
+        (
+            [5e-324, 1.000000000003e-312, 2.2250738585072014e-308, 1e-30],
+            "4.94065645841e-324 9.99999999998e-313 2.22507385851e-308 1e-30",
+        ),
+        ([3.0, 1e13, 5e-324, 0.25, -0.0], "3 1e+13 4.94065645841e-324 0.25 -0"),
+        (
+            EDGE_FLOATS,
+            "1e+12 1e+12 1e+16 1e+13 1.23456789012e+14 1e+15 1e+16 1e-05 1.5e-07 0 -0 "
+            "100 -2.5 0.333333333333 6.66666666667e-301 4.94065645841e-324 "
+            "9.99999999998e-313 2.22507385851e-308 1.797e+308 -1.797e+308",
+        ),
     ]
-    for row in rows:
-        per_item = " ".join(cli._fmt(v, "row") for v in row)
-        assert cli._text_row(row, "row") == per_item
-        assert cli._text_row(np.array(row), "row") == per_item
+    for row, text in rows:
+        assert cli._text_row(row, "row") == text
+        assert cli._text_row(np.array(row), "row") == text
+
+
+def test_json_screen_accepts_benchmark_shaped_outputs():
+    # a matrix the screen declines is walked whole, at the walk's speed; the
+    # outputs the benchmark writes, a pseudo inverse of an 80 x 60 graded to
+    # cond 1e4 and a reflexive inverse of a rank-70 120 x 100, take the bulk path
+    rng = np.random.default_rng(0)
+    product = rng.standard_normal((120, 70)) @ rng.standard_normal((70, 100))
+    for g in (pinv_svd(graded(rng, 80, 60, 60, 1e4)), rg_canonical(product)):
+        assert cli._json_floats(g, "") is not None
 
 
 @given(
