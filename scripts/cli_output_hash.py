@@ -36,7 +36,10 @@ Two sets of invocations run in-process through ``fourspaces.cli.main``:
   and ``right``, ``pinv`` and ``report``, and the 2 x 3
   ``[[1, 0, 0], [0, 2^-1040, 1]]`` at ``--tol 1e-320``, whose subnormal
   pivot puts its echelon form past the float range, through ``cr``,
-  ``ginv``, ``rank``, ``subspaces`` and ``pinv``;
+  ``ginv``, ``rank``, ``subspaces`` and ``pinv``, and the rank-2 6 x 5
+  product of ``default_rng(0)`` 6 x 2 and 2 x 5 draws through ``ginv
+  --a A --b B`` with both free blocks filled with 1e200, which puts the
+  reflexive g-inverse past the float range;
 - four malformed files through ``rank`` (a JSON ``data`` that is a number,
   a JSON integer past the float range, a CSV file that is not UTF-8 and
   JSON nested 200,000 deep), the non-UTF-8 one also as the ``--g`` of
@@ -251,6 +254,14 @@ def small_invocations(rng, tmp):
     common = ["--input", _write_csv(tmp / "subnormal_echelon.csv", x)]
     for cmd in ("cr", "ginv", "rank", "subspaces", "pinv"):
         invocations.append([cmd, *common, *tiny])
+    # free blocks of 1e200 put the reflexive g-inverse of this rank-2 6 x 5
+    # past the float range; drawn from its own rng, so no record above moves
+    rng0 = np.random.default_rng(0)
+    x = rng0.standard_normal((6, 2)) @ rng0.standard_normal((2, 5))
+    common = ["--input", _write_csv(tmp / "huge_blocks.csv", x)]
+    a = _write_csv(tmp / "huge_blocks_a.csv", np.full((2, 4), 1e200))
+    b = _write_csv(tmp / "huge_blocks_b.csv", np.full((3, 2), 1e200))
+    invocations.append(["ginv", *common, "--a", a, "--b", b])
     return invocations
 
 

@@ -43,6 +43,7 @@ from .inverses import (
     right_inverse_family,
 )
 from .matrix import (
+    DEFAULT_TOL,
     Tolerance,
     _prescaled,
     _scaled_back,
@@ -475,11 +476,9 @@ _HANDLERS = {
 
 def _tol_arg(text):
     try:
-        value = float(text)
-        Tolerance(value)
+        return Tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 @functools.cache
@@ -488,7 +487,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, metavar="FILE", help="matrix file")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=_tol_arg, default=1e-10, metavar="REAL")
+    common.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, metavar="REAL")
     common.add_argument("--out", metavar="FILE", help="write the report here")
     common.add_argument(
         "--json", dest="json_mode", action="store_true", help="machine-readable report"
@@ -521,19 +520,13 @@ def _build_parser():
 
 def _dispatch(args):
     x = parse_matrix(args.input, args.format)
-    tol = Tolerance(args.tol)
+    shape = (int(x.shape[0]), int(x.shape[1]))
     try:
-        payload, residuals = _HANDLERS[args.command](x, args, tol)
+        payload, residuals = _HANDLERS[args.command](x, args, args.tol)
     except MatrixError as exc:
-        exc.input_shape = (int(x.shape[0]), int(x.shape[1]))
+        exc.input_shape = shape
         raise
-    return Report(
-        command=args.command,
-        input_shape=(int(x.shape[0]), int(x.shape[1])),
-        tolerance=float(args.tol),
-        payload=payload,
-        residuals=residuals,
-    )
+    return Report(args.command, shape, args.tol.relative, payload, residuals)
 
 
 def _parse(argv):
@@ -554,8 +547,18 @@ def run_command(argv):
 # emission
 
 
-def _finite(value, where):
-    if not math.isfinite(value):
+def _screen(obj, where):
+    """Raise :class:`NonFiniteEntryError` naming the first NaN or infinity in
+    ``obj`` by its path; an array is tested whole, walked only to name it."""
+    if isinstance(obj, np.ndarray) and not np.isfinite(obj).all():
+        _screen(obj.tolist(), where)
+    elif isinstance(obj, dict):
+        for key, val in obj.items():
+            _screen(val, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            _screen(val, f"{where}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
         raise NonFiniteEntryError(f"{where} is not finite")
 
 
@@ -579,12 +582,10 @@ _F_DIGITS = np.frombuffer(b"01f", np.uint8)
 
 
 def _whole_entries(a):
-    """Screen a float64 array once: a mask of its exact integers, or None if
-    it holds a NaN or infinity, or a literal where ``"%.12g"`` and ``repr``
-    part ways beyond the ``".0"`` of an integer: |v| >= 1e11, nonzero
-    |v| < 1e-298, or a non-integer that ``"%.12g"`` rounds to an integer."""
-    if not np.isfinite(a).all():
-        return None
+    """Screen a finite float64 array once: a mask of its exact integers, or
+    None if it holds a literal where ``"%.12g"`` and ``repr`` part ways
+    beyond the ``".0"`` of an integer: |v| >= 1e11, nonzero |v| < 1e-298,
+    or a non-integer that ``"%.12g"`` rounds to an integer."""
     size, frac = np.abs(a), np.abs(a - np.rint(a))
     # frac < size * 1e-11 holds for every non-integer that "%.12g" rounds
     # to an integer, and for a few neighbours, which the walk writes alike
@@ -600,7 +601,7 @@ def _json_floats(a, pad):
     Entries are ``"%.12g"`` literals, except exact integers, which take
     ``"%.1f"`` for the ``".0"`` that ``repr`` writes.  The walk takes an
     empty array, one of another dtype or rank, and whatever
-    :func:`_whole_entries` screens out; it names a non-finite entry.
+    :func:`_whole_entries` screens out.
     """
     if a.dtype != np.float64 or not a.size or a.ndim not in (1, 2):
         return None
@@ -622,28 +623,24 @@ def _json_floats(a, pad):
     return (layout % tuple(a.ravel().tolist())).decode()
 
 
-def _json(obj, where, pad=""):
-    """``obj`` as ``json.dumps(obj, indent=2)`` writes it ``pad`` deep, with
-    each float rounded to 12 significant digits.  A NaN or infinity raises,
-    naming its path in the document.  Each array goes through
-    :func:`_json_floats` first; if it declines, the walk takes it whole, as
-    nested lists."""
+def _json(obj, pad=""):
+    """``obj``, screened finite, as ``json.dumps(obj, indent=2)`` writes it
+    ``pad`` deep, with each float rounded to 12 significant digits.  Each
+    array goes through :func:`_json_floats` first; if it declines, the walk
+    takes it whole, as nested lists."""
     if isinstance(obj, np.ndarray):
-        return _json_floats(obj, pad) or _json(obj.tolist(), where, pad)
+        return _json_floats(obj, pad) or _json(obj.tolist(), pad)
     inner = pad + "  "
     sep = f",\n{inner}"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        body = sep.join(
-            f"{_json_string(key)}: " + _json(val, f"{where}.{key}", inner)
-            for key, val in obj.items()
-        )
+        body = sep.join(f"{_json_string(key)}: " + _json(val, inner) for key, val in obj.items())
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        body = sep.join(_json(val, f"{where}[{i}]", inner) for i, val in enumerate(obj))
+        body = sep.join(_json(val, inner) for val in obj)
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return _json_string(obj)
@@ -652,20 +649,18 @@ def _json(obj, where, pad=""):
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        _finite(obj, where)
         return _json_literal(f"{obj:.12g}")
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _fmt(value, where):
+def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "n/a"
     if isinstance(value, float):
-        _finite(value, where)
         # "%.12g" of a finite float is also "%.12g" of the rounded value
         # except in the subnormal range, where doubles are sparser than
         # 12-digit decimals
@@ -674,27 +669,26 @@ def _fmt(value, where):
     return str(value)
 
 
-def _text_row(row, where):
-    """A row as text, an array or a list, each item through :func:`_fmt`,
-    which names a NaN or infinity."""
+def _text_row(row):
+    """A row as text, an array or a list, each item through :func:`_fmt`."""
     row = row.tolist() if isinstance(row, np.ndarray) else row
-    return " ".join(_fmt(v, f"{where}[{i}]") for i, v in enumerate(row))
+    return " ".join(map(_fmt, row))
 
 
-def _render_entry(lines, key, value, indent, where):
+def _render_entry(lines, key, value, indent):
     pad = "  " * indent
     if isinstance(value, dict) and _MATRIX_KEYS <= value.keys():
         lines.append(f"{pad}{key} ({value['rows']} x {value['cols']}):")
-        for i, row in enumerate(value["data"]):
-            lines.append("  " * (indent + 1) + _text_row(row, f"{where}.data[{i}]"))
+        for row in value["data"]:
+            lines.append("  " * (indent + 1) + _text_row(row))
     elif isinstance(value, dict):
         lines.append(f"{pad}{key}:")
         for sub_key, sub_val in value.items():
-            _render_entry(lines, sub_key, sub_val, indent + 1, f"{where}.{sub_key}")
+            _render_entry(lines, sub_key, sub_val, indent + 1)
     elif isinstance(value, (list, np.ndarray)):
-        lines.append(f"{pad}{key}: " + _text_row(value, where))
+        lines.append(f"{pad}{key}: " + _text_row(value))
     else:
-        lines.append(f"{pad}{key}: {_fmt(value, where)}")
+        lines.append(f"{pad}{key}: {_fmt(value)}")
 
 
 def _render_text(doc):
@@ -702,31 +696,31 @@ def _render_text(doc):
     lines = [
         f"command: {doc['command']}",
         "input shape: " + (f"{shape[0]} x {shape[1]}" if shape else "unknown"),
-        f"tolerance: {_fmt(doc['tolerance'], 'report.tolerance')}",
+        f"tolerance: {_fmt(doc['tolerance'])}",
     ]
     for key, value in doc["payload"].items():
-        _render_entry(lines, key, value, 0, f"report.payload.{key}")
+        _render_entry(lines, key, value, 0)
     lines.append("residuals:")
     for key, value in doc["residuals"].items():
-        _render_entry(lines, key, value, 1, f"report.residuals.{key}")
+        _render_entry(lines, key, value, 1)
     return "\n".join(lines) + "\n"
 
 
 def emit_report(report, json_mode=False, stream=None):
     """Render a report to the stream (standard output by default).
 
-    One walk of the document checks, rounds and writes each number.
-    Payload matrices and vectors are float64 arrays.  Text mode writes
-    every float through one formatter, :func:`_fmt`.  JSON mode has one
-    bulk path beside the walk: each array is screened once and written by
-    a single bytes ``%`` call; an array that the screen declines (a
-    non-finite entry, or a literal where ``"%.12g"`` and ``repr`` part
-    ways) goes through the walk whole, and a plain list always does.  A
-    payload holding NaN or infinity is rejected before anything is
-    written, with the entry named.  Returns the rendered text.
+    The document is screened once, before either renderer runs, by
+    :func:`_screen`: a NaN or infinity is rejected before anything is
+    written, with the same entry named in both modes.  Payload matrices and
+    vectors are float64 arrays.  Text mode writes every float through one
+    formatter, :func:`_fmt`.  JSON mode has one bulk path beside the walk:
+    each array is written by a single bytes ``%`` call, and one it declines
+    (a literal where ``"%.12g"`` and ``repr`` part ways) goes through the
+    walk whole, as a plain list always does.  Returns the rendered text.
     """
     doc = report.to_document()
-    text = _json(doc, "report") + "\n" if json_mode else _render_text(doc)
+    _screen(doc, "report")
+    text = _json(doc) + "\n" if json_mode else _render_text(doc)
     (stream or sys.stdout).write(text)
     return text
 
@@ -748,7 +742,7 @@ def _failure_report(args, report, exc):
     return Report(
         command=args.command,
         input_shape=report.input_shape if report else getattr(exc, "input_shape", None),
-        tolerance=float(args.tol),
+        tolerance=args.tol.relative,
         payload={"error": code, "message": str(exc)},
         residuals=residuals,
     )

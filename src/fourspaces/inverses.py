@@ -271,7 +271,8 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     reflexive generalized inverse ``E2^-1 [I_r a; b b a] E1^-1``, formed as
     ``E2^-1 [I; b] [I a] E1^-1`` with no ``p x n`` middle block.  The
     inverses of the factors are exactly the tracked transforms, so nothing
-    is ever explicitly inverted.  Omitted blocks default to zero.
+    is ever explicitly inverted.  Omitted blocks default to zero.  An
+    answer past the float range raises ``NonFiniteEntryError``.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -283,15 +284,20 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     cols = rref_cols(_in_range(row.reduced[: max(r, 1)], 0, "the echelon form"), tol).transform
     a = _free_block(a, (r, n - r), "block a")
     b = _free_block(b, (p - r, r), "block b")
-    rows = _in_range(row.transform, 0, "the reflexive g-inverse")
-    return (cols[:, :r] + cols[:, r:] @ b) @ (rows[:r] + a @ rows[r:])
+    rows = row.transform
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (cols[:, :r] + cols[:, r:] @ b) @ (rows[:r] + a @ rows[r:])
+    return _in_range(g, 0, "the reflexive g-inverse")
 
 
 def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
     """Move along the affine family of g-inverses: ``g + a - g X a X g``.
 
     ``g`` must already satisfy the g-inverse identity; the result then
-    satisfies it for any ``p x n`` direction ``a``.
+    satisfies it for any ``p x n`` direction ``a``.  ``g X`` and ``X g``,
+    unchanged when ``X`` is scaled by c and ``g`` by 1/c, are formed first,
+    so the result is finite wherever the answer is; one past the float
+    range raises ``NonFiniteEntryError``.
     """
     x = as_matrix(x)
     n, p = x.shape
@@ -299,11 +305,14 @@ def ginverse_extend(x, g, a, tol=DEFAULT_TOL):
     a = _operand(a, (p, n), "direction")
     tol = _as_tolerance(tol)
     _require_c1(x, g, tol, "supplied candidate")
-    return g + a - g @ x @ a @ x @ g
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = g + a - (g @ x) @ a @ (x @ g)
+    return _in_range(h, 0, "the g-inverse")
 
 
 def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
-    """Reflexive generalized inverse ``g1 X g2`` from two g-inverses."""
+    """Reflexive generalized inverse ``g1 X g2`` from two g-inverses; one past
+    the float range raises ``NonFiniteEntryError``."""
     x = as_matrix(x)
     n, p = x.shape
     g1 = _operand(g1, (p, n), "first g-inverse")
@@ -311,7 +320,9 @@ def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
     tol = _as_tolerance(tol)
     for g, name in ((g1, "first g-inverse"), (g2, "second g-inverse")):
         _require_c1(x, g, tol, name)
-    return g1 @ x @ g2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = g1 @ x @ g2
+    return _in_range(g, 0, "the reflexive g-inverse")
 
 
 def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):

@@ -140,14 +140,17 @@ def frobenius_norm(a):
 
 
 def matmul(a, b):
-    """Matrix product with an explicit conformability check."""
+    """Matrix product with an explicit conformability check; a product past
+    the float range raises :class:`NonFiniteEntryError`, with no warning."""
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
         )
-    return a @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+    return _in_range(product, 0, "the product")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from fourspaces import (
     RankDeficientError,
     ShapeError,
     SingularMatrixError,
+    frobenius_norm,
     invert,
+    matmul,
     pivot_rank,
     rref_cols,
     rref_rows,
@@ -248,6 +250,56 @@ def test_rg_sandwich_random_pairs_are_reflexive():
     g2 = ginverse_extend(x, base, rng.standard_normal((5, 7)))
     rep = classify_inverse(x, rg_sandwich(x, g1, g2), 1e-8)
     assert rep.flags.c1 and rep.flags.c2
+
+
+def _rank_two_sandwich_case():
+    # X+ + (I - X+X)U and X+ + V(I - XX+) are g-inverses of X; with U = V =
+    # 1e200 their sandwich g1 X g2 reaches 1e400
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+    p, u = pinv_svd(x), np.full((4, 5), 1e200)
+    return rg_sandwich(x, p + (np.eye(4) - p @ x) @ u, p + u @ (np.eye(5) - x @ p))
+
+
+def _rank_two_canonical_case():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+    return rg_canonical(x, np.full((2, 4), 1e200), np.full((3, 2), 1e200))
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (_rank_two_canonical_case, "the reflexive g-inverse"),
+        (_rank_two_sandwich_case, "the reflexive g-inverse"),
+        (lambda: matmul(np.full((2, 2), 1e308), np.ones((2, 2))), "the product"),
+    ],
+    ids=["rg_canonical", "rg_sandwich", "matmul"],
+)
+def test_a_product_past_the_float_range_is_named_with_no_warning(build, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntryError, match=f"^{what} lies beyond the float range$"):
+            build()
+
+
+def test_ginverse_extend_is_finite_wherever_its_answer_is():
+    # h(X, G, A) = G + A - GXAXG.  GX and XG do not change when X is scaled
+    # by 2^k and G by 2^-k, so h(2^k X, 2^-k G, A) = h(X, G, A) + (2^-k - 1)G;
+    # with A at 2^600 the product left to right reaches 2^1100 at k = 500
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 4))
+    g, a = pinv_svd(x), np.ldexp(rng.standard_normal((4, 6)), 600)
+    h = ginverse_extend(x, g, a)
+    shift = frobenius_norm((g @ x) @ a @ (x @ g))
+    for k in (500, -500):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hk = ginverse_extend(np.ldexp(x, k), np.ldexp(g, -k), a)
+        assert np.all(np.isfinite(hk))
+        # within 4 eps of the sum of the magnitudes the two sides add
+        scale = frobenius_norm(a) + shift + (1 + 2.0**-k) * frobenius_norm(g)
+        assert frobenius_norm(hk - (h + (2.0**-k - 1) * g)) <= 4 * np.finfo(float).eps * scale
 
 
 def test_rg_via_gram_hand_fixtures():
