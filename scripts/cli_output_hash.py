@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/cli_output_hash.py [--dump FILE] [--against FILE]
+    python3 scripts/cli_output_hash.py [--dump FILE] [--against FILE] [--outcomes FILE]
 
 Two sets of invocations run in-process through ``fourspaces.cli.main``:
 
@@ -80,6 +80,14 @@ so the residual of a consistent system, a vector at rounding level, is
 measured against the fitted values and not against itself.  The norms are
 taken at a power-of-two scale, so inputs near the float range do not
 overflow them.
+
+``--outcomes FILE`` writes what each JSON-mode record decided, and no
+float: its argv, its exit code and the entries of its payload that are a
+string, bool, int or null (an error code and message, a label, a rank, a
+method), with the ``flags`` dict.  The file is a JSON list, one record a
+line, sorted by argv, so two of them diff record by record.
+``tests/data/cli_outcomes.json`` is such a file, and the suite compares a
+fresh one with it.
 
 A refactor that claims unchanged output should give the same sha256 on both
 sides.  The hash depends on the BLAS build, so it compares two checkouts on
@@ -448,11 +456,22 @@ def largest_drift(records, earlier, kinds):
     return max(drifts, default=None, key=lambda drift: drift[0])
 
 
+def outcome(record):
+    """The argv, exit code and float-free payload entries of a JSON-mode
+    record, as ``--outcomes`` writes them."""
+    payload = json.loads(record["stdout"])["payload"]
+    kept = {key: value for key, value in payload.items()
+            if key == "flags" or value is None or isinstance(value, (str, int))}
+    return {"argv": record["argv"], "exit": record["exit"], "payload": kept}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON lines")
     parser.add_argument("--against", metavar="FILE",
                         help="compare the records with an earlier --dump")
+    parser.add_argument("--outcomes", metavar="FILE",
+                        help="write the exit code, labels and flags of each JSON-mode record")
     args = parser.parse_args(argv)
     # every warning reaches standard error, not only its first occurrence
     warnings.simplefilter("always")
@@ -470,6 +489,10 @@ def main(argv=None):
     lines["all"] = sorted(lines["json"] + lines["text"] + lines["usage"])
     if args.dump:
         Path(args.dump).write_text("\n".join(lines["all"]) + "\n")
+    if args.outcomes:
+        kept = sorted(json.dumps(outcome(rec), sort_keys=True)
+                      for rec in records if rec["mode"] == "json")
+        Path(args.outcomes).write_text("[\n" + ",\n".join(kept) + "\n]\n")
     failed = sum(rec["exit"] not in (0, None) for rec in records)
     raised = sum("raised" in rec for rec in records)
     print(f"{len(invocations) + len(usage)} invocations, {len(records)} outputs, "

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+OUTCOMES = Path(__file__).resolve().parent / "data" / "cli_outcomes.json"
 
 
 def _load_output_hash(monkeypatch):
@@ -111,6 +112,20 @@ def test_small_and_malformed_runs_neither_raise_nor_write_to_standard_error(monk
         assert hashing.main([]) == 0
     out = capsys.readouterr().out
     assert "0 json and text runs raising, 0 json and text runs writing to standard error" in out, out
+
+
+def test_cli_outcomes_match_the_committed_baseline(monkeypatch, tmp_path):
+    # every exit code, error code, label, rank and flag of the hash set's
+    # JSON-mode runs; a change of outcome is declared by editing the file
+    hashing = _load_output_hash(monkeypatch)
+    fresh = tmp_path / "outcomes.json"
+    with warnings.catch_warnings():
+        assert hashing.main(["--outcomes", str(fresh)]) == 0
+    new, old = ({" ".join(rec["argv"]): rec for rec in json.loads(path.read_text())}
+                for path in (fresh, OUTCOMES))
+    changed = [f"{argv}\n  was {old.get(argv)}\n  now {new.get(argv)}"
+               for argv in sorted(new.keys() | old.keys()) if new.get(argv) != old.get(argv)]
+    assert not changed, f"{len(changed)} outcomes changed:\n" + "\n".join(changed)
 
 
 def test_output_hash_reports_the_largest_float_drift(monkeypatch):
