@@ -90,14 +90,10 @@ class InverseReport:
     is_right_inverse: bool
 
 
-def _penrose_threshold(x, g, tol):
-    return tol.relative * max(1.0, frobenius_norm(x), frobenius_norm(g))
-
-
 def _require_c1(x, g, tol, who):
     with np.errstate(over="ignore", invalid="ignore"):
         defect = frobenius_norm(x @ g @ x - x)
-    if defect > _penrose_threshold(x, g, tol):
+    if defect > tol.relative * max(frobenius_norm(x), frobenius_norm(g)):
         raise NotAGInverseError(
             f"{who} fails the g-inverse identity (defect {defect:.3e})"
         )
@@ -125,8 +121,9 @@ def _free_block(blk, shape, what):
 def classify_inverse(x, g, tol=DEFAULT_TOL):
     """Evaluate all four defining identities for a candidate inverse.
 
-    Residuals are compared against
-    ``tol.relative * max(1, ||X||_F, ||G||_F)``.
+    Residuals are compared against ``tol.relative * max(||X||_F, ||G||_F)``,
+    and the unitless ``||GX - I||_F`` and ``||XG - I||_F`` against
+    ``tol.relative * ||X||_F * ||G||_F``, none of the bounds with a floor.
     """
     x = as_matrix(x, "matrix")
     g = as_matrix(g, "candidate inverse")
@@ -145,7 +142,8 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
             frobenius_norm(xg.T - xg),
             frobenius_norm(gx.T - gx),
         )
-    thr = _penrose_threshold(x, g, tol)
+    x_norm, g_norm = frobenius_norm(x), frobenius_norm(g)
+    thr = tol.relative * max(x_norm, g_norm)
     flags = PenroseFlags(*(r <= thr for r in residuals))
     if flags.all_four():
         label = "pseudo-inverse"
@@ -155,8 +153,8 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
         label = "g-inverse"
     else:
         label = "none"
-    is_left = frobenius_norm(gx - np.eye(p)) <= thr
-    is_right = frobenius_norm(xg - np.eye(n)) <= thr
+    is_left = frobenius_norm(gx - np.eye(p)) <= tol.relative * x_norm * g_norm
+    is_right = frobenius_norm(xg - np.eye(n)) <= tol.relative * x_norm * g_norm
     return InverseReport(g.copy(), flags, label, residuals, is_left, is_right)
 
 
@@ -328,8 +326,8 @@ def rg_sandwich(x, g1, g2, tol=DEFAULT_TOL):
 def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
     """Reflexive generalized inverse ``(X'X)^- X'`` from a Gram g-inverse.
 
-    A Gram matrix past the float range raises ``NonFiniteEntryError``
-    naming it, with no overflow warning ahead of it.
+    A Gram matrix or an answer past the float range raises
+    ``NonFiniteEntryError`` naming it, with no overflow warning ahead of it.
     """
     x = as_matrix(x)
     p = x.shape[1]
@@ -337,8 +335,9 @@ def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
     tol = _as_tolerance(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = x.T @ x
+        g = gram_ginv @ x.T
     _require_c1(as_matrix(gram, "Gram matrix"), gram_ginv, tol, "candidate for the Gram matrix")
-    return gram_ginv @ x.T
+    return _in_range(g, 0, "the reflexive g-inverse")
 
 
 def pinv_svd(x, tol=DEFAULT_TOL):

@@ -169,10 +169,11 @@ def projector_row(x, tol=DEFAULT_TOL):
 def projector_diagnostics(p, tol=DEFAULT_TOL):
     """Check the projector laws on a square matrix.
 
-    Idempotence is ``||P^2 - P||_F`` against a band scaled by
-    ``max(1, ||P||_F^2)``; the binary-spectrum check asks every eigenvalue
-    to sit near 0 or 1 and is skipped (reported ``None``) when ``P`` is
-    not symmetric.  For a symmetric idempotent the trace matches the rank.
+    Idempotence is ``||P^2 - P||_F`` against ``100 tol ||P||_F^2``, symmetry
+    against ``tol ||P||_F``; the binary-spectrum check asks every eigenvalue
+    to sit within ``100 tol ||P||_F`` of 0 or 1 and is skipped (reported
+    ``None``) when ``P`` is not symmetric.  No band has a floor.  For a
+    symmetric idempotent the trace matches the rank.
     """
     p = as_matrix(p, "projector")
     tol = _as_tolerance(tol)
@@ -181,15 +182,13 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
     scale = frobenius_norm(p)
     idempotency = frobenius_norm(p @ p - p)
     symmetry = frobenius_norm(p - p.T)
-    idem = idempotency <= 100.0 * tol.relative * max(1.0, scale * scale)
-    sym = symmetry <= tol.relative * max(1.0, scale)
+    idem = idempotency <= 100.0 * tol.relative * scale * scale
+    sym = symmetry <= tol.relative * scale
     spectrum_binary = None
     if sym:
         values = eig_symmetric((p + p.T) / 2.0, tol).values
-        band = 100.0 * tol.relative * max(1.0, scale)
-        spectrum_binary = bool(
-            np.all(np.minimum(np.abs(values), np.abs(values - 1.0)) <= band)
-        )
+        band = 100.0 * tol.relative * scale
+        spectrum_binary = bool(np.all(np.minimum(np.abs(values), np.abs(values - 1.0)) <= band))
     return ProjectorReport(
         idempotent=bool(idem),
         symmetric=bool(sym),

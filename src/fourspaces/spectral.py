@@ -340,7 +340,8 @@ def similarity_check(a, p, tol=DEFAULT_TOL):
     ``a`` must be square symmetric and ``p`` square nonsingular.  The
     eigenvalue comparison runs only when ``p`` is orthogonal (otherwise the
     conjugate leaves the symmetric domain) and is reported as None in that
-    case; rank and trace are compared for every nonsingular ``p``.
+    case; rank and trace are compared for every nonsingular ``p``.  Each
+    bound is ``100 tol`` times the size of what it bounds, with no floor.
     """
     a = as_matrix(a, "matrix")
     p = as_matrix(p, "conjugating matrix")
@@ -353,15 +354,15 @@ def similarity_check(a, p, tol=DEFAULT_TOL):
     if frobenius_norm(a - a.T) > tol.relative * frobenius_norm(a):
         raise NotSymmetricError("similarity check is defined for symmetric matrices")
     b = p @ a @ invert(p, tol)
-    scale = max(1.0, abs(float(np.trace(a))), frobenius_norm(a))
+    scale = max(abs(float(np.trace(a))), frobenius_norm(a))
     trace_match = bool(abs(float(np.trace(b)) - float(np.trace(a))) <= 100 * tol.relative * scale)
     rank_match = pivot_rank(a, tol) == pivot_rank(b, tol)
     gram = p.T @ p
-    orthogonal = frobenius_norm(gram - np.eye(n)) <= 100 * tol.relative * max(1.0, math.sqrt(n))
+    orthogonal = frobenius_norm(gram - np.eye(n)) <= 100 * tol.relative * math.sqrt(n)
     if orthogonal:
         ea = eig_symmetric(a, tol)
         eb = eig_symmetric(b, tol)
-        spread = max(1.0, float(np.max(np.abs(ea.values))))
+        spread = float(np.max(np.abs(ea.values)))
         eigs_match = bool(np.max(np.abs(ea.values - eb.values)) <= 100 * tol.relative * spread)
     else:
         eigs_match = None

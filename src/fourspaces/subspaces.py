@@ -138,8 +138,8 @@ def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
     counts as dependent adds nothing to the span, and a ``(dim, 0)`` basis
     spans the zero subspace.  The orthogonal projectors ``u_a @ u_a.T`` and
     ``u_b @ u_b.T`` are then compared, which is basis-independent; the
-    comparison band is ``1e-8 * max(1, k)``, ``k`` the larger of the two
-    ranks, widening only if ``tol`` is coarser than that.
+    comparison band is ``k * max(100 * tol.relative, 1e-8)``, ``k`` the
+    larger of the two ranks.  At ``k = 0`` both projectors are exactly zero.
     """
     tol = _as_tolerance(tol)
     a = _as_basis(basis_a, "first basis")
@@ -151,4 +151,4 @@ def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
     a, b = (svd_reduced(x, tol).u if x.shape[1] else x for x in (a, b))
     k = max(a.shape[1], b.shape[1])
     gap = frobenius_norm(a @ a.T - b @ b.T)
-    return bool(gap <= max(1.0, float(k)) * max(100.0 * tol.relative, 1e-8))
+    return bool(gap <= k * max(100.0 * tol.relative, 1e-8))

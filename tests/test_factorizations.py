@@ -298,7 +298,7 @@ def test_graded_rank_and_pinv_match_numpy_at_the_cutoff(cond):
             assert res.rank == rank
             assert res.cutoff == pytest.approx(cutoff * scale, rel=1e-13)
             assert frobenius_norm(g - expected / scale) <= 1e-8 * frobenius_norm(expected / scale)
-            # the Penrose thresholds grow with max(1, ||X||, ||G||), not with
+            # the Penrose thresholds grow with max(||X||, ||G||), not with
             # each residual's own scale, so from cond 1e8 up this correct
             # pinv is labelled g-inverse (none at 2^600); the label is pinned
             # only where those thresholds hold, until they scale consistently

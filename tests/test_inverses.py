@@ -82,6 +82,28 @@ def test_classify_rejects_zero_candidate_for_huge_matrix():
     assert classify_inverse(x, np.zeros((4, 6))).class_label == "none"
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_classify_rejects_zero_candidate_below_unit_scale(k):
+    # a threshold floored at tol once passed every residual of X * 2^-40
+    x = np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), k)
+    rep = classify_inverse(x, np.zeros((4, 6)))
+    assert rep.class_label == "none"
+    assert not rep.flags.c1
+
+
+@pytest.mark.parametrize("k", [0, 600, -600])
+def test_one_sided_flags_read_the_same_at_every_scale(k):
+    # ||GX - I|| has no unit; against a bound growing with ||X|| or ||G||
+    # the pinv of a tall X at 2^600 read as a left and a right inverse
+    rng = np.random.default_rng(3)
+    tall, square = (np.ldexp(rng.standard_normal(shape), k) for shape in ((6, 4), (4, 4)))
+    for x, sides in ((tall, (True, False)), (tall.T, (False, True))):
+        rep = classify_inverse(x, pinv_svd(x))
+        assert (rep.is_left_inverse, rep.is_right_inverse) == sides
+    rep = classify_inverse(square, invert(square))
+    assert rep.is_left_inverse and rep.is_right_inverse
+
+
 def test_classify_past_the_top_of_the_float_range_raises_non_finite_entry():
     # ||X||_F = inf (with an overflow warning) once made the zero matrix a
     # pseudo-inverse of X * 5e307
@@ -273,8 +295,11 @@ def _rank_two_canonical_case():
         (_rank_two_canonical_case, "the reflexive g-inverse"),
         (_rank_two_sandwich_case, "the reflexive g-inverse"),
         (lambda: matmul(np.full((2, 2), 1e308), np.ones((2, 2))), "the product"),
+        # a valid g-inverse of the Gram diag(1e20, 0), whose G X' reaches 1e310
+        (lambda: rg_via_gram([[1e10, 0.0], [0.0, 0.0]], [[1e-20, 0.0], [1e300, 0.0]]),
+         "the reflexive g-inverse"),
     ],
-    ids=["rg_canonical", "rg_sandwich", "matmul"],
+    ids=["rg_canonical", "rg_sandwich", "matmul", "rg_via_gram"],
 )
 def test_a_product_past_the_float_range_is_named_with_no_warning(build, what):
     with warnings.catch_warnings():
@@ -545,7 +570,7 @@ def test_normal_route_inverses_are_scale_safe(scale):
 
 def test_rg_via_gram_applies_the_penrose_threshold_to_the_gram_matrix():
     # X'X = [[2]]: the candidate 1/2 is exact, and one just outside the
-    # threshold tol * max(1, ||X'X||, ||G||) = 2e-10 is refused
+    # threshold tol * max(||X'X||, ||G||) = 2e-10 is refused
     x = [[1.0], [1.0]]
     assert_allclose(rg_via_gram(x, [[0.5]]), [[0.5, 0.5]])
     with pytest.raises(NotAGInverseError, match="candidate for the Gram matrix fails"):

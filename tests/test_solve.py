@@ -313,6 +313,17 @@ def test_projector_diagnostics_flags_non_projector():
     assert rep.symmetry == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_projector_diagnostics_reads_the_same_below_unit_scale(k):
+    # bands that never fell below tol once made 2^-40 [[1, 1], [0, 1]] a symmetric
+    # idempotent with a binary spectrum, and 2^-40 I a projector
+    rep = projector_diagnostics(np.ldexp([[1.0, 1.0], [0.0, 1.0]], k))
+    assert not rep.idempotent and not rep.symmetric and rep.spectrum_binary is None
+    rep = projector_diagnostics(np.ldexp(np.eye(3), k))
+    assert rep.symmetric
+    assert (rep.idempotent, rep.spectrum_binary) == (k == 0, k == 0)
+
+
 def test_projector_diagnostics_requires_square_input():
     with pytest.raises(ShapeError):
         projector_diagnostics(np.ones((2, 3)))

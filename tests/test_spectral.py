@@ -351,6 +351,20 @@ def test_similarity_random_orthogonal():
         assert rep.eigs_match and rep.rank_match and rep.trace_match
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_similarity_catches_a_wrong_inverse_below_unit_scale(k, monkeypatch):
+    # P A (1.25 P^-1) scales every eigenvalue by 1.25; bounds floored at
+    # 100 tol once let it match at 2^-40, where the trace is 9.1e-12
+    a = np.ldexp(np.diag([1.0, 2.0, 3.0, 4.0]), k)
+    p = random_orthogonal(np.random.default_rng(0), 4)
+    rep = similarity_check(a, p)
+    assert rep.eigs_match and rep.rank_match and rep.trace_match
+    invert = spectral.invert
+    monkeypatch.setattr(spectral, "invert", lambda m, tol: 1.25 * invert(m, tol))
+    rep = similarity_check(a, p)
+    assert (rep.eigs_match, rep.rank_match, rep.trace_match) == (False, True, False)
+
+
 @pytest.mark.parametrize("scale", [1e308, 1e307], ids=["1e308", "1e307"])
 def test_eig_is_scale_safe_at_the_top_of_the_range(scale):
     # the squares and the symmetrization overflowed here, and the rotation
