@@ -5,10 +5,10 @@ Gram-Schmidt QR of x, a second one of R', and one-sided Jacobi rotations
 of the rows of that triangular factor until they are orthogonal.  sigma is
 the rotated row norms, v and u follow from the rotations and the two Q
 factors, and each QR stops at rounding level, so the rank-2 input gives a
-2 x 2 problem.  The silent directions are completed from standard basis vectors, so u and
-v are genuinely square and orthogonal in the full form.  The CR
-factorization instead reads pivot columns and echelon rows straight off
-the row reduction; it is rational whenever the input is.
+2 x 2 problem.  The silent directions are completed by Householder
+reflections, so u and v are genuinely square and orthogonal in the full
+form.  The CR factorization instead reads pivot columns and echelon rows
+straight off the row reduction; it is rational whenever the input is.
 """
 
 import numpy as np

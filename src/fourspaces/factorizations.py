@@ -18,8 +18,10 @@ largest entry into [0.5, 1) and ``sigma`` is scaled back; the scaling is
 exact, so it changes no bits unless a product of entries would otherwise
 overflow or underflow, and a ``sigma`` that scales back past the float
 range raises ``NonFiniteEntryError``.  :func:`svd_full` completes both
-sides of :func:`svd_reduced` to orthonormal bases by one Gram-Schmidt pass
-over standard basis candidates.  The CR factorization reuses the row
+sides of :func:`svd_reduced` to orthonormal bases by Householder
+triangularization of the r accepted columns, r reflector steps whatever
+the dimension, so the added columns are a Householder basis of the
+orthogonal complement.  The CR factorization reuses the row
 reduction of :mod:`matrix`, without its transform: original pivot columns
 times the nonzero echelon rows reproduce the matrix.
 """
@@ -102,55 +104,45 @@ class CrFactors:
     rank: int
 
 
-def _residuals(q):
-    """Standard basis vectors, one a row, with the span of ``q`` projected out twice."""
-    w = np.eye(q.shape[0])
-    for _ in range(2):
-        w -= (w @ q) @ q.T
-    return w
-
-
 def _complete_basis(accepted, dim):
     """Extend orthonormal columns to a full orthonormal basis of R^dim.
 
-    Candidates are the standard basis vectors with the accepted columns
-    projected out in one block step.  One modified Gram-Schmidt pass takes
-    them in index order: a candidate is accepted when its residual norm
-    exceeds 0.5, and every later candidate is orthogonalized against it.
-    Residuals only shrink as columns are added, so a rejected candidate
-    stays rejected and the pass picks what a scan restarted after every pick
-    would.  If the basis is still short, the largest residual against
-    everything accepted wins, one column at a time; that residual is never
-    smaller than 1/sqrt(dim), so normalizing it is safe.  The added columns
-    get the sign rule of :func:`eig_symmetric` at the end; a column's sign
-    never enters ``q q' w``, so it does not matter when they get it.  The
-    basis and the residuals are built transposed, one contiguous row each.
+    Householder triangularization (Trefethen and Bau, Lecture 10) of the r
+    accepted columns builds reflectors ``H_1 ... H_r``, and ``H_r ... H_1``
+    takes the accepted columns to the first r unit vectors.  The added
+    columns are ``H_1 ... H_r`` applied to the last ``dim - r`` unit
+    vectors, the Householder basis of the orthogonal complement that a
+    complete QR of the accepted columns gives.  In that product, the
+    entries before index k of each vector are still zero when ``H_k``
+    comes, so step k touches only the trailing ``dim - k`` entries, and the
+    cost is r steps, whatever ``dim``.  ``H_k = I - v v'`` with ``v`` of
+    norm sqrt(2) along ``x + sign(x_0) |x| e_1``, ``x`` the trailing part
+    of the k-th column; ``|x|`` is 1 to rounding, so nothing cancels.  The
+    accepted columns are returned bit for bit and the added ones get the
+    sign rule of :func:`eig_symmetric`.  Everything is built transposed,
+    one contiguous row a column, and each rank-1 update is formed by BLAS
+    into a buffer allocated once.
     """
     basis = np.asarray(accepted, dtype=float).reshape(dim, -1)
-    r = r0 = basis.shape[1]
-    qt = np.empty((dim, dim))
-    qt[:r] = basis.T
-    w = _residuals(basis)
+    r = basis.shape[1]
+    vt = basis.T.copy()  # row k ends as the reflector v of H_k
+    qt = np.eye(dim)  # rows r: are the last dim - r unit vectors
+    qt[:r] = vt
     update = np.empty(dim * dim)
-    for k in range(dim):
-        if r == dim:
-            break
-        nrm = math.sqrt(w[k] @ w[k])
-        if nrm > 0.5:
-            qr = qt[r]
-            np.divide(w[k], nrm, out=qr)
-            rest = w[k + 1 :]
-            out = update[: rest.size].reshape(rest.shape)
-            rest -= np.dot((rest @ qr)[:, None], qr[None, :], out=out)
-            r += 1
-    while r < dim:
-        w = _residuals(qt[:r].T)
-        norms = np.sqrt(np.vecdot(w, w))
-        k = int(norms.argmax())
-        qt[r] = w[k] / norms[k]
-        r += 1
+    for k in range(r):
+        v = vt[k, k:]
+        nrm = math.sqrt(v @ v)
+        head = v[0]
+        v[0] += math.copysign(nrm, head)
+        v /= math.sqrt(nrm * (nrm + abs(head)))
+        rest = vt[k + 1 :, k:]
+        rest -= np.dot((rest @ v)[:, None], v[None, :], out=update[: rest.size].reshape(rest.shape))
+    for k in reversed(range(r)):
+        v = vt[k, k:]
+        rest = qt[r:, k:]
+        rest -= np.dot((rest @ v)[:, None], v[None, :], out=update[: rest.size].reshape(rest.shape))
     q = qt.T
-    _sign_columns(q[:, r0:])
+    _sign_columns(q[:, r:])
     return q
 
 
@@ -158,9 +150,11 @@ def svd_full(x, tol=DEFAULT_TOL):
     """Full singular value decomposition ``x = u @ sigma_matrix() @ v.T``.
 
     The first ``rank`` columns of ``u`` and ``v`` span the column space and
-    row space; the remaining columns are completed orthonormal bases of the
-    left null space and null space.  A singular value is kept only if it
-    exceeds ``tol.relative * max(n, p) * sigma_max``.
+    row space and are those of :func:`svd_reduced`, bit for bit; the
+    remaining columns are Householder bases of the left null space and null
+    space, completed by :func:`_complete_basis` in ``rank`` reflector steps
+    on each side.  A singular value is kept only if it exceeds
+    ``tol.relative * max(n, p) * sigma_max``.
     """
     res = svd_reduced(x, tol)
     u = _complete_basis(res.u, res.u.shape[0])

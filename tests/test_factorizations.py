@@ -12,6 +12,7 @@ from fourspaces.factorizations import (
     svd_reduced,
 )
 from fourspaces.inverses import classify_inverse, pinv_svd
+from fourspaces.spectral import _sign_columns
 from support import full_col_rank, full_row_rank, graded, kahan, rank_deficient
 
 
@@ -351,57 +352,43 @@ def test_svd_properties_three_regimes(seed):
     assert_allclose(res.sigma, np.linalg.svd(x, compute_uv=False)[: res.rank], atol=1e-8 * scale)
 
 
+def _householder_completion(side):
+    """Oracle: the trailing columns of a complete QR of ``side``, with the sign rule."""
+    added = np.linalg.qr(side, mode="complete")[0][:, side.shape[1] :].copy()
+    _sign_columns(added)
+    return added
+
+
 def test_completion_fallback_when_no_candidate_clears_half():
     # the orthogonal complement of span(accepted) is the single direction
-    # w = (1,1,1,1)/2, so every standard basis candidate has residual exactly
-    # 0.5 and only the fallback can finish the basis
+    # w = (1,1,1,1)/2, along which every standard basis vector has a component
+    # of only 0.5; the completion is w, its sign fixed by the sign rule
     w = np.full(4, 0.5)
     seed = np.eye(4) - np.outer(w, w)
     q_acc, _ = np.linalg.qr(seed[:, :3])
     full = _complete_basis(q_acc, 4)
-    assert_allclose(full, _restarting_completion(q_acc, 4), rtol=0, atol=1e-12)
+    oracle = np.column_stack([q_acc, _householder_completion(q_acc)])
+    assert_allclose(full, oracle, rtol=0, atol=1e-12)
     assert full.shape == (4, 4)
     assert_allclose(full.T @ full, np.eye(4), atol=1e-10)
-    assert_allclose(np.abs(full[:, 3] @ w), 1.0, atol=1e-10)
+    assert_allclose(full[:, 3], w, rtol=0, atol=1e-12)
 
 
-def _restarting_completion(accepted, dim):
-    """Reference: rescan every standard basis candidate after each pick."""
-    q = np.array(accepted, dtype=float, copy=True).reshape(dim, -1)
-    while q.shape[1] < dim:
-        pick = None
-        best = None
-        best_norm = -1.0
-        for k in range(dim):
-            w = np.zeros(dim)
-            w[k] = 1.0
-            for _ in range(2):
-                w -= q @ (q.T @ w)
-            nrm = float(np.sqrt(np.sum(w * w)))
-            if nrm > 0.5:
-                pick = w / nrm
-                break
-            if nrm > best_norm:
-                best_norm = nrm
-                best = w
-        if pick is None:
-            pick = best / best_norm
-        top = int(np.argmax(np.abs(pick)))
-        if pick[top] < 0.0:
-            pick = -pick
-        q = np.hstack([q, pick[:, None]])
-    return q
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_completion_picks_what_a_restarting_scan_picks(seed):
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(0, 12))
-    res = svd_reduced(rank_deficient(rng, 30, 20, r) if r else np.eye(30, 20))
+@pytest.mark.parametrize(
+    "dim, r",
+    [(20, 10), (40, 8), (60, 8), (60, 30), (60, 59), (80, 60), (120, 70), (30, 0), (30, 30)],
+)
+def test_completion_is_the_householder_basis_of_the_complement(dim, r):
+    rng = np.random.default_rng(dim + r)
+    res = svd_reduced(rank_deficient(rng, dim, dim, r))
+    assert res.rank == r
     for side in (res.u, res.v):
-        full = _complete_basis(side, side.shape[0])
-        assert_allclose(full, _restarting_completion(side, side.shape[0]), rtol=0, atol=1e-12)
-        assert_allclose(full.T @ full, np.eye(side.shape[0]), atol=1e-12)
+        full = _complete_basis(side, dim)
+        assert np.array_equal(full[:, :r], side)
+        assert_allclose(full[:, r:], _householder_completion(side), rtol=0, atol=1e-12)
+        assert_allclose(full.T @ full, np.eye(dim), rtol=0, atol=1e-12)
+        if r == 0:
+            assert np.array_equal(full, np.eye(dim))
 
 
 def test_cr_rank_one_fixture():

@@ -49,22 +49,42 @@ def test_rank_nullity_fixture_and_identities():
     assert rep.rank + rep.dim_left_null == rep.n_rows
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_four_subspace_orthogonality(seed):
-    rng = np.random.default_rng(seed)
-    n, p = int(rng.integers(2, 12)), int(rng.integers(2, 9))
-    r = int(rng.integers(0, min(n, p) + 1))
-    x = rank_deficient(rng, n, p, r) if r else np.zeros((n, p))
+# small random shapes by seed, then ranks below and above half of each
+# dimension, at three scales
+@pytest.mark.parametrize(
+    "case",
+    [
+        *range(6),
+        *(
+            pytest.param((n, p, r, e), id=f"{n}x{p}-rank{r}-2^{e}")
+            for n, p, r in ((60, 40, 8), (80, 60, 60), (120, 100, 70))
+            for e in (0, 600, -600)
+        ),
+    ],
+)
+def test_four_subspace_orthogonality(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        n, p = int(rng.integers(2, 12)), int(rng.integers(2, 9))
+        r, e = int(rng.integers(0, min(n, p) + 1)), 0
+    else:
+        n, p, r, e = case
+        rng = np.random.default_rng(n + p + r)
+    x = rank_deficient(rng, n, p, r) * 2.0**e
     bases = fundamental_bases(x)
     assert bases.rank == r
     assert bases.row_space.shape == (p, r)
     assert bases.null_space.shape == (p, p - r)
+    assert bases.left_null_space.shape == (n, n - r)
     # the pairs of complementary subspaces are orthogonal
     if r and p - r:
         assert np.max(np.abs(bases.row_space.T @ bases.null_space)) <= 1e-8
     if r and n - r:
         assert np.max(np.abs(bases.column_space.T @ bases.left_null_space)) <= 1e-8
-    scale = max(1.0, float(np.abs(x).max()) if x.any() else 1.0)
+    # the completed bases are orthonormal
+    for basis in (bases.null_space, bases.left_null_space):
+        assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+    scale = float(np.abs(x).max())
     if p - r:
         assert np.max(np.abs(x @ bases.null_space)) <= 1e-8 * scale
     if n - r:
