@@ -70,8 +70,8 @@ __all__ = ["Report", "parse_matrix", "parse_vector", "run_command", "emit_report
 class Report:
     """One command's structured answer.
 
-    ``payload`` is command specific, its matrices and vectors float64
-    NumPy arrays as :func:`_matrix_doc` and :func:`_vector_doc` hold them;
+    ``payload`` is command specific, its matrices as :func:`_matrix_doc`
+    holds them and its vectors as float64 NumPy arrays;
     ``residuals`` is always present, a flat mapping of named nonnegative
     reals.
     """
@@ -171,7 +171,7 @@ def _rows_from_json(text):
 
 
 def parse_matrix(path, format="csv"):
-    """Read a matrix file in the named format.
+    """Read a UTF-8 matrix file, a leading byte-order mark skipped.
 
     CSV is one row per line of comma-separated decimal literals with a
     uniform column count; JSON is an object with ``rows``, ``cols`` and
@@ -180,7 +180,7 @@ def parse_matrix(path, format="csv"):
     if format not in ("csv", "json"):
         raise ParseError(f"unknown format {format!r}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         rows = _rows_from_csv(text) if format == "csv" else _rows_from_json(text)
     except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
         raise ParseError(f"unreadable {format} file: {exc}") from None
@@ -205,10 +205,6 @@ def _matrix_doc(arr):
         "cols": int(arr.shape[1]),
         "data": arr,
     }
-
-
-def _vector_doc(arr):
-    return np.asarray(arr, dtype=float)
 
 
 def _penrose_residuals(rep):
@@ -278,7 +274,7 @@ def _cmd_svd(x, args, tol):
     n, p = x.shape
     payload = {
         "u": _matrix_doc(res.u),
-        "sigma": _vector_doc(res.sigma),
+        "sigma": res.sigma,
         "v": _matrix_doc(res.v),
         "rank": res.rank,
         "form": res.form,
@@ -388,9 +384,9 @@ def _cmd_solve(x, args, tol):
     y = parse_vector(args.y, args.format, length=x.shape[0])
     sol = _SOLVERS[args.method](x, y, tol)
     payload = {
-        "beta_hat": _vector_doc(sol.beta_hat),
-        "y_hat": _vector_doc(sol.y_hat),
-        "residual": _vector_doc(sol.residual),
+        "beta_hat": sol.beta_hat,
+        "y_hat": sol.y_hat,
+        "residual": sol.residual,
         "residual_norm": float(sol.residual_norm),
         "rank_used": sol.rank_used,
         "method": sol.method,
@@ -407,17 +403,14 @@ def _normal_equation_gap(x, y, beta_hat, r):
 
     The scale is that of the rounding in ``X'(y - X beta_hat)``, so a
     consistent system, whose ``r`` is rounding noise, reads at rounding
-    level.  Formed from prescaled copies of all four, with their powers of
-    two applied to the norms at the end, so it is finite at every scale and
-    unchanged by scaling ``X`` or ``y`` by 2^k.
+    level.  Formed from prescaled ``X`` and ``y``, ``r`` at ``2**-ey`` and
+    ``beta_hat`` at ``2**(ex - ey)``, every term in the pair's units, so it
+    is finite at every scale and unchanged by scaling ``X`` or ``y`` by 2^k.
     """
-    (xs, ex), (ys, ey), (bs, eb), (rs, er) = map(_prescaled, (x, y, beta_hat, r))
+    (xs, ex), (ys, ey) = _prescaled(x), _prescaled(y)
     nx = frobenius_norm(xs)
-    # ||X|| ||beta_hat|| and ||y||, in units of 2**m, the larger nonzero one's power
-    terms = ((nx * frobenius_norm(bs), ex + eb), (frobenius_norm(ys), ey))
-    m = max((e for v, e in terms if v), default=0)
-    scale = nx * sum(np.ldexp(v, e - m) for v, e in terms)
-    return float(_scaled_back(frobenius_norm(xs.T @ rs) / scale, er - m)) if scale else 0.0
+    scale = nx * (nx * frobenius_norm(np.ldexp(beta_hat, ex - ey)) + frobenius_norm(ys))
+    return float(frobenius_norm(xs.T @ np.ldexp(r, -ey)) / scale) if scale else 0.0
 
 
 def _cmd_project(x, args, tol):
@@ -700,9 +693,7 @@ def _render_text(doc):
     ]
     for key, value in doc["payload"].items():
         _render_entry(lines, key, value, 0)
-    lines.append("residuals:")
-    for key, value in doc["residuals"].items():
-        _render_entry(lines, key, value, 1)
+    _render_entry(lines, "residuals", doc["residuals"], 0)
     return "\n".join(lines) + "\n"
 
 

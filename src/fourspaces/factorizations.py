@@ -261,4 +261,5 @@ def cr_decompose(x, tol=DEFAULT_TOL):
     pivots = _eliminate(reduced, _as_tolerance(tol))[0]
     r = len(pivots)
     r_factor = _in_range(reduced[:r].copy(), 0, "the echelon form")
+    # copied C-ordered: in the layout fancy indexing gives, C R rounds differently
     return CrFactors(x[:, list(pivots)].copy(), r_factor, r)

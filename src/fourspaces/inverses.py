@@ -72,7 +72,7 @@ class PenroseFlags:
 
 @dataclass(frozen=True)
 class InverseReport:
-    """Classification of a candidate inverse ``g`` against a matrix.
+    """Classification of a candidate inverse against a matrix.
 
     ``class_label`` follows from the flags alone: every flag gives
     ``pseudo-inverse``, c1 with c2 gives ``reflexive-g-inverse``, c1 alone
@@ -82,7 +82,6 @@ class InverseReport:
     the flags.
     """
 
-    g: np.ndarray
     flags: PenroseFlags
     class_label: str
     residuals: tuple
@@ -155,7 +154,7 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
         label = "none"
     is_left = frobenius_norm(gx - np.eye(p)) <= tol.relative * x_norm * g_norm
     is_right = frobenius_norm(xg - np.eye(n)) <= tol.relative * x_norm * g_norm
-    return InverseReport(g.copy(), flags, label, residuals, is_left, is_right)
+    return InverseReport(flags, label, residuals, is_left, is_right)
 
 
 def _normal_inverse(xs, tol, left):

@@ -27,6 +27,7 @@ from .matrix import (
     as_matrix,
     as_vector,
     frobenius_norm,
+    matmul,
     pivot_rank,
 )
 from .spectral import eig_symmetric
@@ -180,7 +181,7 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
     if p.shape[0] != p.shape[1]:
         raise ShapeError(f"projector must be square, got {p.shape}")
     scale = frobenius_norm(p)
-    idempotency = frobenius_norm(p @ p - p)
+    idempotency = frobenius_norm(matmul(p, p) - p)
     symmetry = frobenius_norm(p - p.T)
     idem = idempotency <= 100.0 * tol.relative * scale * scale
     sym = symmetry <= tol.relative * scale

@@ -21,13 +21,13 @@ from fourspaces import (
     cli,
     errors,
     factorizations,
+    matrix,
     pivot_rank,
     spectral,
 )
 from fourspaces.cli import (
     Report,
     _matrix_doc,
-    _vector_doc,
     emit_report,
     main,
     parse_matrix,
@@ -67,6 +67,20 @@ def test_parse_csv_allows_blank_lines_and_spaces(tmp_path):
 def test_parse_json_document(tmp_path):
     path = write(tmp_path, "m.json", '{"rows":2,"cols":2,"data":[[1,2],[2,4]]}')
     assert np.array_equal(parse_matrix(path, "json"), [[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("csv", "1,-2.5\n3,4e-3\n"), ("json", '{"rows":2,"cols":2,"data":[[1,-2.5],[3,4e-3]]}')],
+    ids=["csv", "json"],
+)
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, fmt, text):
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(parse_matrix(marked, fmt), parse_matrix(plain, fmt))
+    assert np.array_equal(parse_matrix(marked, fmt), [[1.0, -2.5], [3.0, 4e-3]])
 
 
 def test_parse_csv_ragged_rows(tmp_path):
@@ -445,6 +459,55 @@ def test_report_decomposes_once_and_rank_never_completes(tmp_path, monkeypatch):
         doc = payload["bases"][name]
         got = np.array(doc["data"]).reshape(doc["rows"], doc["cols"])
         assert np.array_equal(got, getattr(bases, name))
+
+
+def test_each_op_runs_its_listed_decompositions(tmp_path, capsys, monkeypatch):
+    """One rank-revealing decomposition per matrix, counted per op on small
+    analogues of the three benchmark corpora: the Jacobi calls, and the
+    shape of each array that Gauss-Jordan elimination reduces.  A change
+    that moves a count edits this table and says why."""
+    calls = []
+
+    def counted(kind, original):
+        def wrapper(work, *rest):
+            calls.append((kind, work.shape))
+            return original(work, *rest)
+
+        return wrapper
+
+    for module in (matrix, factorizations):
+        monkeypatch.setattr(module, "_eliminate", counted("elimination", module._eliminate))
+    for module in (spectral, factorizations):
+        monkeypatch.setattr(module, "_jacobi_rows", counted("jacobi", module._jacobi_rows))
+    rng = np.random.default_rng(5)
+    draw = rng.standard_normal
+    low_rank = write_matrix(tmp_path, "low.csv", draw((12, 3)) @ draw((3, 8)))
+    tall = write_matrix(tmp_path, "graded.csv", graded(rng, 16, 12, 12, 30.0))
+    deficient = write_matrix(tmp_path, "deficient.csv", draw((24, 12)) @ draw((12, 20)))
+    x = draw((24, 20))
+    full = write_matrix(tmp_path, "full.csv", x)
+    y = write_matrix(tmp_path, "y.csv", x @ draw((20, 1)))
+    # argv: (Jacobi calls, shapes eliminated); low_rank is 12 x 8 of rank 3,
+    # tall 16 x 12 of full rank, deficient 24 x 20 of rank 12, full 24 x 20
+    expected = {
+        # the (p, p) Gram that fails, (n, p) for C R, the (r, r) Grams of R and C
+        ("report", "--input", low_rank): (1, [(8, 8), (12, 8), (3, 3), (3, 3)]),
+        # the (p, p) Gram
+        ("pinv", "--input", tall): (1, [(12, 12)]),
+        ("cr", "--input", deficient): (0, [(24, 20)]),
+        # (n, p), then the column reduction of the r echelon rows, (p, r)
+        ("ginv", "--input", deficient): (0, [(24, 20), (20, 12)]),
+        ("leftinv", "--method", "elementary", "--input", full): (0, [(24, 20)]),
+        # the (p, p) Gram
+        ("solve", "--method", "unique", "--y", y, "--input", full): (0, [(20, 20)]),
+    }
+    for argv, (jacobi, eliminated) in expected.items():
+        calls.clear()
+        assert main([*argv, "--json"]) == 0
+        capsys.readouterr()
+        got = sum(kind == "jacobi" for kind, _ in calls)
+        shapes = [shape for kind, shape in calls if kind == "elimination"]
+        assert (got, shapes) == (jacobi, eliminated), argv[0]
 
 
 @pytest.mark.parametrize(
@@ -1064,7 +1127,7 @@ def test_emit_report_rejects_nan_payload(where, value):
         stats["trace"] = value
     else:
         residuals["c1"] = value
-    payload = {"pinv": _matrix_doc(pinv), "beta_hat": _vector_doc(beta), "stats": stats}
+    payload = {"pinv": _matrix_doc(pinv), "beta_hat": np.asarray(beta, dtype=float), "stats": stats}
     report = Report("pinv", (2, 2), 1e-10, payload, residuals)
     # one screen ahead of both renderers names the same entry in both modes
     for json_mode in (True, False):
@@ -1188,7 +1251,7 @@ def edge_report():
         "matrix": _matrix_doc(np.array(EDGE_FLOATS).reshape(4, 5)),
         "empty_matrix": _matrix_doc(np.zeros((2, 0))),
         "flat_matrix": _matrix_doc(np.zeros((0, 3))),
-        "vector": _vector_doc(np.array(EDGE_FLOATS[::-1])),
+        "vector": np.asarray(EDGE_FLOATS[::-1], dtype=float),
         "mixed": [1, 2.5, -3, 0.0, 10**20, 1e13, True, None],
         # rows of floats outside a matrix document, and a vector of exact
         # integers that the one-call path writes as "%.1f"
@@ -1264,7 +1327,7 @@ def test_json_screen_accepts_benchmark_shaped_outputs():
 def test_emitter_matches_two_pass_oracle_on_any_finite_float(values, scalar):
     payload = {
         "v": values,
-        "a": _vector_doc(np.array(values)),
+        "a": np.asarray(values, dtype=float),
         "m": _matrix_doc(np.array([values])),
         "s": scalar,
         "mixed": [1, scalar],
