@@ -45,8 +45,8 @@ from .inverses import (
 from .matrix import (
     DEFAULT_TOL,
     Tolerance,
+    _defect,
     _prescaled,
-    _scaled_back,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -280,7 +280,7 @@ def _cmd_svd(x, args, tol):
         "form": res.form,
     }
     residuals = {
-        "reconstruction": frobenius_norm(res.u @ res.sigma_matrix() @ res.v.T - x),
+        "reconstruction": _defect(res.u @ res.sigma_matrix(), res.v.T, x),
         "left_orthogonality": frobenius_norm(res.u.T @ res.u - np.eye(n)),
         "right_orthogonality": frobenius_norm(res.v.T @ res.v - np.eye(p)),
     }
@@ -295,10 +295,7 @@ def _cmd_cr(x, args, tol):
         "r_factor": _matrix_doc(fac.r_factor),
         "rank": fac.rank,
     }
-    # C R - X formed at the scale of _prescaled, where C R cannot overflow
-    xs, e = _prescaled(x)
-    residual = frobenius_norm(np.ldexp(fac.c, -e) @ fac.r_factor - xs)
-    return payload, {"reconstruction": float(_scaled_back(residual, e))}
+    return payload, {"reconstruction": _defect(fac.c, fac.r_factor, x)}
 
 
 def _cmd_subspaces(x, args, tol):
@@ -336,26 +333,18 @@ def _one_sided_inverse(x, args, tol, normal, family):
     return family(x, y, tol)
 
 
-def _identity_defect(a, b):
-    """``||a b - I||_F``, formed from prescaled copies of ``a`` and ``b`` and
-    ``I`` scaled by ``2**-(ea + eb)``, so ``a b`` cannot overflow; scaled back."""
-    (a, ea), (b, eb) = _prescaled(a), _prescaled(b)
-    defect = frobenius_norm(a @ b - np.ldexp(np.eye(a.shape[0]), -(ea + eb)))
-    return float(_scaled_back(defect, ea + eb))
-
-
 def _cmd_leftinv(x, args, tol):
     """left inverse"""
     g = _one_sided_inverse(x, args, tol, left_inverse, left_inverse_family)
     payload = {"left_inverse": _matrix_doc(g), "method": args.method}
-    return payload, {"left_identity": _identity_defect(g, x)}
+    return payload, {"left_identity": _defect(g, x, np.eye(x.shape[1]))}
 
 
 def _cmd_rightinv(x, args, tol):
     """right inverse"""
     g = _one_sided_inverse(x, args, tol, right_inverse, right_inverse_family)
     payload = {"right_inverse": _matrix_doc(g), "method": args.method}
-    return payload, {"right_identity": _identity_defect(x, g)}
+    return payload, {"right_identity": _defect(x, g, np.eye(x.shape[0]))}
 
 
 def _cmd_classify(x, args, tol):

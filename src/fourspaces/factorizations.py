@@ -91,7 +91,7 @@ class SvdResult:
         r = self.rank
         if r and self.sigma[-1] == 0.0:
             raise NonFiniteEntryError("the pseudo inverse lies beyond the float range")
-        s, e = _prescaled(self.sigma) if r else (self.sigma, 0)
+        s, e = _prescaled(self.sigma)
         return _in_range(self.v[:, :r] / s @ self.u[:, :r].T, -e, "the pseudo inverse")
 
 

@@ -101,7 +101,7 @@ def _prescaled(a):
     overflow or underflow where the raw entries would, and a result scales
     back exactly: ``np.ldexp(result, k * e)`` for a product of ``k`` factors.
     """
-    _, e = np.frexp(np.max(np.abs(a)))
+    _, e = np.frexp(np.max(np.abs(a), initial=0.0))
     return np.ldexp(a, -e), int(e)
 
 
@@ -151,6 +151,15 @@ def matmul(a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         product = a @ b
     return _in_range(product, 0, "the product")
+
+
+def _defect(a, b, c):
+    """``||a b - c||_F`` from :func:`_prescaled` copies, ``a b`` and ``c`` met at the
+    larger of their scales; past the float range it raises, with no warning."""
+    (a, ea), (b, eb), (c, ec) = _prescaled(a), _prescaled(b), _prescaled(c)
+    e = max(ea + eb, ec)
+    defect = frobenius_norm(np.ldexp(a @ b, ea + eb - e) - np.ldexp(c, ec - e))
+    return float(_in_range(defect, e, "the defect"))
 
 
 @dataclass(frozen=True)

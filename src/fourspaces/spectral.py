@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NotSymmetricError, ShapeError
 from .matrix import (
-    DEFAULT_TOL, _as_tolerance, _in_range, _prescaled, _scaled_back, as_matrix, frobenius_norm,
-    invert, pivot_rank,
+    DEFAULT_TOL, _as_tolerance, _defect, _in_range, _prescaled, _scaled_back, as_matrix,
+    frobenius_norm, invert, pivot_rank,
 )
 
 __all__ = ["EigResult", "SimilarityReport", "eig_symmetric", "similarity_check"]
@@ -357,8 +357,7 @@ def similarity_check(a, p, tol=DEFAULT_TOL):
     scale = max(abs(float(np.trace(a))), frobenius_norm(a))
     trace_match = bool(abs(float(np.trace(b)) - float(np.trace(a))) <= 100 * tol.relative * scale)
     rank_match = pivot_rank(a, tol) == pivot_rank(b, tol)
-    gram = p.T @ p
-    orthogonal = frobenius_norm(gram - np.eye(n)) <= 100 * tol.relative * math.sqrt(n)
+    orthogonal = _defect(p.T, p, np.eye(n)) <= 100 * tol.relative * math.sqrt(n)
     if orthogonal:
         ea = eig_symmetric(a, tol)
         eb = eig_symmetric(b, tol)

@@ -25,6 +25,7 @@ from fourspaces import (
     rref_cols,
     rref_rows,
 )
+from fourspaces.matrix import _defect
 from support import assert_echelon_structure, full_col_rank, rank_deficient
 
 
@@ -464,3 +465,49 @@ def test_a_singular_matrix_error_carries_the_pivot_rank():
         invert([[1.0, 2.0], [2.0, 4.0]])
     assert info.value.pivot_rank == 1
     assert str(info.value) == "matrix is singular at the working tolerance (pivot rank 1 of 2)"
+
+
+def _defect_operands(rng):
+    """(a, b, c) triples: near products, an identity and an unrelated c."""
+    a, b = rng.standard_normal((7, 4)), rng.standard_normal((4, 5))
+    g = np.linalg.pinv(a)
+    return {
+        "near_product": (a, b, a @ b + 1e-9 * rng.standard_normal((7, 5))),
+        "identity": (g, a, np.eye(4)),
+        "unrelated": (a, b, rng.standard_normal((7, 5))),
+        "square": (b @ b.T, b @ b.T, b @ b.T),
+    }
+
+
+@pytest.mark.parametrize("which", ["near_product", "identity", "unrelated", "square"])
+def test_defect_is_the_raw_residual_norm_bit_for_bit(which):
+    a, b, c = _defect_operands(np.random.default_rng(5))[which]
+    assert _defect(a, b, c) == frobenius_norm(a @ b - c)
+
+
+@pytest.mark.parametrize("j, k", [(500, 400), (-500, -400), (1000, 15), (-1000, 300), (900, -900)])
+@pytest.mark.parametrize("which", ["near_product", "identity", "unrelated", "square"])
+def test_defect_scales_exactly_with_its_operands(which, j, k):
+    a, b, c = _defect_operands(np.random.default_rng(5))[which]
+    scaled = _defect(np.ldexp(a, j), np.ldexp(b, k), np.ldexp(c, j + k))
+    assert scaled == np.ldexp(_defect(a, b, c), j + k)
+
+
+def test_defect_of_a_product_far_below_c_is_the_norm_of_c():
+    # P^2 - P of a projector at 2^-600: c scaled by 2^1200 to meet P^2
+    # would overflow; the product scaled down to meet c cannot
+    p = np.ldexp(np.full((3, 3), 1.0 / 3.0), -600)
+    assert _defect(p, p, p) == frobenius_norm(p)
+
+
+def test_defect_past_the_float_range_raises_typed_with_no_warning():
+    a, b = np.ldexp(np.ones((2, 3)), 1000), np.ldexp(np.ones((3, 2)), 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntryError, match="^the defect lies beyond the float range$"):
+            _defect(a, b, np.zeros((2, 2)))
+
+
+def test_defect_of_an_empty_product_is_the_norm_of_c():
+    c = np.random.default_rng(5).standard_normal((3, 4))
+    assert _defect(np.zeros((3, 0)), np.zeros((0, 4)), c) == frobenius_norm(c)
