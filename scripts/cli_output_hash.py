@@ -154,7 +154,8 @@ def small_inputs(rng):
         ),
         # ||X'r|| passes the float range, so solve reports a non-finite path
         "scaled_2^600": np.ldexp(np.random.default_rng(3).standard_normal((6, 4)), 600),
-        # ||X||_F and sigma_1 pass the float range: typed failures, no warning
+        # ||X||_F and sigma_1 pass the float range: svd, pinv, report, ginv and
+        # classify fail typed, the SVD's other consumers answer, none warns
         "scaled_5e307": np.random.default_rng(3).standard_normal((6, 4)) * 5e307,
         # numerical rank 11, but 19 directions above rounding: the SVD's
         # QRs keep them all and the cutoff alone sets the rank

@@ -46,6 +46,7 @@ from .matrix import (
     DEFAULT_TOL,
     Tolerance,
     _defect,
+    _in_range,
     _prescaled,
     as_matrix,
     as_vector,
@@ -372,14 +373,7 @@ def _cmd_solve(x, args, tol):
     """least squares / linear solve"""
     y = parse_vector(args.y, args.format, length=x.shape[0])
     sol = _SOLVERS[args.method](x, y, tol)
-    payload = {
-        "beta_hat": sol.beta_hat,
-        "y_hat": sol.y_hat,
-        "residual": sol.residual,
-        "residual_norm": float(sol.residual_norm),
-        "rank_used": sol.rank_used,
-        "method": sol.method,
-    }
+    payload = asdict(sol)  # LsSolution's fields are the payload's keys, in order
     residuals = {
         "residual_norm": float(sol.residual_norm),
         "normal_equation_gap": _normal_equation_gap(x, y, sol.beta_hat, sol.residual),
@@ -420,9 +414,10 @@ def _cmd_project(x, args, tol):
 
 def _cmd_report(x, args, tol):
     """rank, subspace bases, pseudo inverse and Penrose self-check"""
-    # one full SVD feeds both sections
-    res = svd_full(x, tol)
-    pinv, pinv_residuals = _pinv_section(x, res.pinv(), tol)
+    # one full SVD, of the prescaled x, feeds both sections
+    xs, e = _prescaled(x)
+    res = svd_full(xs, tol)
+    pinv, pinv_residuals = _pinv_section(x, _in_range(res.pinv(), -e, "the pseudo inverse"), tol)
     bases, bases_residuals = _bases_section(SubspaceBases.from_svd(res))
     n, p = x.shape
     payload = {

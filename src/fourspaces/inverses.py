@@ -340,8 +340,9 @@ def rg_via_gram(x, gram_ginv, tol=DEFAULT_TOL):
 
 
 def pinv_svd(x, tol=DEFAULT_TOL):
-    """Pseudo inverse assembled from the reduced SVD: ``v diag(1/sigma) u'``."""
-    return svd_reduced(x, tol).pinv()
+    """Pseudo inverse ``v diag(1/sigma) u'`` from the SVD of the prescaled ``x``, scaled back."""
+    x, e = _prescaled(as_matrix(x))
+    return _in_range(svd_reduced(x, tol).pinv(), -e, "the pseudo inverse")
 
 
 def pinv_cr(x, tol=DEFAULT_TOL):

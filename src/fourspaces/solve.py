@@ -130,18 +130,18 @@ def ls_svd_minnorm(x, y, tol=DEFAULT_TOL):
     The estimate is ``sum_i (u_i^T y / sigma_i) v_i`` over the retained
     singular triplets, i.e. the pseudo-inverse applied to ``y``.  Among
     all minimizers of the residual it is the one of smallest Euclidean
-    norm, and it lies in the row space.  An estimate past the float range
-    raises ``NonFiniteEntryError``, with no warning ahead of it; so does
-    an accepted ``sigma`` that scales back to 0.0 at the bottom of the
-    subnormal range.
+    norm, and it lies in the row space.  It is formed from the SVD of the
+    prescaled ``X`` and the prescaled ``y``, as ``beta = 2^(ey - ex) V
+    ((U' ys) / sigma)``; an estimate past the float range raises
+    ``NonFiniteEntryError``, with no warning ahead of it.
     """
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
     y = as_vector(y, length=x.shape[0], name="y")
-    res = svd_reduced(x, tol)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        beta = res.v @ ((res.u.T @ y) / res.sigma)
-    return _finish(x, y, _in_range(beta, 0, "the estimate"), res.rank, "svd-minnorm")
+    (xs, ex), (ys, ey) = _prescaled(x), _prescaled(y)
+    res = svd_reduced(xs, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sigma over a subnormal cutoff
+        beta = res.v @ ((res.u.T @ ys) / res.sigma)
+    return _finish(x, y, _in_range(beta, ey - ex, "the estimate"), res.rank, "svd-minnorm")
 
 
 def observation_split(x, y, tol=DEFAULT_TOL):
@@ -157,13 +157,13 @@ def observation_split(x, y, tol=DEFAULT_TOL):
 
 def projector_column(x, tol=DEFAULT_TOL):
     """Orthogonal projector ``X X^+ = U_r U_r'`` onto the column space (n by n)."""
-    u = svd_reduced(x, tol).u
+    u = svd_reduced(_prescaled(as_matrix(x))[0], tol).u
     return u @ u.T
 
 
 def projector_row(x, tol=DEFAULT_TOL):
     """Orthogonal projector ``X^+ X = V_r V_r'`` onto the row space (p by p)."""
-    v = svd_reduced(x, tol).v
+    v = svd_reduced(_prescaled(as_matrix(x))[0], tol).v
     return v @ v.T
 
 
@@ -207,12 +207,13 @@ def consistent_unique_solve(x, y, tol=DEFAULT_TOL):
     Requires full column rank.  Consistency is decided by the left-inverse
     test ``||(I - X X_L) y|| <= band * ||y||`` with
     ``band = max(100 * tol.relative, 1e-8)``; the test is relative to
-    ``y`` alone, so it reads the same at every scale.  An inconsistent
-    observation raises an error carrying that residual norm instead of
-    silently returning a best fit.
+    ``y`` alone, and formed from its prescaled copy, so it reads the same
+    at every scale.  An inconsistent observation raises an error carrying
+    that residual norm instead of silently returning a best fit.
     """
     sol = _left_inverse_solve(x, y, tol, "a unique solution", "unique-consistent")
-    band = max(100.0 * _as_tolerance(tol).relative, 1e-8) * frobenius_norm(as_vector(y))
+    ys, ey = _prescaled(as_vector(y))
+    band = _scaled_back(max(100.0 * _as_tolerance(tol).relative, 1e-8) * frobenius_norm(ys), ey)
     if sol.residual_norm > band:
         raise InconsistentSystemError(
             f"system is inconsistent: left-inverse residual {sol.residual_norm:.3e} "

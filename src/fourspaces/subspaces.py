@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DependentBasisError, NonFiniteEntryError, NotInRowSpaceError, ShapeError
 from .factorizations import svd_full, svd_reduced
-from .matrix import DEFAULT_TOL, _as_tolerance, as_matrix, frobenius_norm, pivot_rank
+from .matrix import (DEFAULT_TOL, _as_tolerance, _prescaled, as_matrix, frobenius_norm, matmul,
+                     pivot_rank)
 
 __all__ = [
     "SubspaceBases",
@@ -79,13 +80,13 @@ def _as_basis(b, name="basis"):
 
 def fundamental_bases(x, tol=DEFAULT_TOL):
     """Split the full SVD factors into the four orthonormal bases."""
-    return SubspaceBases.from_svd(svd_full(x, tol))
+    return SubspaceBases.from_svd(svd_full(_prescaled(as_matrix(x))[0], tol))
 
 
 def rank_nullity_report(x, tol=DEFAULT_TOL):
     """Dimensions of all four subspaces of ``x``."""
     x = as_matrix(x)
-    r = svd_reduced(x, tol).rank
+    r = svd_reduced(_prescaled(x)[0], tol).rank
     n, p = x.shape
     return RankNullityReport(
         rank=r,
@@ -103,7 +104,8 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     onto the fundamental row-space basis must move it by no more than
     ``max(100 * tol.relative, 1e-8)`` times its own norm) and the columns
     must be linearly independent; the images ``x @ row_basis`` then form a
-    basis of the column space, though not generally an orthonormal one.
+    basis of the column space, though not generally an orthonormal one; one
+    past the float range raises ``NonFiniteEntryError``, with no warning.
     """
     x = as_matrix(x)
     tol = _as_tolerance(tol)
@@ -114,7 +116,7 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
     k = rb.shape[1]
     if k == 0:
         return np.zeros((n, 0))
-    row_space = svd_reduced(x, tol).v
+    row_space = svd_reduced(_prescaled(x)[0], tol).v
     proj = row_space @ (row_space.T @ rb)
     band = max(100.0 * tol.relative, 1e-8)
     for j in range(k):
@@ -126,7 +128,7 @@ def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
             )
     if pivot_rank(rb, tol) < k:
         raise DependentBasisError("supplied row-space vectors are linearly dependent")
-    return x @ rb
+    return matmul(x, rb)
 
 
 def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
@@ -148,7 +150,7 @@ def subspaces_equal(basis_a, basis_b, tol=DEFAULT_TOL):
         raise ShapeError(
             f"bases live in different ambient dimensions: {a.shape[0]} vs {b.shape[0]}"
         )
-    a, b = (svd_reduced(x, tol).u if x.shape[1] else x for x in (a, b))
+    a, b = (svd_reduced(_prescaled(x)[0], tol).u if x.shape[1] else x for x in (a, b))
     k = max(a.shape[1], b.shape[1])
     gap = frobenius_norm(a @ a.T - b @ b.T)
     return bool(gap <= k * max(100.0 * tol.relative, 1e-8))

@@ -142,7 +142,6 @@ PAST_RANGE = {
     "projector_diagnostics": ((2, lambda x: np.linalg.norm(x @ x)),),
 }
 
-_SIGMA_1 = {("rank2", 1023)}
 _X_NORM = {("rank2", 1023), ("orth", 1023)}
 FAULTS = {
     # ROADMAP item 3: the c1 threshold tol * max(||X||_F, ||G||_F) passes the
@@ -150,21 +149,20 @@ FAULTS = {
     "classify_inverse": _X_NORM,
     "ginverse_extend": _X_NORM,
     "rg_sandwich": _X_NORM,
-    # svd_reduced range-checks sigma_1 at the input's scale, though these
-    # answers (bases, ranks, projectors, X+ and the least-squares split)
-    # do not grow with it
-    "fundamental_bases": _SIGMA_1,
-    "column_basis_from_row_basis": _SIGMA_1,
-    "rank_nullity_report": _SIGMA_1,
-    "subspaces_equal": _SIGMA_1,
-    "pinv_svd": _SIGMA_1,
-    "ls_svd_minnorm": _SIGMA_1,
-    "observation_split": _SIGMA_1,
-    "projector_column": _SIGMA_1,
-    "projector_row": _SIGMA_1,
-    # the consistency band 1e-8 * ||y|| passes the float range, where the
-    # residual and beta = 1 stay inside it
-    "consistent_unique_solve": {("sym", 1023), ("orth", 1023)},
+}
+
+# (degree, the answer read): the consumers of the SVD decompose the prescaled
+# input and scale only their answer, by 2^(degree k)
+PRESCALED = {
+    "rank_nullity_report": (0, lambda out: out),
+    "fundamental_bases": (0, lambda out: out),
+    "subspaces_equal": (0, lambda out: out),
+    "projector_column": (0, lambda out: out),
+    "projector_row": (0, lambda out: out),
+    "ls_svd_minnorm": (0, lambda out: out.beta_hat),
+    "column_basis_from_row_basis": (1, lambda out: out),
+    "observation_split": (1, lambda out: out),
+    "pinv_svd": (-1, lambda out: out),
 }
 
 
@@ -179,6 +177,15 @@ def _finite(out):
     if isinstance(out, float):
         return math.isfinite(out)
     return True
+
+
+def _leaves(out):
+    """The fields of an answer, a dataclass or tuple read in order."""
+    if is_dataclass(out):
+        return [leaf for f in fields(out) for leaf in _leaves(getattr(out, f.name))]
+    if isinstance(out, tuple):
+        return [leaf for item in out for leaf in _leaves(item)]
+    return [out]
 
 
 def _past_range(name, x0, k):
@@ -214,3 +221,18 @@ def test_each_case_answers_finitely_or_raises_a_typed_error(name):
             elif past or fault:
                 wrong.append(f"{which} 2^{k}: answered, listed as {'past' if past else 'fault'}")
     assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.parametrize("name", sorted(PRESCALED))
+def test_svd_consumers_scale_their_answer_at_the_top_exactly(name):
+    # sigma_1 of the rank-2 6 x 5 at 2^1023 lies past the float range, and
+    # every one of these refused there; none of their answers grows with it
+    degree, answer = PRESCALED[name]
+    inputs, call = CASES[name]
+    for which in inputs:
+        pairs = zip(_leaves(answer(call(Case(which, 1023)))),
+                    _leaves(answer(call(Case(which, 0)))), strict=True)
+        for got, want in pairs:
+            if isinstance(want, (float, np.ndarray)):
+                want = np.ldexp(want, degree * 1023)
+            assert np.array_equal(got, want), which

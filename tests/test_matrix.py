@@ -493,11 +493,18 @@ def test_defect_scales_exactly_with_its_operands(which, j, k):
     assert scaled == np.ldexp(_defect(a, b, c), j + k)
 
 
-def test_defect_of_a_product_far_below_c_is_the_norm_of_c():
-    # P^2 - P of a projector at 2^-600: c scaled by 2^1200 to meet P^2
-    # would overflow; the product scaled down to meet c cannot
-    p = np.ldexp(np.full((3, 3), 1.0 / 3.0), -600)
-    assert _defect(p, p, p) == frobenius_norm(p)
+_SUBNORMAL_PROJECTOR = np.ldexp(np.full((3, 3), 1.0 / 3.0), -1060)
+
+
+@pytest.mark.parametrize(
+    "a, c",
+    [(_SUBNORMAL_PROJECTOR, _SUBNORMAL_PROJECTOR), (np.ldexp(np.eye(3), -520), np.eye(3))],
+    ids=["subnormal_projector", "identity"],
+)
+def test_defect_of_a_product_far_below_c_is_the_norm_of_c(a, c):
+    # P^2 - P at 2^-1060 and a a - I at 2^-520: c scaled by 2^-(ea + eb) to
+    # meet a a would pass the float range; a a scaled down to meet c cannot
+    assert _defect(a, a, c) == frobenius_norm(c)
 
 
 def test_defect_past_the_float_range_raises_typed_with_no_warning():

@@ -175,6 +175,19 @@ def test_row_space_check_is_scale_safe(scale):
     assert_allclose(column_basis_from_row_basis(x, inside), x @ inside)
 
 
+def test_column_basis_images_past_the_float_range_raise_typed():
+    # the row space is read off the prescaled input, so sigma_1 past the
+    # float range is no obstacle; the image of the unit basis vector,
+    # 0.9 sqrt(5) 2^1023, lies past it and must raise, with no warning
+    x = np.full((6, 5), 0.9)
+    v = np.ones((5, 1)) / math.sqrt(5.0)
+    with pytest.raises(NonFiniteEntryError, match="^the product lies beyond the float range$"):
+        column_basis_from_row_basis(np.ldexp(x, 1023), v)
+    # two powers of two lower it answers: the image at 2^0, scaled exactly
+    got = column_basis_from_row_basis(np.ldexp(x, 1021), v)
+    assert np.array_equal(got, np.ldexp(column_basis_from_row_basis(x, v), 1021))
+
+
 def _elimination_bases(x):
     """The four subspaces read off ``EA = R`` (Strang 1993): the first r rows
     of R, the special solutions of the free columns, the pivot columns of
