@@ -259,14 +259,7 @@ def _bases_section(bases):
 def _cmd_rank(x, args, tol):
     """rank and nullity accounting"""
     rep = rank_nullity_report(x, tol)
-    payload = {
-        "rank": rep.rank,
-        "n_rows": rep.n_rows,
-        "n_cols": rep.n_cols,
-        "dim_null": rep.dim_null,
-        "dim_left_null": rep.dim_left_null,
-    }
-    return payload, {"kernel_rank_gap": float(abs(pivot_rank(x, tol) - rep.rank))}
+    return asdict(rep), {"kernel_rank_gap": float(abs(pivot_rank(x, tol) - rep.rank))}
 
 
 def _cmd_svd(x, args, tol):
@@ -352,12 +345,8 @@ def _cmd_classify(x, args, tol):
     """Penrose classification of a candidate"""
     g = parse_matrix(args.g, args.format)
     rep = classify_inverse(x, g, tol)
-    payload = {
-        "class_label": rep.class_label,
-        "flags": asdict(rep.flags),
-        "is_left_inverse": rep.is_left_inverse,
-        "is_right_inverse": rep.is_right_inverse,
-    }
+    payload = asdict(rep)  # InverseReport's fields are the payload's keys, in order
+    del payload["residuals"]
     return payload, _penrose_residuals(rep)
 
 
@@ -399,17 +388,9 @@ def _normal_equation_gap(x, y, beta_hat, r):
 def _cmd_project(x, args, tol):
     """orthogonal projector"""
     proj = projector_column(x, tol) if args.side == "col" else projector_row(x, tol)
-    diag = projector_diagnostics(proj, tol)
-    payload = {
-        "projector": _matrix_doc(proj),
-        "side": args.side,
-        "trace": diag.trace,
-        "rank": diag.rank,
-        "idempotent": diag.idempotent,
-        "symmetric": diag.symmetric,
-        "spectrum_binary": diag.spectrum_binary,
-    }
-    return payload, {"idempotency": diag.idempotency, "symmetry": diag.symmetry}
+    diag = asdict(projector_diagnostics(proj, tol))  # its fields in the payload's order
+    residuals = {key: diag.pop(key) for key in ("idempotency", "symmetry")}
+    return {"projector": _matrix_doc(proj), "side": args.side, **diag}, residuals
 
 
 def _cmd_report(x, args, tol):

@@ -82,11 +82,11 @@ class InverseReport:
     the flags.
     """
 
-    flags: PenroseFlags
     class_label: str
-    residuals: tuple
+    flags: PenroseFlags
     is_left_inverse: bool
     is_right_inverse: bool
+    residuals: tuple
 
 
 def _require_c1(x, g, tol, who):
@@ -154,7 +154,7 @@ def classify_inverse(x, g, tol=DEFAULT_TOL):
         label = "none"
     is_left = frobenius_norm(gx - np.eye(p)) <= tol.relative * x_norm * g_norm
     is_right = frobenius_norm(xg - np.eye(n)) <= tol.relative * x_norm * g_norm
-    return InverseReport(flags, label, residuals, is_left, is_right)
+    return InverseReport(label, flags, is_left, is_right, residuals)
 
 
 def _normal_inverse(xs, tol, left):

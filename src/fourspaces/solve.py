@@ -74,10 +74,10 @@ class ProjectorReport:
     ``||P - P'||_F`` behind the ``idempotent`` and ``symmetric`` flags.
     """
 
-    idempotent: bool
-    symmetric: bool
     trace: float
     rank: int
+    idempotent: bool
+    symmetric: bool
     spectrum_binary: bool | None
     idempotency: float
     symmetry: float
@@ -191,10 +191,10 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
         band = 100.0 * tol.relative * scale
         spectrum_binary = bool(np.all(np.minimum(np.abs(values), np.abs(values - 1.0)) <= band))
     return ProjectorReport(
-        idempotent=bool(idem),
-        symmetric=bool(sym),
         trace=float(np.trace(p)),
         rank=pivot_rank(p, tol),
+        idempotent=bool(idem),
+        symmetric=bool(sym),
         spectrum_binary=spectrum_binary,
         idempotency=idempotency,
         symmetry=symmetry,

@@ -60,10 +60,10 @@ class RankNullityReport:
     """Subspace dimensions; ``rank + dim_null == n_cols`` and ``rank + dim_left_null == n_rows``."""
 
     rank: int
-    dim_null: int
-    dim_left_null: int
     n_rows: int
     n_cols: int
+    dim_null: int
+    dim_left_null: int
 
 
 def _as_basis(b, name="basis"):
@@ -88,13 +88,7 @@ def rank_nullity_report(x, tol=DEFAULT_TOL):
     x = as_matrix(x)
     r = svd_reduced(_prescaled(x)[0], tol).rank
     n, p = x.shape
-    return RankNullityReport(
-        rank=r,
-        dim_null=p - r,
-        dim_left_null=n - r,
-        n_rows=n,
-        n_cols=p,
-    )
+    return RankNullityReport(rank=r, n_rows=n, n_cols=p, dim_null=p - r, dim_left_null=n - r)
 
 
 def column_basis_from_row_basis(x, row_basis, tol=DEFAULT_TOL):
