@@ -68,10 +68,11 @@ JSON-mode ones, of the text-mode ones, of the usage-mode ones, and of all.
 be diffed.  ``--against FILE`` compares the records with those of an
 earlier ``--dump``, matched by mode and argv, and counts three kinds:
 identical; float-only, where a JSON-mode record equals its earlier self
-once every float in its document is masked, and a text-mode record has a
-float-only JSON twin and the same exit code; and other, listed by mode and
-argv, one a line.  A record present on one side only counts as other, and
-any other record makes the script exit 1, where it exits 0 otherwise.
+once every float in its document is masked, with its keys in the same
+order, and a text-mode record has a float-only JSON twin and the same exit
+code; and other, listed by mode and argv, one a line.  A record present
+on one side only counts as other, and any other record makes the script
+exit 1, where it exits 0 otherwise.
 Last comes the largest float drift: the largest normwise relative change
 ``||new - old||_F / ||old||_F`` of any float list or matrix in the payload
 of a float-only JSON-mode record, with its argv and key.  Flat lists of one
@@ -333,23 +334,26 @@ def run(argv, json_mode, tmp):
 
 
 def _masked(obj):
-    """``obj`` with every float replaced by a placeholder, containers walked."""
+    """``obj`` with every float replaced by a placeholder, containers walked,
+    and each dict turned into its list of items, so that a key that moves
+    is a change."""
     if isinstance(obj, float):
         return "<float>"
     if isinstance(obj, dict):
-        return {key: _masked(value) for key, value in obj.items()}
+        return [(key, _masked(value)) for key, value in obj.items()]
     if isinstance(obj, list):
         return [_masked(value) for value in obj]
     return obj
 
 
 def _float_masked(record):
-    """A JSON-mode record with its document parsed and every float masked."""
+    """A JSON-mode record with its document parsed and every float masked;
+    the record's own keys, which a dump writes sorted, keep no order."""
     try:
         doc = json.loads(record["stdout"])
     except json.JSONDecodeError:
         doc = record["stdout"]
-    return _masked({**record, "stdout": doc})
+    return {**record, "stdout": _masked(doc)}
 
 
 def compare(records, earlier):

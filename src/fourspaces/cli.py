@@ -214,9 +214,7 @@ def _penrose_residuals(rep):
 
 
 def _max_abs_dot(a, b):
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(a.T @ b)))
+    return float(np.max(np.abs(a.T @ b), initial=0.0))
 
 
 def _pinv_section(x, g, tol):

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import NonFiniteEntryError
 from .matrix import (
-    DEFAULT_TOL, Tolerance, _as_tolerance, _eliminate, _in_range, _prescaled, _scaled_back,
-    as_matrix,
+    DEFAULT_TOL, _as_tolerance, _eliminate, _in_range, _prescaled, _scaled_back, as_matrix,
 )
 from .spectral import _jacobi_rows, _sign_columns
 
@@ -67,7 +66,6 @@ class SvdResult:
     v: np.ndarray
     rank: int
     form: str
-    tol_used: Tolerance
     cutoff: float
     largest_rejected: float
     sweeps: int
@@ -228,7 +226,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     q = _pivoted_gram_schmidt(x)
     k = q.shape[1]
     if k == 0:  # the zero matrix: nothing for Jacobi to decompose
-        return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", tol, 0.0, 0.0, 0)
+        return SvdResult(q, np.zeros(0), np.zeros((p, 0)), 0, "reduced", 0.0, 0.0, 0)
     rt = x.T @ q  # R' = X' Q
     q1 = _pivoted_gram_schmidt(rt)
     r1 = q1.T @ rt  # R' = Q1 R1
@@ -240,9 +238,7 @@ def svd_reduced(x, tol=DEFAULT_TOL):
     u_r[:, _sign_columns(v_r)] *= -1.0
     sigma = _in_range(sig_all[:r], e, "a singular value")
     rejected = float(_scaled_back(sig_all[r], e)) if r < len(sig_all) else 0.0
-    return SvdResult(
-        u_r, sigma, v_r, r, "reduced", tol, float(_scaled_back(cutoff, e)), rejected, sweeps
-    )
+    return SvdResult(u_r, sigma, v_r, r, "reduced", float(_scaled_back(cutoff, e)), rejected, sweeps)
 
 
 def cr_decompose(x, tol=DEFAULT_TOL):

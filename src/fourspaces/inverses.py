@@ -171,7 +171,6 @@ def _gram_inverse(x, tol, side):
     with ``x`` row reduced only to name a failed Gram inversion: the one place
     such a failure is named, as :func:`left_inverse` says."""
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
     xs, e = _prescaled(x)
     left = side == "left"
     try:
@@ -236,7 +235,6 @@ def left_inverse_family(x, y=None, tol=DEFAULT_TOL):
     elementary one.
     """
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
     n, p = x.shape
     res = rref_rows(x, tol)
     if res.pivot_rank < p:
@@ -250,7 +248,6 @@ def right_inverse_family(x, y=None, tol=DEFAULT_TOL):
     """The right inverse parametrized by a free ``(p - n) x n`` block ``y``:
     ``E [I; Y] = E[:, :n] + E[:, n:] Y``, mirroring the left case."""
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
     n, p = x.shape
     res = rref_cols(x, tol)
     if res.pivot_rank < n:
@@ -272,7 +269,6 @@ def rg_canonical(x, a=None, b=None, tol=DEFAULT_TOL):
     answer past the float range raises ``NonFiniteEntryError``.
     """
     x = as_matrix(x)
-    tol = _as_tolerance(tol)
     n, p = x.shape
     row = rref_rows(x, tol)
     r = row.pivot_rank
@@ -362,7 +358,6 @@ def pinv_cr(x, tol=DEFAULT_TOL):
     """
     # C-ordered like the C of cr_decompose, so the products round as on C
     x, e = _prescaled(np.ascontiguousarray(as_matrix(x)))
-    tol = _as_tolerance(tol)
     n, p = x.shape
     if n >= p:
         try:

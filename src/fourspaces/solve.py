@@ -170,11 +170,12 @@ def projector_row(x, tol=DEFAULT_TOL):
 def projector_diagnostics(p, tol=DEFAULT_TOL):
     """Check the projector laws on a square matrix.
 
-    Idempotence is ``||P^2 - P||_F`` against ``100 tol ||P||_F^2``, symmetry
+    Idempotence is ``||P^2 - P||_F`` against ``100 tol ||P||_F``, symmetry
     against ``tol ||P||_F``; the binary-spectrum check asks every eigenvalue
     to sit within ``100 tol ||P||_F`` of 0 or 1 and is skipped (reported
-    ``None``) when ``P`` is not symmetric.  No band has a floor.  For a
-    symmetric idempotent the trace matches the rank.
+    ``None``) when ``P`` is not symmetric.  Every band is in the unit of
+    ``P``, and none has a floor.  For a symmetric idempotent the trace
+    matches the rank.
     """
     p = as_matrix(p, "projector")
     tol = _as_tolerance(tol)
@@ -183,12 +184,12 @@ def projector_diagnostics(p, tol=DEFAULT_TOL):
     scale = frobenius_norm(p)
     idempotency = _defect(p, p, p)
     symmetry = frobenius_norm(p - p.T)
-    idem = idempotency <= 100.0 * tol.relative * scale * scale
+    band = 100.0 * tol.relative * scale
+    idem = idempotency <= band
     sym = symmetry <= tol.relative * scale
     spectrum_binary = None
     if sym:
         values = eig_symmetric((p + p.T) / 2.0, tol).values
-        band = 100.0 * tol.relative * scale
         spectrum_binary = bool(np.all(np.minimum(np.abs(values), np.abs(values - 1.0)) <= band))
     return ProjectorReport(
         trace=float(np.trace(p)),

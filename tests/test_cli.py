@@ -7,6 +7,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourspaces import (
+    InverseReport,
+    LsSolution,
     NonFiniteEntryError,
     ParseError,
+    ProjectorReport,
     RaggedRowsError,
+    RankNullityReport,
     ShapeError,
     cli,
     errors,
@@ -405,6 +410,39 @@ def test_project_command(tmp_path, capsys):
     code, doc = run_json(capsys, ["project", "--input", path, "--side", "row"])
     assert code == 0
     assert doc["payload"]["projector"]["data"] == [[1.0]]
+
+
+_PROJECTOR_KEYS = ["projector", "side", "trace", "rank", "idempotent", "symmetric", "spectrum_binary"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys, record, lead, dropped",
+    [
+        (["rank"], ["rank", "n_rows", "n_cols", "dim_null", "dim_left_null"],
+         RankNullityReport, [], []),
+        (["project", "--side", "col"], _PROJECTOR_KEYS,
+         ProjectorReport, ["projector", "side"], ["idempotency", "symmetry"]),
+        (["project", "--side", "row"], _PROJECTOR_KEYS,
+         ProjectorReport, ["projector", "side"], ["idempotency", "symmetry"]),
+        (["classify", "--g", "g.csv"], ["class_label", "flags", "is_left_inverse", "is_right_inverse"],
+         InverseReport, [], ["residuals"]),
+        (["solve", "--y", "y.csv"],
+         ["beta_hat", "y_hat", "residual", "residual_norm", "rank_used", "method"],
+         LsSolution, [], []),
+    ],
+    ids=["rank", "project-col", "project-row", "classify", "solve"],
+)
+def test_payload_keys_are_the_record_fields_in_order(
+    tmp_path, capsys, argv, keys, record, lead, dropped
+):
+    x = write(tmp_path, "x.csv", "1,2\n2,4\n3,7\n")
+    write(tmp_path, "g.csv", "1,0,0\n0,1,0\n")
+    write(tmp_path, "y.csv", "1\n2\n3\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    code, doc = run_json(capsys, [argv[0], "--input", x, *argv[1:]])
+    assert code == 0
+    assert list(doc["payload"]) == keys
+    assert list(doc["payload"]) == lead + [f.name for f in fields(record) if f.name not in dropped]
 
 
 def test_report_command(tmp_path, capsys):

@@ -72,6 +72,14 @@ def test_output_hash_comparison_counts_three_kinds(monkeypatch):
     }
 
 
+def test_output_hash_comparison_sees_payload_keys_move(monkeypatch):
+    hashing = _load_output_hash(monkeypatch)
+    earlier = [_record("json", "swap", '{"payload": {"rank": 2, "trace": 2.0}}')]
+    records = [_record("json", "swap", '{"payload": {"trace": 2.0, "rank": 2}}')]
+    kinds = hashing.compare(records, earlier)
+    assert kinds == {("json", "swap", "--input", "<tmp>/x.csv"): "other"}
+
+
 def test_output_hash_exits_1_on_a_changed_record(monkeypatch, tmp_path, capsys):
     hashing = _load_output_hash(monkeypatch)
 

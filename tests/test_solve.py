@@ -324,6 +324,17 @@ def test_projector_diagnostics_reads_the_same_below_unit_scale(k):
     assert (rep.idempotent, rep.spectrum_binary) == (k == 0, k == 0)
 
 
+@pytest.mark.parametrize("k", [-600, -300, 0, 300, 600, 1023])
+def test_projector_idempotency_band_is_in_the_unit_of_p(k):
+    # a band of 100 tol ||P||_F^2 grew past any defect above unit scale and
+    # called the nilpotent 2^k [[0, 1], [0, 0]] (P^2 = 0) idempotent from k = 300
+    nilpotent = projector_diagnostics(np.ldexp([[0.0, 1.0], [0.0, 0.0]], k))
+    assert not nilpotent.idempotent
+    assert nilpotent.idempotency == np.ldexp(1.0, k)
+    oblique = projector_diagnostics(np.array([[1.0, np.ldexp(1.0, k)], [0.0, 0.0]]))
+    assert oblique.idempotent and oblique.idempotency == 0.0
+
+
 def test_projector_diagnostics_requires_square_input():
     with pytest.raises(ShapeError):
         projector_diagnostics(np.ones((2, 3)))
